@@ -8,7 +8,7 @@ chart against independent numerical oracles.
 
 __version__ = "0.1.0"
 
-from .autodiff import Dual2, fd_gradient, fd_hessian, gradient, hessian, lift
+from .autodiff import Dual2, gradient, hessian, lift
 from .core import (
     Chart,
     DEFAULT_TOLERANCES,
@@ -25,9 +25,7 @@ from .geometry import (
     TorsionAt,
     evaluate_metric,
     levi_civita,
-    riemann,
     riemann_levi_civita,
-    scalar_curvature,
     sectional_curvature,
     torsion,
     transform_connection,
@@ -44,6 +42,8 @@ from .models import (
     chart_second_derivatives,
     conn_expectation_theta,
     density,
+    expectation_connection,
+    fisher_metric,
     fisher_metric_field,
     fisher_metric_theta,
     jacobian,
@@ -69,15 +69,16 @@ __all__ = [
     "__version__",
     "Chart", "ParamPoint", "Tolerances", "DEFAULT_TOLERANCES",
     "DomainError", "EngineError", "SingularMetricError",
-    "Dual2", "lift", "gradient", "hessian", "fd_gradient", "fd_hessian",
+    "Dual2", "lift", "gradient", "hessian",
     "MetricAt", "ConnAt", "TorsionAt", "RiemannAt",
-    "evaluate_metric", "levi_civita", "torsion", "riemann",
-    "riemann_levi_civita", "scalar_curvature", "sectional_curvature",
+    "evaluate_metric", "levi_civita", "torsion",
+    "riemann_levi_civita", "sectional_curvature",
     "transform_metric", "transform_lower_tensor3", "transform_lower_tensor4",
     "transform_connection",
     "ClosedForm", "GaussHermite", "MonteCarlo",
     "log_likelihood", "density", "score_theta", "score_xi", "score_xi_pullback",
     "loglik_hessian_theta", "fisher_metric_theta", "conn_expectation_theta",
+    "fisher_metric", "expectation_connection",
     "chart_forward", "chart_backward", "jacobian", "chart_second_derivatives",
     "fisher_metric_field",
     "PaperTable", "QUANTITY_IDS", "paper_metric_xi", "paper_christoffel_xi",

@@ -3,7 +3,6 @@
 Dual2 carries a value, a 2-vector of first partials, and a symmetric 2x2
 Hessian through arithmetic, so one evaluation of a closed-form field at a
 lifted point yields the field together with its first and second derivatives.
-Central-difference fallbacks are provided as an independent check.
 """
 
 from __future__ import annotations
@@ -13,11 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DomainError, ParamPoint, validate_coords
-
-_EPS = float(np.finfo(float).eps)
-FD_STEP_GRAD = _EPS ** (1.0 / 3.0)   # truncation/round-off balance, first order
-FD_STEP_HESS = _EPS ** 0.25          # same balance, second order
+from .core import ParamPoint
 
 
 class Dual2:
@@ -170,11 +165,7 @@ def lift(point: ParamPoint) -> tuple[Dual2, Dual2]:
 
     Seed i carries value = coordinate i, gradient = e_i, Hessian = 0.
     """
-    return lift_coords(point.c1, point.c2)
-
-
-def lift_coords(c1: float, c2: float) -> tuple[Dual2, Dual2]:
-    return Dual2(c1, g1=1.0), Dual2(c2, g2=1.0)
+    return Dual2(point.c1, g1=1.0), Dual2(point.c2, g2=1.0)
 
 
 def value(x) -> float:
@@ -192,59 +183,3 @@ def hessian(f: Callable, point: ParamPoint) -> np.ndarray:
     """Symmetric Hessian of f(c1, c2) at the point, via Dual2."""
     a, b = lift(point)
     return _coerce(f(a, b)).hess
-
-
-def _fd_shift(point: ParamPoint, i: int, delta: float) -> tuple[float, float]:
-    c = [point.c1, point.c2]
-    c[i] += delta
-    try:
-        validate_coords(point.chart, c[0], c[1])
-    except DomainError as exc:
-        raise DomainError(
-            f"finite-difference stencil leaves the {point.chart} domain: {exc}"
-        ) from exc
-    return c[0], c[1]
-
-
-def fd_gradient(f: Callable, point: ParamPoint, step: float | None = None) -> np.ndarray:
-    """Central-difference gradient (f(x + h e_i) - f(x - h e_i)) / (2 h).
-
-    Every stencil point must satisfy the chart's domain invariant.
-    """
-    out = np.empty(2)
-    for i, ci in enumerate(point.coords):
-        h = step if step is not None else FD_STEP_GRAD * max(1.0, abs(ci))
-        hi = f(*_fd_shift(point, i, +h))
-        lo = f(*_fd_shift(point, i, -h))
-        out[i] = (hi - lo) / (2.0 * h)
-    return out
-
-
-def fd_hessian(f: Callable, point: ParamPoint, step: float | None = None) -> np.ndarray:
-    """Central-difference symmetric Hessian (independent check on Dual2)."""
-    c1, c2 = point.coords
-    h = [step if step is not None else FD_STEP_HESS * max(1.0, abs(ci))
-         for ci in point.coords]
-    out = np.empty((2, 2))
-    f0 = f(c1, c2)
-    for i in range(2):
-        hi = f(*_fd_shift(point, i, +h[i]))
-        lo = f(*_fd_shift(point, i, -h[i]))
-        out[i, i] = (hi - 2.0 * f0 + lo) / (h[i] * h[i])
-    pp = f(*_shift2(point, +h[0], +h[1]))
-    pm = f(*_shift2(point, +h[0], -h[1]))
-    mp = f(*_shift2(point, -h[0], +h[1]))
-    mm = f(*_shift2(point, -h[0], -h[1]))
-    out[0, 1] = out[1, 0] = (pp - pm - mp + mm) / (4.0 * h[0] * h[1])
-    return out
-
-
-def _shift2(point: ParamPoint, d1: float, d2: float) -> tuple[float, float]:
-    c1, c2 = point.c1 + d1, point.c2 + d2
-    try:
-        validate_coords(point.chart, c1, c2)
-    except DomainError as exc:
-        raise DomainError(
-            f"finite-difference stencil leaves the {point.chart} domain: {exc}"
-        ) from exc
-    return c1, c2

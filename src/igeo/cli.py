@@ -19,22 +19,20 @@ import sys
 import numpy as np
 
 from . import __version__
-from .autodiff import sin
 from .core import (
     Chart,
     DEFAULT_TOLERANCES,
     DomainError,
     EngineError,
     ParamPoint,
+    SingularMetricError,
     Tolerances,
 )
 from .geometry import (
-    evaluate_metric,
     levi_civita,
     riemann_levi_civita,
     sectional_curvature,
     torsion,
-    transform_connection,
     transform_metric,
 )
 from .models import (
@@ -44,12 +42,11 @@ from .models import (
     MonteCarlo,
     chart_backward,
     chart_forward,
-    chart_second_derivatives,
-    conn_expectation_theta,
+    expectation_connection,
+    fisher_metric,
     fisher_metric_field,
-    fisher_metric_theta,
     jacobian,
-    score_xi_pullback,
+    selftest_checks,
 )
 from .papertable import audit as run_audit
 
@@ -213,6 +210,8 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
             raise UsageError(f"bad --grid axis {part!r}") from exc
         if steps < 1:
             raise UsageError(f"--grid steps must be >= 1, got {steps}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise DomainError(f"--grid axis {part!r} requires finite endpoints")
         axes.append(np.linspace(start, stop, steps))
     return [(float(a), float(b)) for a in axes[0] for b in axes[1]]
 
@@ -228,21 +227,23 @@ def _points(args, chart: Chart) -> list[ParamPoint]:
 
 
 def _parse_engine(spec: str):
-    default_seed = int(os.environ.get("IGEO_SEED", DEFAULT_MC_SEED))
-    parts = spec.split(":")
-    name = parts[0]
+    name, *fields = spec.split(":")
     try:
-        if name == "closed_form" and len(parts) == 1:
-            return ClosedForm(), "closed_form"
-        if name == "gauss_hermite" and len(parts) <= 2:
-            nodes = int(parts[1]) if len(parts) == 2 else 64
-            return GaussHermite(nodes), f"gauss_hermite:{nodes}"
-        if name == "monte_carlo" and len(parts) <= 3:
-            samples = int(parts[1]) if len(parts) >= 2 else 1_000_000
-            seed = int(parts[2]) if len(parts) == 3 else default_seed
-            return MonteCarlo(samples, seed), f"monte_carlo:{samples}:{seed}"
+        nums = [int(f) for f in fields]
+        if name == "monte_carlo" and len(nums) < 2:
+            nums = (nums or [1_000_000]) + [int(os.environ.get("IGEO_SEED", DEFAULT_MC_SEED))]
     except ValueError as exc:
-        raise UsageError(f"bad --engine spec {spec!r}") from exc
+        raise UsageError(
+            f"bad --engine spec {spec!r}: nodes, samples and seed (also IGEO_SEED) are integers"
+        ) from exc
+    if name == "closed_form" and not nums:
+        return ClosedForm(), "closed_form"
+    if name == "gauss_hermite" and len(nums) <= 1:
+        nodes = nums[0] if nums else 64
+        return GaussHermite(nodes), f"gauss_hermite:{nodes}"
+    if name == "monte_carlo" and len(nums) == 2:
+        samples, seed = nums
+        return MonteCarlo(samples, seed), f"monte_carlo:{samples}:{seed}"
     raise UsageError(
         f"unknown --engine {spec!r}; want closed_form, gauss_hermite[:nodes] "
         "or monte_carlo[:samples[:seed]]"
@@ -258,7 +259,16 @@ def _require_closed_form(engine, what: str):
 # commands
 # ---------------------------------------------------------------------------
 
+def _require_finite(p: ParamPoint, what: str, values) -> None:
+    # einsum ignores np.errstate, so an overflow can reach the output silently
+    if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
+        raise DomainError(
+            f"{what} at {p.chart} point ({p.c1!r}, {p.c2!r}) is not finite in double precision"
+        )
+
+
 def _rec(point: ParamPoint, quantity: str, value, provenance: str = "oracle") -> dict:
+    _require_finite(point, quantity, value)
     if isinstance(value, np.ndarray):
         value = value.tolist()
     return {
@@ -269,196 +279,74 @@ def _rec(point: ParamPoint, quantity: str, value, provenance: str = "oracle") ->
     }
 
 
-def _metric_at_point(p: ParamPoint, engine):
-    if p.chart is Chart.THETA:
-        return fisher_metric_theta(p, engine)
-    if isinstance(engine, ClosedForm):
-        return evaluate_metric(fisher_metric_field(Chart.XI), p)
-    # dual chart via the outer product E[s_a s_b] of chain-rule scores
-    from .geometry import MetricAt
-
-    th = chart_backward(p)
-    g = np.empty((2, 2))
-    for a in range(2):
-        for b in range(a, 2):
-            g[a, b] = g[b, a] = engine.expect(
-                lambda x, a=a, b=b: score_xi_pullback(x, th)[a]
-                * score_xi_pullback(x, th)[b],
-                th,
-            )
-    return MetricAt.from_matrix(p, g)
-
-
-def _connection_at_point(p: ParamPoint, kind: str, engine):
-    if kind == "levi_civita":
+def _connection(p: ParamPoint, args, engine):
+    if args.connection == "levi_civita":
         _require_closed_form(engine, "the levi_civita connection")
         return levi_civita(fisher_metric_field(p.chart), p)
+    return expectation_connection(p, engine)
+
+
+def _metric(p, args, engine):
+    m = fisher_metric(p, engine)
+    return (("g", m.g), ("g_inv", m.g_inv), ("g_det", m.det))
+
+
+def _christoffel(p, args, engine):
+    conn = _connection(p, args, engine)
+    return (("Gamma_lower", conn.lower), ("Gamma_mixed", conn.mixed))
+
+
+def _torsion(p, args, engine):
+    t = torsion(_connection(p, args, engine)).t
+    return (("T", t), ("T_max_abs", float(np.max(np.abs(t)))))
+
+
+def _curvature(p, args, engine):
+    _require_closed_form(engine, "curvature")
+    riem = riemann_levi_civita(fisher_metric_field(p.chart), p)
+    return (("R", riem.r), ("scalar", riem.scalar),
+            ("sectional", sectional_curvature(riem, fisher_metric(p))))
+
+
+def _scalar(p, args, engine):
+    _require_closed_form(engine, "scalar curvature")
+    return (("scalar", riemann_levi_civita(fisher_metric_field(p.chart), p).scalar),)
+
+
+def _transform(p, args, engine):
     if p.chart is Chart.THETA:
-        return conn_expectation_theta(p, engine)
+        q = chart_forward(p)
+        jac, jac_inv = jacobian(p)
+        m = transform_metric(fisher_metric(p), jac_inv, q)
+        return (("point_xi", [q.c1, q.c2]), ("jacobian", jac), ("jacobian_inv", jac_inv),
+                ("g_xi", m.g), ("g_xi_det", m.det))
     th = chart_backward(p)
     jac, jac_inv = jacobian(th)
-    return transform_connection(
-        conn_expectation_theta(th, engine), jac, jac_inv,
-        chart_second_derivatives(th), fisher_metric_theta(th), p,
-    )
+    return (("point_theta", [th.c1, th.c2]), ("jacobian", jac), ("jacobian_inv", jac_inv),
+            ("g_theta", fisher_metric(th).g))
 
 
-def _cmd_metric(args, points, engine) -> list[dict]:
-    out = []
-    for p in points:
-        m = _metric_at_point(p, engine)
-        out.append(_rec(p, "g", np.asarray(m.g)))
-        out.append(_rec(p, "g_inv", np.asarray(m.g_inv)))
-        out.append(_rec(p, "g_det", m.det))
-    return out
+# per-point command -> (quantity, value) pairs at one point
+_QUANTITIES = {
+    "metric": _metric,
+    "christoffel": _christoffel,
+    "torsion": _torsion,
+    "curvature": _curvature,
+    "scalar": _scalar,
+    "transform": _transform,
+}
 
 
-def _cmd_christoffel(args, points, engine) -> list[dict]:
-    out = []
-    for p in points:
-        conn = _connection_at_point(p, args.connection, engine)
-        out.append(_rec(p, "Gamma_lower", np.asarray(conn.lower)))
-        out.append(_rec(p, "Gamma_mixed", np.asarray(conn.mixed)))
-    return out
-
-
-def _cmd_torsion(args, points, engine) -> list[dict]:
-    out = []
-    for p in points:
-        conn = _connection_at_point(p, args.connection, engine)
-        t = torsion(conn)
-        out.append(_rec(p, "T", np.asarray(t.t)))
-        out.append(_rec(p, "T_max_abs", float(np.max(np.abs(t.t)))))
-    return out
-
-
-def _cmd_curvature(args, points, engine) -> list[dict]:
-    _require_closed_form(engine, "curvature")
-    out = []
-    for p in points:
-        field = fisher_metric_field(p.chart)
-        riem = riemann_levi_civita(field, p)
-        metric = evaluate_metric(field, p)
-        out.append(_rec(p, "R", np.asarray(riem.r)))
-        out.append(_rec(p, "scalar", riem.scalar))
-        out.append(_rec(p, "sectional", sectional_curvature(riem, metric)))
-    return out
-
-
-def _cmd_scalar(args, points, engine) -> list[dict]:
-    _require_closed_form(engine, "scalar curvature")
-    out = []
-    for p in points:
-        riem = riemann_levi_civita(fisher_metric_field(p.chart), p)
-        out.append(_rec(p, "scalar", riem.scalar))
-    return out
-
-
-def _cmd_transform(args, points, engine) -> list[dict]:
-    out = []
-    for p in points:
-        if p.chart is Chart.THETA:
-            q = chart_forward(p)
-            jac, jac_inv = jacobian(p)
-            m = transform_metric(fisher_metric_theta(p), jac_inv, q)
-            out.append(_rec(p, "point_xi", [q.c1, q.c2]))
-            out.append(_rec(p, "jacobian", jac))
-            out.append(_rec(p, "jacobian_inv", jac_inv))
-            out.append(_rec(p, "g_xi", np.asarray(m.g)))
-            out.append(_rec(p, "g_xi_det", m.det))
-        else:
-            th = chart_backward(p)
-            jac, jac_inv = jacobian(th)
-            out.append(_rec(p, "point_theta", [th.c1, th.c2]))
-            out.append(_rec(p, "jacobian", jac))
-            out.append(_rec(p, "jacobian_inv", jac_inv))
-            out.append(_rec(p, "g_theta", np.asarray(fisher_metric_theta(th).g)))
-    return out
-
-
-def _cmd_audit(args, points, tol: Tolerances):
-    records: list[dict] = []
-    notes: tuple[str, ...] = ()
-    mismatch = False
-    for p in points:
-        report = run_audit(p, tol)
-        notes = report.notes
-        for row in report.rows:
-            rec = {
-                "point": [p.c1, p.c2],
-                "quantity": row.quantity,
-                "paper": row.paper,
-                "oracle": row.oracle,
-                "abs_gap": row.abs_gap,
-                "rel_gap": row.rel_gap,
-                "verdict": row.verdict,
-                "oracle_label": row.oracle_label,
-                "note": row.note,
-            }
-            records.append(rec)
-            mismatch = mismatch or row.verdict == "MISMATCH"
-    return records, notes, mismatch
-
-
-def _selftest_sphere_field(c1, c2):
-    s = sin(c1)
-    return [[1.0, 0.0], [0.0, s * s]]
-
-
-def _cmd_selftest(args) -> tuple[list[dict], bool]:
-    tol = DEFAULT_TOLERANCES
-    checks: list[tuple[str, float, float]] = []
-
-    worst = 0.0
-    for mu in (-2.0, 0.0, 1.5):
-        for s in (0.3, 1.0, 4.0):
-            p = ParamPoint.theta(mu, s)
-            back = chart_backward(chart_forward(p))
-            worst = max(worst, abs(back.c1 - mu), abs(back.c2 - s))
-            jac, jac_inv = jacobian(p)
-            worst_j = float(np.max(np.abs(jac @ jac_inv - np.eye(2))))
-            checks.append((f"jacobian_inverse(mu={mu},sigma={s})", worst_j, 1e-14))
-    checks.append(("chart_round_trip", worst, 1e-12))
-
-    p = ParamPoint.theta(0.7, 1.3)
-    gh = GaussHermite(64)
-    checks.append(("gauss_hermite_normalisation",
-                   abs(gh.expect(lambda x: np.ones_like(x), p) - 1.0), 1e-12))
-
-    for chart in (Chart.THETA, Chart.XI):
-        q = p if chart is Chart.THETA else chart_forward(p)
-        conn = levi_civita(fisher_metric_field(chart), q)
-        checks.append((f"levi_civita_torsion_{chart}",
-                       float(np.max(np.abs(torsion(conn).t))), 0.0))
-        riem = riemann_levi_civita(fisher_metric_field(chart), q)
-        checks.append((f"scalar_curvature_{chart}", abs(riem.scalar + 0.5), tol.derived_abs))
-
-    sph = ParamPoint.theta(math.pi / 3, 1.0)
-    riem = riemann_levi_civita(_selftest_sphere_field, sph)
-    checks.append(("sphere_scalar_curvature", abs(riem.scalar - 1.0), tol.derived_abs))
-
-    jac, jac_inv = jacobian(p)
-    m_th = fisher_metric_theta(p)
-    m_xi = transform_metric(m_th, jac_inv, chart_forward(p))
-    det_j = float(np.linalg.det(jac))
-    checks.append(("metric_det_transform",
-                   abs(m_xi.det - m_th.det / det_j**2), tol.closed_form_abs))
-
-    records = []
-    ok = True
-    anchor = ParamPoint.theta(0.0, 1.0)
-    for name, residual, bound in checks:
-        passed = residual <= bound
-        ok = ok and passed
-        records.append({
-            "point": [anchor.c1, anchor.c2],
-            "quantity": f"selftest.{name}",
-            "value": residual,
-            "bound": bound,
-            "verdict": "PASS" if passed else "FAIL",
-            "provenance": "oracle",
-        })
-    return records, ok
+def _at(p: ParamPoint, fn, *args):
+    """fn(p, *args); a float that overflows or divides by zero there is a domain error."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return fn(p, *args)
+    except ArithmeticError as exc:
+        raise DomainError(
+            f"{p.chart} point ({p.c1!r}, {p.c2!r}) is outside the double-precision "
+            f"range of the formulas: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +392,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_HANDLERS = {
-    "metric": _cmd_metric,
-    "christoffel": _cmd_christoffel,
-    "torsion": _cmd_torsion,
-    "curvature": _cmd_curvature,
-    "scalar": _cmd_scalar,
-    "transform": _cmd_transform,
-}
-
-
 def _emit(args, meta: dict, records: list[dict], notes: tuple[str, ...] = ()) -> None:
     fmt = args.format
     if fmt == "json":
@@ -529,47 +407,68 @@ def _emit(args, meta: dict, records: list[dict], notes: tuple[str, ...] = ()) ->
         sys.stdout.write(text)
 
 
+def _join_values(argv: list[str]) -> list[str]:
+    """'--point X' -> '--point=X' (and --grid), so argparse reads '-1,2' as a value."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--point", "--grid"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        notes: tuple[str, ...] = ()
+        chart = Chart(getattr(args, "chart", "theta"))
+        engine, engine_desc = ClosedForm(), "closed_form"
         if args.command == "selftest":
-            records, ok = _cmd_selftest(args)
-            meta = {"command": "selftest", "chart": "theta", "engine": "closed_form",
-                    "tool_version": __version__}
-            _emit(args, meta, records)
-            return EXIT_OK if ok else 1
-
-        if args.command == "audit":
-            points = _points(args, Chart.THETA)
+            records = [{
+                "point": [0.0, 1.0],
+                "quantity": f"selftest.{name}",
+                "value": residual,
+                "bound": bound,
+                "verdict": "PASS" if residual <= bound else "FAIL",
+                "provenance": "oracle",
+            } for name, residual, bound in selftest_checks()]
+            code = EXIT_OK if all(r["verdict"] == "PASS" for r in records) else 1
+        elif args.command == "audit":
+            points = _points(args, chart)
             tol = Tolerances(args.tol_closed, args.tol_derived, args.tol_rel)
-            records, notes, mismatch = _cmd_audit(args, points, tol)
-            meta = {"command": "audit", "chart": "theta", "engine": "closed_form",
-                    "tool_version": __version__}
-            _emit(args, meta, records, notes)
-            return EXIT_AUDIT if (mismatch and args.strict) else EXIT_OK
-
-        chart = Chart(args.chart) if hasattr(args, "chart") else Chart.THETA
-        points = _points(args, chart)
-        if hasattr(args, "engine"):
-            engine, engine_desc = _parse_engine(args.engine)
+            records, mismatch = [], False
+            for p in points:
+                report = _at(p, run_audit, tol)
+                # a finite |paper - oracle| makes both sides and the relative gap finite
+                _require_finite(p, "an audit gap", [row.abs_gap for row in report.rows])
+                records += ({"point": [p.c1, p.c2], **vars(row)} for row in report.rows)
+                mismatch = mismatch or bool(report.mismatches)
+            notes = report.notes
+            code = EXIT_AUDIT if (mismatch and args.strict) else EXIT_OK
         else:
-            engine, engine_desc = ClosedForm(), "closed_form"
-        records = _HANDLERS[args.command](args, points, engine)
+            points = _points(args, chart)
+            if hasattr(args, "engine"):
+                engine, engine_desc = _parse_engine(args.engine)
+            quantities = _QUANTITIES[args.command]
+            records = [_rec(p, quantity, value) for p in points
+                       for quantity, value in _at(p, quantities, args, engine)]
+            code = EXIT_OK
         meta = {"command": args.command, "chart": chart.value, "engine": engine_desc,
                 "tool_version": __version__}
-        _emit(args, meta, records)
-        return EXIT_OK
+        _emit(args, meta, records, notes)
+        return code
     except UsageError as exc:
         print(f"igeo: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EngineError as exc:
         print(f"igeo: engine error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
+    except (DomainError, SingularMetricError) as exc:
         print(f"igeo: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -34,6 +35,8 @@ class Chart(enum.Enum):
 
 def validate_coords(chart: Chart, c1: float, c2: float) -> None:
     """Raise DomainError unless (c1, c2) lies in the chart's domain."""
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise DomainError(f"{chart} chart requires finite coordinates, got ({c1}, {c2})")
     if chart is Chart.THETA:
         if not c2 > 0.0:
             raise DomainError(f"theta chart requires sigma > 0, got sigma = {c2}")

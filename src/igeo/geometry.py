@@ -31,7 +31,6 @@ from .autodiff import Dual2, lift, value
 from .core import ParamPoint, SingularMetricError
 
 MetricField = Callable[[object, object], object]  # (c1, c2) -> 2x2 of float/Dual2
-ConnField = Callable[[ParamPoint], "ConnAt"]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -222,47 +221,8 @@ def riemann_levi_civita(metric_field: MetricField, point: ParamPoint) -> Riemann
     """Curvature of the Levi-Civita connection, all derivatives via Dual2."""
     g, ginv, lower, mixed, dmixed, metric = _lc_jet(metric_field, point)
     r = _assemble_riemann(g, lower, mixed, dmixed)
-    return RiemannAt(point=point, r=r, scalar=_scalar(r, ginv))
-
-
-def riemann(
-    conn_field: ConnField,
-    metric_field: MetricField,
-    point: ParamPoint,
-    step: float | None = None,
-) -> RiemannAt:
-    """Curvature of an arbitrary connection field.
-
-    The derivative of the mixed coefficients is taken by central differences
-    of ``conn_field`` (which itself may be analytic to machine precision), so
-    this path is independent of the Dual2 route and serves as its check.
-    """
-    conn = conn_field(point)
-    metric = evaluate_metric(metric_field, point)
-    dmixed = np.zeros((2, 2, 2, 2))
-    coords = list(point.coords)
-    for l in range(2):
-        h = step if step is not None else 1e-5 * max(1.0, abs(coords[l]))
-        up = list(coords)
-        dn = list(coords)
-        up[l] += h
-        dn[l] -= h
-        conn_up = conn_field(ParamPoint(point.chart, *up))
-        conn_dn = conn_field(ParamPoint(point.chart, *dn))
-        dmixed[l] = (np.asarray(conn_up.mixed) - np.asarray(conn_dn.mixed)) / (2.0 * h)
-    r = _assemble_riemann(
-        np.asarray(metric.g), np.asarray(conn.lower), np.asarray(conn.mixed), dmixed
-    )
-    return RiemannAt(point=point, r=r, scalar=_scalar(r, np.asarray(metric.g_inv)))
-
-
-def _scalar(r: np.ndarray, ginv: np.ndarray) -> float:
-    return float(0.5 * np.einsum("ijkm,im,jk->", r, ginv, ginv))
-
-
-def scalar_curvature(riem: RiemannAt, metric: MetricAt) -> float:
-    """Normalised double contraction (1/2) R_ijkm g^im g^jk."""
-    return _scalar(np.asarray(riem.r), np.asarray(metric.g_inv))
+    scalar = float(0.5 * np.einsum("ijkm,im,jk->", r, ginv, ginv))
+    return RiemannAt(point=point, r=r, scalar=scalar)
 
 
 def sectional_curvature(riem: RiemannAt, metric: MetricAt) -> float:

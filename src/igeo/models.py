@@ -1,8 +1,9 @@
 """The Gaussian family: log-likelihood, scores, expectation engines, charts.
 
-Everything here is expressed in the natural chart (mu, sigma).  The dual
-chart stores (mu, mu^2 + sigma^2); `chart_forward`/`chart_backward` convert
-explicitly, and nothing in this module converts silently.
+The family and its engines are expressed in the natural chart (mu, sigma).
+The dual chart stores (mu, mu^2 + sigma^2); `chart_forward`/`chart_backward`
+convert explicitly.  `fisher_metric` and `expectation_connection` take a point
+of either chart and answer in that chart.
 """
 
 from __future__ import annotations
@@ -15,8 +16,18 @@ from typing import Callable, Union
 import numpy as np
 
 from . import autodiff as ad
-from .core import Chart, DomainError, EngineError, ParamPoint
-from .geometry import ConnAt, MetricAt, MetricField
+from .core import DEFAULT_TOLERANCES, Chart, DomainError, EngineError, ParamPoint
+from .geometry import (
+    ConnAt,
+    MetricAt,
+    MetricField,
+    evaluate_metric,
+    levi_civita,
+    riemann_levi_civita,
+    torsion,
+    transform_connection,
+    transform_metric,
+)
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 DEFAULT_MC_SEED = 20260808
@@ -48,17 +59,6 @@ def log_likelihood(x, p: ParamPoint):
 
 def density(x, p: ParamPoint):
     return np.exp(log_likelihood(x, p))
-
-
-def mean(p: ParamPoint) -> float:
-    """E[x] = mu."""
-    return _require_theta(p)[0]
-
-
-def second_moment(p: ParamPoint) -> float:
-    """E[x^2] = sigma^2 + mu^2 (variance decomposition)."""
-    mu, s = _require_theta(p)
-    return s * s + mu * mu
 
 
 def score_theta(x, p: ParamPoint) -> np.ndarray:
@@ -127,6 +127,10 @@ class GaussHermite:
 
     nodes: int = 64
 
+    def __post_init__(self):
+        if self.nodes < 1:
+            raise EngineError(f"gauss-hermite needs at least 1 node, got {self.nodes}")
+
     def expect(self, f: Callable, p: ParamPoint) -> float:
         mu, s = _require_theta(p)
         t, w = _hermgauss(self.nodes)
@@ -144,6 +148,8 @@ class MonteCarlo:
     def __post_init__(self):
         if self.samples < 100:
             raise EngineError(f"monte carlo needs at least 100 samples, got {self.samples}")
+        if self.seed < 0:
+            raise EngineError(f"monte carlo seed must be >= 0, got {self.seed}")
 
     def expect(self, f: Callable, p: ParamPoint) -> float:
         mu, s = _require_theta(p)
@@ -153,12 +159,6 @@ class MonteCarlo:
 
 
 Engine = Union[ClosedForm, GaussHermite, MonteCarlo]
-
-
-def expect(engine: Engine, f: Callable, p: ParamPoint) -> float:
-    if isinstance(engine, ClosedForm):
-        raise EngineError("the closed-form engine has no generic expectation")
-    return engine.expect(f, p)
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +283,91 @@ def fisher_metric_field(chart: Chart) -> MetricField:
         ]
 
     return xi_field
+
+
+# ---------------------------------------------------------------------------
+# either chart
+# ---------------------------------------------------------------------------
+
+def fisher_metric(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricAt:
+    """Fisher metric in the chart of the point.
+
+    Natural chart: `fisher_metric_theta`.  Dual chart: the closed form
+    evaluates `fisher_metric_field`; the other engines take the outer product
+    E[s_a s_b] of the chain-rule scores `score_xi_pullback`.
+    """
+    if p.chart is Chart.THETA:
+        return fisher_metric_theta(p, engine)
+    if isinstance(engine, ClosedForm):
+        return evaluate_metric(fisher_metric_field(Chart.XI), p)
+    th = chart_backward(p)
+    g = np.empty((2, 2))
+    for a in range(2):
+        for b in range(a, 2):
+            g[a, b] = g[b, a] = engine.expect(
+                lambda x, a=a, b=b: score_xi_pullback(x, th)[a]
+                * score_xi_pullback(x, th)[b],
+                th,
+            )
+    return MetricAt.from_matrix(p, g)
+
+
+def expectation_connection(p: ParamPoint, engine: Engine = ClosedForm()) -> ConnAt:
+    """Expectation-form connection in the chart of the point.
+
+    Dual chart: `conn_expectation_theta` moved by the proper (inhomogeneous)
+    connection law, never by the tensor law.
+    """
+    if p.chart is Chart.THETA:
+        return conn_expectation_theta(p, engine)
+    th = chart_backward(p)
+    jac, jac_inv = jacobian(th)
+    return transform_connection(
+        conn_expectation_theta(th, engine), jac, jac_inv,
+        chart_second_derivatives(th), fisher_metric_theta(th), p,
+    )
+
+
+def selftest_checks() -> list[tuple[str, float, float]]:
+    """Quick internal consistency checks as (name, residual, bound) triples."""
+    tol = DEFAULT_TOLERANCES
+    checks: list[tuple[str, float, float]] = []
+
+    worst = 0.0
+    for mu in (-2.0, 0.0, 1.5):
+        for s in (0.3, 1.0, 4.0):
+            p = ParamPoint.theta(mu, s)
+            back = chart_backward(chart_forward(p))
+            worst = max(worst, abs(back.c1 - mu), abs(back.c2 - s))
+            jac, jac_inv = jacobian(p)
+            worst_j = float(np.max(np.abs(jac @ jac_inv - np.eye(2))))
+            checks.append((f"jacobian_inverse(mu={mu},sigma={s})", worst_j, 1e-14))
+    checks.append(("chart_round_trip", worst, 1e-12))
+
+    p = ParamPoint.theta(0.7, 1.3)
+    gh = GaussHermite(64)
+    checks.append(("gauss_hermite_normalisation",
+                   abs(gh.expect(lambda x: np.ones_like(x), p) - 1.0), 1e-12))
+
+    for chart in (Chart.THETA, Chart.XI):
+        q = p if chart is Chart.THETA else chart_forward(p)
+        conn = levi_civita(fisher_metric_field(chart), q)
+        checks.append((f"levi_civita_torsion_{chart}",
+                       float(np.max(np.abs(torsion(conn).t))), 0.0))
+        riem = riemann_levi_civita(fisher_metric_field(chart), q)
+        checks.append((f"scalar_curvature_{chart}", abs(riem.scalar + 0.5), tol.derived_abs))
+
+    def sphere_field(c1, c2):
+        s = ad.sin(c1)
+        return [[1.0, 0.0], [0.0, s * s]]
+
+    riem = riemann_levi_civita(sphere_field, ParamPoint.theta(math.pi / 3, 1.0))
+    checks.append(("sphere_scalar_curvature", abs(riem.scalar - 1.0), tol.derived_abs))
+
+    jac, jac_inv = jacobian(p)
+    m_th = fisher_metric_theta(p)
+    m_xi = transform_metric(m_th, jac_inv, chart_forward(p))
+    det_j = float(np.linalg.det(jac))
+    checks.append(("metric_det_transform",
+                   abs(m_xi.det - m_th.det / det_j**2), tol.closed_form_abs))
+    return checks

@@ -31,6 +31,16 @@ def fd2(f, x, i, j, h=H2):
             - f(*(x - ei + ej)) + f(*(x - ei - ej))) / (4 * h * h)
 
 
+def gradient_fd(f, x, h=H1):
+    x = np.asarray(x, dtype=float)
+    return np.array([fd1(f, x, i, h) for i in range(2)])
+
+
+def hessian_fd(f, x, h=H2):
+    x = np.asarray(x, dtype=float)
+    return np.array([[fd2(f, x, i, j, h) for j in range(2)] for i in range(2)])
+
+
 def christoffel_fd(metric_fn, x):
     """(g, g_inv, lower, mixed) with metric derivatives from stencils."""
     x = np.asarray(x, dtype=float)
@@ -65,6 +75,25 @@ def riemann_fd(metric_fn, x, h=1e-4):
         e[l] = h
         dmixed[l] = (christoffel_fd(metric_fn, x + e)[3]
                      - christoffel_fd(metric_fn, x - e)[3]) / (2 * h)
+    return _assemble_riemann(g, ginv, lower, mixed, dmixed)
+
+
+def riemann_connection_fd(conn_fn, metric_fn, x, h=1e-4):
+    """Curvature of an arbitrary connection, assembled as in ``riemann_fd``.
+
+    ``conn_fn(c1, c2)`` returns the (lower, mixed) coefficient arrays.  Their
+    derivatives come from 5-point stencils, so this route shares nothing with
+    the second-order Dual2 jet that ``riemann_levi_civita`` differentiates.
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.array(metric_fn(*x), dtype=float)
+    lower, mixed = (np.asarray(a, dtype=float) for a in conn_fn(*x))
+    dmixed = np.stack([fd1(lambda a, b: np.asarray(conn_fn(a, b)[1]), x, l, h)
+                       for l in range(2)])
+    return _assemble_riemann(g, np.linalg.inv(g), lower, mixed, dmixed)
+
+
+def _assemble_riemann(g, ginv, lower, mixed, dmixed):
     r = np.zeros((2, 2, 2, 2))
     for i in range(2):
         for j in range(2):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from igeo import (
     Chart,
     ConnAt,
+    GaussHermite,
     MetricAt,
     ParamPoint,
     SingularMetricError,
@@ -17,13 +18,14 @@ from igeo import (
     chart_second_derivatives,
     conn_expectation_theta,
     evaluate_metric,
+    expectation_connection,
     fisher_metric_field,
     fisher_metric_theta,
     jacobian,
     levi_civita,
-    riemann,
+    loglik_hessian_theta,
     riemann_levi_civita,
-    scalar_curvature,
+    score_theta,
     sectional_curvature,
     torsion,
     transform_connection,
@@ -51,6 +53,14 @@ def flat_field(a, b):
 
 def xi_points(rng, n=10):
     return [chart_forward(p) for p in random_theta_points(rng, n)]
+
+
+def coefficients(conn_at, chart):
+    """(c1, c2) -> (lower, mixed) of the connection ``conn_at(point)``."""
+    def fn(c1, c2):
+        conn = conn_at(ParamPoint(chart, c1, c2))
+        return conn.lower, conn.mixed
+    return fn
 
 
 class TestMetricAt:
@@ -185,27 +195,25 @@ class TestRiemann:
     def test_fd_connection_route_matches_dual2_route(self, rng):
         for p in random_theta_points(rng, 3, sigma=(0.8, 2.0)):
             q = chart_forward(p)
-            conn_field = lambda pt: levi_civita(XI_FIELD, pt)
-            via_fd = riemann(conn_field, XI_FIELD, q)
+            r_fd, scal_fd = oracles.riemann_connection_fd(
+                coefficients(lambda pt: levi_civita(XI_FIELD, pt), Chart.XI),
+                oracles.gaussian_xi_metric, q.coords,
+            )
             via_ad = riemann_levi_civita(XI_FIELD, q)
-            assert np.max(np.abs(via_fd.r - via_ad.r)) < 1e-8
-            assert abs(via_fd.scalar - via_ad.scalar) < 1e-8
+            assert np.max(np.abs(r_fd - via_ad.r)) < 1e-8
+            assert abs(scal_fd - via_ad.scalar) < 1e-8
 
     def test_expectation_connection_is_flat_in_natural_chart(self, rng):
         # E-form coefficients: curvature vanishes identically
         for p in random_theta_points(rng, 3, sigma=(0.8, 2.0)):
-            via_fd = riemann(conn_expectation_theta, THETA_FIELD, p)
-            assert np.max(np.abs(via_fd.r)) < 1e-9
+            r_fd, _ = oracles.riemann_connection_fd(
+                coefficients(conn_expectation_theta, Chart.THETA),
+                oracles.gaussian_theta_metric, p.coords,
+            )
+            assert np.max(np.abs(r_fd)) < 1e-9
 
 
 class TestScalar:
-    def test_zero_tensor(self):
-        from igeo import RiemannAt
-
-        p = ParamPoint.theta(0, 1)
-        riem = RiemannAt(point=p, r=np.zeros((2, 2, 2, 2)), scalar=0.0)
-        assert scalar_curvature(riem, fisher_metric_theta(p)) == 0.0
-
     def test_gaussian_constant_negative_half(self, rng):
         for p in random_theta_points(rng, 10):
             assert abs(riemann_levi_civita(THETA_FIELD, p).scalar + 0.5) < 1e-8
@@ -325,6 +333,44 @@ class TestTransformConnection:
         expected[1, 1, 1] = -1.0
         assert np.allclose(conn.mixed, expected, atol=1e-12)
 
+    def test_mixture_connection_vanishes_in_dual_chart(self, rng):
+        # xi = (E[x], E[x^2]) are the expectation parameters, so the mixture
+        # (alpha = -1) connection is identically zero there (Amari & Nagaoka,
+        # Methods of Information Geometry, 2000, sections 2-3): an exact
+        # test of the inhomogeneous term of the connection law
+        gh = GaussHermite(64)
+        for p in random_theta_points(rng, 10):
+            lower = (2.0 * np.asarray(levi_civita(THETA_FIELD, p).lower)
+                     - np.asarray(conn_expectation_theta(p).lower))
+            quad = np.empty((2, 2, 2))
+            for i in range(2):
+                for j in range(2):
+                    for k in range(2):
+                        quad[i, j, k] = gh.expect(
+                            lambda x, i=i, j=j, k=k: (
+                                loglik_hessian_theta(x, p)[i, j]
+                                + score_theta(x, p)[i] * score_theta(x, p)[j]
+                            ) * score_theta(x, p)[k],
+                            p,
+                        )
+            assert np.max(np.abs(lower - quad)) <= 1e-12 * max(1.0, float(np.max(np.abs(lower))))
+
+            metric = fisher_metric_theta(p)
+            mixture = ConnAt(point=p, lower=lower,
+                             mixed=np.einsum("km,ijm->kij", metric.g_inv, lower))
+            q = chart_forward(p)
+            jac, jac_inv = jacobian(p)
+            moved = transform_connection(
+                mixture, jac, jac_inv, chart_second_derivatives(p), metric, q
+            )
+            # the tensor part alone sets the scale the inhomogeneous term cancels
+            tensor_part = transform_connection(
+                mixture, jac, jac_inv, np.zeros((2, 2, 2)), metric, q
+            )
+            for got, part in ((moved.lower, tensor_part.lower), (moved.mixed, tensor_part.mixed)):
+                scale = max(1.0, float(np.max(np.abs(part))))
+                assert np.max(np.abs(got)) <= 1e-12 * scale
+
     def test_expectation_connection_pushforward_matches_quadrature(self, rng):
         # E[dd_xi l . d_xi l] computed natively (chain-rule scores via Dual2
         # under Gauss-Hermite) equals the inhomogeneous-law transport
@@ -358,6 +404,8 @@ class TestTransformConnection:
                         )
             scale = max(1.0, float(np.max(np.abs(native))))
             assert np.max(np.abs(pushed.lower - native)) < 1e-9 * scale
+            # the chart-generic entry point goes back through chart_backward
+            assert np.max(np.abs(expectation_connection(q).lower - pushed.lower)) < 1e-12 * scale
 
 
 class TestHypothesisInvariants:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from igeo import (
     Chart,
-    ClosedForm,
     DomainError,
     EngineError,
     GaussHermite,
@@ -20,6 +19,8 @@ from igeo import (
     chart_second_derivatives,
     conn_expectation_theta,
     density,
+    expectation_connection,
+    fisher_metric,
     fisher_metric_field,
     fisher_metric_theta,
     jacobian,
@@ -29,9 +30,10 @@ from igeo import (
     score_xi,
     score_xi_pullback,
 )
-from igeo.autodiff import fd_hessian, gradient, lift
+from igeo.autodiff import gradient, lift
 from igeo.models import LOG_SQRT_2PI, _hermgauss
 
+import oracles
 from conftest import random_theta_points
 
 GH = GaussHermite(64)
@@ -139,11 +141,14 @@ class TestEngines:
         with pytest.raises(EngineError):
             MonteCarlo(50, 1)
 
-    def test_closed_form_has_no_generic_expectation(self):
-        from igeo.models import expect
+    def test_gauss_hermite_minimum_nodes(self):
+        for nodes in (0, -3):
+            with pytest.raises(EngineError):
+                GaussHermite(nodes)
 
+    def test_monte_carlo_seed_non_negative(self):
         with pytest.raises(EngineError):
-            expect(ClosedForm(), lambda x: x, ParamPoint.theta(0, 1))
+            MonteCarlo(1000, -1)
 
 
 class TestFisherMetric:
@@ -193,6 +198,9 @@ class TestFisherMetric:
                         p,
                     )
             assert np.max(np.abs(got - expected)) < 1e-10
+            # the chart-generic entry point, by both engines
+            assert np.max(np.abs(fisher_metric(q, GH).g - expected)) < 1e-10
+            assert np.max(np.abs(fisher_metric(q).g - expected)) < 1e-10
 
 
 class TestExpectationConnection:
@@ -203,6 +211,7 @@ class TestExpectationConnection:
         expected[1, 1, 1] = -6.0
         assert np.array_equal(conn.lower, expected)
         assert conn_expectation_theta(ParamPoint.theta(0, 2)).lower[1, 1, 1] == -0.75
+        assert expectation_connection(ParamPoint.theta(0, 2)).lower[1, 1, 1] == -0.75
 
     def test_quadrature_matches_closed_form(self):
         p = ParamPoint.theta(1.0, 1.0)
@@ -275,7 +284,8 @@ class TestCharts:
             ]
             assert np.max(np.abs(sd - expected)) < 1e-12
             q = chart_forward(p)
-            fd = fd_hessian(lambda a, b: math.sqrt(b - a * a), q)
+            # the default 1e-3 step gives 4e-5 relative error here; 1e-4 gives 4e-7
+            fd = oracles.hessian_fd(lambda a, b: math.sqrt(b - a * a), q.coords, h=1e-4)
             assert np.max(np.abs(sd[1] - fd)) < 1e-5 * max(1.0, float(np.max(np.abs(fd))))
 
 
