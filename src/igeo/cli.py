@@ -54,6 +54,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_AUDIT = 3
 EXIT_USAGE = 64
+MAX_GRID_POINTS = 1_000_000  # a larger --grid is a typo, not a computation
 
 
 class UsageError(Exception):
@@ -212,8 +213,16 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
             raise UsageError(f"--grid steps must be >= 1, got {steps}")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise DomainError(f"--grid axis {part!r} requires finite endpoints")
-        axes.append(np.linspace(start, stop, steps))
-    return [(float(a), float(b)) for a in axes[0] for b in axes[1]]
+        if not math.isfinite(stop - start):
+            raise DomainError(f"--grid axis {part!r}: stop - start overflows double precision")
+        axes.append((start, stop, steps))
+    if axes[0][2] * axes[1][2] > MAX_GRID_POINTS:
+        raise UsageError(
+            f"--grid asks for {axes[0][2] * axes[1][2]} points; at most {MAX_GRID_POINTS} "
+            "(MAX_GRID_POINTS)"
+        )
+    c1s, c2s = (np.linspace(*axis) for axis in axes)
+    return [(float(a), float(b)) for a in c1s for b in c2s]
 
 
 def _points(args, chart: Chart) -> list[ParamPoint]:

@@ -31,6 +31,11 @@ from .geometry import (
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 DEFAULT_MC_SEED = 20260808
+# count limits: a larger request is a typo, not a computation.  numpy's
+# hermgauss divides by zero from 371 nodes on (numpy 2.4), and each Monte Carlo
+# draw keeps 8 bytes per sample resident in the draw cache.
+MAX_GH_NODES = 300
+MAX_MC_SAMPLES = 10_000_000
 
 
 def _require_theta(p: ParamPoint) -> tuple[float, float]:
@@ -61,11 +66,23 @@ def density(x, p: ParamPoint):
     return np.exp(log_likelihood(x, p))
 
 
+def _score_parts(z: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d l/d mu, d l/d sigma) at the offsets z = x - mu."""
+    return z / (s * s), -1.0 / s + z * z / s**3
+
+
+def _hessian_parts(z: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct second partials (h11, h12, h22) of l at the offsets z = x - mu."""
+    h11 = np.broadcast_to(-1.0 / (s * s), z.shape).copy()
+    h12 = -2.0 * z / s**3
+    h22 = 1.0 / (s * s) - 3.0 * z * z / s**4
+    return h11, h12, h22
+
+
 def score_theta(x, p: ParamPoint) -> np.ndarray:
     """Natural-chart scores (d l/d mu, d l/d sigma); expectation is zero."""
     mu, s = _require_theta(p)
-    z = np.asarray(x, dtype=float) - mu
-    return np.stack([z / (s * s), -1.0 / s + z * z / s**3])
+    return np.stack(_score_parts(np.asarray(x, dtype=float) - mu, s))
 
 
 def score_xi(x, p: ParamPoint) -> np.ndarray:
@@ -92,17 +109,19 @@ def score_xi_pullback(x, p: ParamPoint) -> np.ndarray:
     expectation reproduces the transformed Fisher metric exactly.
     """
     mu, s = _require_theta(p)
-    s_th = score_theta(x, p)
-    return np.stack([s_th[0] - (mu / s) * s_th[1], s_th[1] / (2.0 * s)])
+    return np.stack(_pullback_parts(np.asarray(x, dtype=float) - mu, mu, s))
+
+
+def _pullback_parts(z: np.ndarray, mu: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d l/d xi_1, d l/d xi_2) at the offsets z = x - mu."""
+    s1, s2 = _score_parts(z, s)
+    return s1 - (mu / s) * s2, s2 / (2.0 * s)
 
 
 def loglik_hessian_theta(x, p: ParamPoint) -> np.ndarray:
     """Second partials of l with respect to (mu, sigma); shape (2, 2) + x.shape."""
     mu, s = _require_theta(p)
-    z = np.asarray(x, dtype=float) - mu
-    h11 = np.broadcast_to(-1.0 / (s * s), z.shape).copy()
-    h12 = -2.0 * z / s**3
-    h22 = 1.0 / (s * s) - 3.0 * z * z / s**4
+    h11, h12, h22 = _hessian_parts(np.asarray(x, dtype=float) - mu, s)
     return np.stack([np.stack([h11, h12]), np.stack([h12, h22])])
 
 
@@ -114,6 +133,25 @@ def loglik_hessian_theta(x, p: ParamPoint) -> np.ndarray:
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.hermite.hermgauss(n)
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=2)
+def _standard_normals(samples: int, seed: int) -> np.ndarray:
+    """The standard draw z of one (samples, seed); x = mu + sigma z at any point.
+
+    Read-only, because every caller of the same key shares the one array.
+    """
+    z = np.random.default_rng(seed).standard_normal(samples)
+    z.flags.writeable = False
+    return z
+
+
+def _each(values, reduce: Callable) -> Union[float, np.ndarray]:
+    """reduce(values) for one integrand array; for an iterable of integrand
+    arrays, the array of reduce(v), taking the arrays one at a time."""
+    if isinstance(values, np.ndarray):
+        return reduce(values)
+    return np.array([reduce(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -130,12 +168,20 @@ class GaussHermite:
     def __post_init__(self):
         if self.nodes < 1:
             raise EngineError(f"gauss-hermite needs at least 1 node, got {self.nodes}")
+        if self.nodes > MAX_GH_NODES:
+            raise EngineError(
+                f"gauss-hermite takes at most {MAX_GH_NODES} nodes (MAX_GH_NODES), "
+                f"got {self.nodes}"
+            )
 
-    def expect(self, f: Callable, p: ParamPoint) -> float:
+    def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
+        """E[f(x)]: a float for one integrand array f(x), an array of floats
+        for an iterable of them."""
         mu, s = _require_theta(p)
         t, w = _hermgauss(self.nodes)
         x = mu + math.sqrt(2.0) * s * t
-        return float(np.asarray(f(x), dtype=float) @ w / math.sqrt(math.pi))
+        # one dot per integrand: a stacked matrix-vector product rounds differently
+        return _each(f(x), lambda v: float(np.asarray(v, dtype=float) @ w / math.sqrt(math.pi)))
 
 
 @dataclass(frozen=True)
@@ -148,14 +194,20 @@ class MonteCarlo:
     def __post_init__(self):
         if self.samples < 100:
             raise EngineError(f"monte carlo needs at least 100 samples, got {self.samples}")
+        if self.samples > MAX_MC_SAMPLES:
+            raise EngineError(
+                f"monte carlo takes at most {MAX_MC_SAMPLES} samples (MAX_MC_SAMPLES), "
+                f"got {self.samples}"
+            )
         if self.seed < 0:
             raise EngineError(f"monte carlo seed must be >= 0, got {self.seed}")
 
-    def expect(self, f: Callable, p: ParamPoint) -> float:
+    def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
+        """E[f(x)]: a float for one integrand array f(x), an array of floats
+        for an iterable of them.  The draw is shared by every point and call."""
         mu, s = _require_theta(p)
-        rng = np.random.default_rng(self.seed)
-        x = mu + s * rng.standard_normal(self.samples)
-        return float(np.mean(np.asarray(f(x), dtype=float)))
+        x = mu + s * _standard_normals(self.samples, self.seed)
+        return _each(f(x), lambda v: float(np.mean(np.asarray(v, dtype=float))))
 
 
 Engine = Union[ClosedForm, GaussHermite, MonteCarlo]
@@ -175,13 +227,13 @@ def fisher_metric_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricA
     if isinstance(engine, ClosedForm):
         g = [[1.0 / (s * s), 0.0], [0.0, 2.0 / (s * s)]]
         return MetricAt.from_matrix(p, g)
-    g = np.empty((2, 2))
-    for i in range(2):
-        for j in range(i, 2):
-            g[i, j] = g[j, i] = -engine.expect(
-                lambda x, i=i, j=j: loglik_hessian_theta(x, p)[i, j], p
-            )
-    return MetricAt.from_matrix(p, g)
+    return _metric_from_hessian_means(p, engine.expect(lambda x: _hessian_parts(x - mu, s), p))
+
+
+def _metric_from_hessian_means(p: ParamPoint, means: np.ndarray) -> MetricAt:
+    """-E[d_i d_j l] from the engine means of (h11, h12, h22)."""
+    g11, g12, g22 = -means
+    return MetricAt.from_matrix(p, [[g11, g12], [g12, g22]])
 
 
 def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> ConnAt:
@@ -197,17 +249,16 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
         lower[1, 1, 1] = -6.0 / s**3
         g_inv = fisher_metric_theta(p).g_inv
     else:
-        lower = np.empty((2, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    lower[i, j, k] = engine.expect(
-                        lambda x, i=i, j=j, k=k: (
-                            loglik_hessian_theta(x, p)[i, j] * score_theta(x, p)[k]
-                        ),
-                        p,
-                    )
-        g_inv = fisher_metric_theta(p, engine).g_inv
+        def integrands(x):  # the products in (i, j, k) order, one alive at a time; then h
+            z = x - mu
+            h = h11, h12, h22 = _hessian_parts(z, s)
+            hess, score = ((h11, h12), (h12, h22)), _score_parts(z, s)
+            yield from (hess[i][j] * score[k] for i in range(2) for j in range(2) for k in range(2))
+            yield from h
+
+        means = engine.expect(integrands, p)
+        lower = means[:8].reshape(2, 2, 2)
+        g_inv = _metric_from_hessian_means(p, means[8:]).g_inv
     mixed = np.einsum("km,ijm->kij", np.asarray(g_inv), lower)
     return ConnAt(point=p, lower=lower, mixed=mixed)
 
@@ -301,15 +352,14 @@ def fisher_metric(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricAt:
     if isinstance(engine, ClosedForm):
         return evaluate_metric(fisher_metric_field(Chart.XI), p)
     th = chart_backward(p)
-    g = np.empty((2, 2))
-    for a in range(2):
-        for b in range(a, 2):
-            g[a, b] = g[b, a] = engine.expect(
-                lambda x, a=a, b=b: score_xi_pullback(x, th)[a]
-                * score_xi_pullback(x, th)[b],
-                th,
-            )
-    return MetricAt.from_matrix(p, g)
+    mu, s = th.c1, th.c2
+
+    def products(x):
+        s1, s2 = _pullback_parts(x - mu, mu, s)
+        return (u * v for u, v in ((s1, s1), (s1, s2), (s2, s2)))
+
+    g11, g12, g22 = engine.expect(products, th)
+    return MetricAt.from_matrix(p, [[g11, g12], [g12, g22]])
 
 
 def expectation_connection(p: ParamPoint, engine: Engine = ClosedForm()) -> ConnAt:

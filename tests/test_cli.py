@@ -227,7 +227,16 @@ class TestTotalDomainChecks:
         (("metric", "--point", "0,1", "--engine", "gauss_hermite:0"), 64, "at least 1 node"),
         (("metric", "--point", "0,1", "--engine", "gauss_hermite:-3"), 64, "at least 1 node"),
         (("metric", "--point", "0,1", "--engine", "monte_carlo:1000:-1"), 64, "seed must be >= 0"),
+        (("metric", "--grid=-1e308:1e308:3,1:2:3"), 2, "'-1e308:1e308:3': stop - start overflows"),
+        # count limits, each refused before anything of that size is allocated
+        (("metric", "--grid", "0:1:1001,1:2:1000"), 64, "at most 1000000 (MAX_GRID_POINTS)"),
+        (("metric", "--grid", "0:1:10000000000,1:2:1"), 64, "at most 1000000 (MAX_GRID_POINTS)"),
+        (("metric", "--point", "0,1", "--engine", "gauss_hermite:301"), 64,
+         "at most 300 nodes (MAX_GH_NODES)"),
+        (("metric", "--point", "0,1", "--engine", "monte_carlo:10000001:1"), 64,
+         "at most 10000000 samples (MAX_MC_SAMPLES)"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warnings are not messages
     def test_input(self, argv, code, words):
         got, out, err = call(*argv)
         assert got == code
@@ -303,8 +312,9 @@ class TestFuzz:
             json.loads(out)  # no inf or nan slipped into the numbers
 
 
-# sha256 of stdout for closed-form runs at two points per chart; a change that
-# restructures the CLI or the library must keep every byte
+# sha256 of stdout for closed-form runs at two points per chart, and for the
+# engine-computed metric and expectation connection on a 2x2 grid per chart; a
+# change that restructures the CLI, the library or the engines must keep every byte
 PINNED = {
     "metric --chart theta --point=0.5,1.5 --format json":
         "a156f57edbfae6d440e1247bb6e4a182fb2d8aa1fe58eddd10c998d57be576af",
@@ -380,6 +390,22 @@ PINNED = {
         "6229edf1b33fac4919ce6d7dc55f952a71c3beae6f1f2f8d27586ceacf489cb0",
     "selftest --format json":
         "9684e88d0aeb03c754362c6695ab07b450fb285b1d1b116f3c5e805e73922f44",
+    "metric --chart theta --grid=-0.5:0.5:2,1:1.5:2 --format json --engine gauss_hermite:64":
+        "bddbdc685662866a2995f5b6aa2f048096bd89c36a739feb5d4a9ba9b4b400a7",
+    "christoffel --chart theta --grid=-0.5:0.5:2,1:1.5:2 --format json --engine gauss_hermite:64 --connection expectation":
+        "bf073c1bd1b33e77da7739386369274c1eae67f1ec2e0ed11de04244510866d5",
+    "metric --chart xi --grid=-0.5:0.5:2,2:3:2 --format json --engine gauss_hermite:64":
+        "d3fddb1f751ad19ce649307f8772ccddfdc8cdb65aeccdbb0dcb403eda68bade",
+    "christoffel --chart xi --grid=-0.5:0.5:2,2:3:2 --format json --engine gauss_hermite:64 --connection expectation":
+        "052888c4a5ef07a8fdaec775cb559011472578b04f59e80f449f201f715c6233",
+    "metric --chart theta --grid=-0.5:0.5:2,1:1.5:2 --format json --engine monte_carlo:200000:7":
+        "cb5412a2399211f4634695e5ef7d8d4f34494d6cc8f1b03df05668940b725e10",
+    "christoffel --chart theta --grid=-0.5:0.5:2,1:1.5:2 --format json --engine monte_carlo:200000:7 --connection expectation":
+        "b4786283d9fe7b9c9a335ea653ab04bb98b6368ae97889e22db4f7de2f1bdf7c",
+    "metric --chart xi --grid=-0.5:0.5:2,2:3:2 --format json --engine monte_carlo:200000:7":
+        "5867eb77d9d483f609103a73fdb633c62d28eef70bbc813b8973c69a83124b0d",
+    "christoffel --chart xi --grid=-0.5:0.5:2,2:3:2 --format json --engine monte_carlo:200000:7 --connection expectation":
+        "ea1ab4765dc5db20c249bf39e041335b2ee110abf19a0e73c1da5b3258b16ccb",
 }
 
 

@@ -31,7 +31,13 @@ from igeo import (
     score_xi_pullback,
 )
 from igeo.autodiff import gradient, lift
-from igeo.models import LOG_SQRT_2PI, _hermgauss
+from igeo.models import (
+    LOG_SQRT_2PI,
+    MAX_GH_NODES,
+    MAX_MC_SAMPLES,
+    _hermgauss,
+    _standard_normals,
+)
 
 import oracles
 from conftest import random_theta_points
@@ -149,6 +155,80 @@ class TestEngines:
     def test_monte_carlo_seed_non_negative(self):
         with pytest.raises(EngineError):
             MonteCarlo(1000, -1)
+
+    def test_count_limits(self):
+        with pytest.raises(EngineError, match="MAX_GH_NODES"):
+            GaussHermite(MAX_GH_NODES + 1)
+        with pytest.raises(EngineError, match="MAX_MC_SAMPLES"):
+            MonteCarlo(MAX_MC_SAMPLES + 1, 1)
+        # the largest accepted rule is computed without overflow or division by zero
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            total = GaussHermite(MAX_GH_NODES).expect(np.ones_like, ParamPoint.theta(0.7, 1.3))
+        assert abs(total - 1.0) < 1e-12
+
+
+# per-entry loops, one engine call per matrix entry: the reference for the one-pass kernels
+_PAIRS = ((0, 0), (0, 1), (1, 1))
+_TRIPLES = tuple((i, j, k) for i in range(2) for j in range(2) for k in range(2))
+_ENGINES = (GH, GaussHermite(7), MonteCarlo(10_000, 1), MonteCarlo(10_000, 2),
+            MonteCarlo(2_000, 3))
+
+
+class TestOnePassEngines:
+    @pytest.mark.parametrize("engine", _ENGINES, ids=repr)
+    def test_stacked_call_equals_per_entry_calls(self, engine, rng):
+        for p in random_theta_points(rng, 4, sigma=(1.0, 2.5)):
+            def entry(x, i, j, k):
+                return loglik_hessian_theta(x, p)[i, j] * score_theta(x, p)[k]
+
+            per_entry = [engine.expect(lambda x, t=t: entry(x, *t), p) for t in _TRIPLES]
+            stacked = engine.expect(lambda x: (entry(x, *t) for t in _TRIPLES), p)
+            assert isinstance(per_entry[0], float) and stacked.shape == (8,)
+            assert np.array_equal(stacked, per_entry)
+
+    @pytest.mark.parametrize("engine", _ENGINES, ids=repr)
+    def test_kernels_equal_per_entry_loops(self, engine, rng):
+        for p in random_theta_points(rng, 3, sigma=(1.0, 2.5)):
+            h = [-engine.expect(lambda x, i=i, j=j: loglik_hessian_theta(x, p)[i, j], p)
+                 for i, j in _PAIRS]
+            assert np.array_equal(fisher_metric_theta(p, engine).g,
+                                  [[h[0], h[1]], [h[1], h[2]]])
+            lower = [engine.expect(
+                lambda x, i=i, j=j, k=k: loglik_hessian_theta(x, p)[i, j] * score_theta(x, p)[k],
+                p) for i, j, k in _TRIPLES]
+            assert np.array_equal(conn_expectation_theta(p, engine).lower,
+                                  np.reshape(lower, (2, 2, 2)))
+            q = chart_forward(p)
+            th = chart_backward(q)
+            e = [engine.expect(
+                lambda x, a=a, b=b: score_xi_pullback(x, th)[a] * score_xi_pullback(x, th)[b],
+                th) for a, b in _PAIRS]
+            assert np.array_equal(fisher_metric(q, engine).g, [[e[0], e[1]], [e[1], e[2]]])
+
+
+class TestDrawCache:
+    def test_read_only(self):
+        z = _standard_normals(1_000, 11)
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+
+    def test_same_key_is_a_cache_hit_with_the_same_bits(self):
+        first = _standard_normals(1_000, 12)
+        bits = first.copy()
+        hits = _standard_normals.cache_info().hits
+        again = _standard_normals(1_000, 12)
+        assert _standard_normals.cache_info().hits == hits + 1
+        assert again is first and np.array_equal(again, bits)
+
+    def test_different_seed_gives_a_different_draw(self):
+        assert not np.array_equal(_standard_normals(1_000, 13), _standard_normals(1_000, 14))
+
+    def test_expectation_uses_a_fresh_generator_draw(self):
+        # x = mu + sigma z is bit for bit the sample a fresh PCG64 stream gives
+        p = ParamPoint.theta(0.5, 1.5)
+        fresh = 0.5 + 1.5 * np.random.default_rng(15).standard_normal(1_000)
+        for _ in range(2):
+            assert MonteCarlo(1_000, 15).expect(lambda x: x**3, p) == float(np.mean(fresh**3))
 
 
 class TestFisherMetric:
