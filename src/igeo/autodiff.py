@@ -3,11 +3,14 @@
 Dual2 carries a value, a 2-vector of first partials, and a symmetric 2x2
 Hessian through arithmetic, so one evaluation of a closed-form field at a
 lifted point yields the field together with its first and second derivatives.
+Its components are floats for one point, or numpy arrays for a block of
+points; a float point keeps the ``math`` functions and their bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -19,26 +22,30 @@ class Dual2:
     """Second-order dual scalar: value, gradient (g1, g2), Hessian (h11, h12, h22).
 
     The Hessian is stored as three entries, so symmetry holds by construction.
+    Each component is a float or an array that broadcasts with the others.
     All operations are pure; instances are safe to share across threads.
     """
 
     __slots__ = ("val", "g1", "g2", "h11", "h12", "h22")
+    __array_ufunc__ = None  # ndarray * Dual2 defers to Dual2, not an object array
 
     def __init__(self, val, g1=0.0, g2=0.0, h11=0.0, h12=0.0, h22=0.0):
-        self.val = float(val)
-        self.g1 = float(g1)
-        self.g2 = float(g2)
-        self.h11 = float(h11)
-        self.h12 = float(h12)
-        self.h22 = float(h22)
+        self.val = val
+        self.g1 = g1
+        self.g2 = g2
+        self.h11 = h11
+        self.h12 = h12
+        self.h22 = h22
 
     @property
     def grad(self) -> np.ndarray:
-        return np.array([self.g1, self.g2])
+        """Shape (..., 2), block axes first."""
+        return batch_array((self.g1, self.g2), (2,))
 
     @property
     def hess(self) -> np.ndarray:
-        return np.array([[self.h11, self.h12], [self.h12, self.h22]])
+        """Shape (..., 2, 2), block axes first."""
+        return batch_array((self.h11, self.h12, self.h12, self.h22), (2, 2))
 
     def __repr__(self) -> str:
         return f"Dual2({self.val!r}, grad=({self.g1!r}, {self.g2!r}))"
@@ -101,7 +108,7 @@ class Dual2:
         if n == 0:
             return Dual2(1.0)
         u = self.val
-        return self._compose(u ** n, n * u ** (n - 1), n * (n - 1) * u ** (n - 2))
+        return self._compose(_pow(u, n), n * _pow(u, n - 1), n * (n - 1) * _pow(u, n - 2))
 
     # -- elementary functions (chain rule through f', f'') --------------------
 
@@ -120,20 +127,33 @@ class Dual2:
         return self._compose(1.0 / u, -1.0 / (u * u), 2.0 / (u * u * u))
 
     def sqrt(self):
-        r = math.sqrt(self.val)
+        r = _sqrt(self.val)
         return self._compose(r, 0.5 / r, -0.25 / (r * self.val))
 
     def log(self):
         u = self.val
-        return self._compose(math.log(u), 1.0 / u, -1.0 / (u * u))
+        return self._compose(_log(u), 1.0 / u, -1.0 / (u * u))
 
     def sin(self):
-        s, c = math.sin(self.val), math.cos(self.val)
+        s, c = _sin(self.val), _cos(self.val)
         return self._compose(s, c, -s)
 
     def cos(self):
-        s, c = math.sin(self.val), math.cos(self.val)
+        s, c = _sin(self.val), _cos(self.val)
         return self._compose(c, -s, -c)
+
+
+def _elementary(scalar: Callable, array: Callable) -> Callable:
+    """``scalar`` (math.*) on a plain number, ``array`` (np.*) on an array."""
+    return lambda u, *args: array(u, *args) if isinstance(u, np.ndarray) else scalar(u, *args)
+
+
+# float ** n calls libm pow, which can differ from the product np's ** takes for n = 2
+_pow = _elementary(operator.pow, np.float_power)
+_sqrt = _elementary(math.sqrt, np.sqrt)
+_log = _elementary(math.log, np.log)
+_sin = _elementary(math.sin, np.sin)
+_cos = _elementary(math.cos, np.cos)
 
 
 def _coerce(x) -> Dual2 | None:
@@ -141,45 +161,62 @@ def _coerce(x) -> Dual2 | None:
         return x
     if isinstance(x, (int, float, np.floating, np.integer)):
         return Dual2(float(x))
+    if isinstance(x, np.ndarray):
+        return Dual2(np.asarray(x, dtype=float))
     return None
 
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, Dual2) else math.sqrt(x)
+    return x.sqrt() if isinstance(x, Dual2) else _sqrt(x)
 
 
 def log(x):
-    return x.log() if isinstance(x, Dual2) else math.log(x)
+    return x.log() if isinstance(x, Dual2) else _log(x)
 
 
 def sin(x):
-    return x.sin() if isinstance(x, Dual2) else math.sin(x)
+    return x.sin() if isinstance(x, Dual2) else _sin(x)
 
 
 def cos(x):
-    return x.cos() if isinstance(x, Dual2) else math.cos(x)
+    return x.cos() if isinstance(x, Dual2) else _cos(x)
+
+
+def batch_array(entries, shape: tuple[int, ...]) -> np.ndarray:
+    """Entries in C order, floats or arrays of one block shape, as (*block, *shape).
+
+    A float entry (a constant, or a derivative that is zero everywhere) is
+    broadcast over the block.
+    """
+    if not any([isinstance(e, np.ndarray) for e in entries]):
+        return np.array(entries, dtype=float).reshape(shape)
+    columns = np.broadcast_arrays(*entries)
+    return np.stack(columns, axis=-1).astype(float, copy=False).reshape(columns[0].shape + shape)
 
 
 def lift(point: ParamPoint) -> tuple[Dual2, Dual2]:
     """Seed the two coordinates of a point for differentiation.
 
-    Seed i carries value = coordinate i, gradient = e_i, Hessian = 0.
+    Seed i carries value = coordinate i, gradient = e_i, Hessian = 0.  A block
+    point lifts to Dual2 values that carry its coordinate arrays.
     """
     return Dual2(point.c1, g1=1.0), Dual2(point.c2, g2=1.0)
 
 
-def value(x) -> float:
-    """Plain float of a Dual2 or number (for fields evaluated either way)."""
-    return x.val if isinstance(x, Dual2) else float(x)
+def value(x):
+    """Plain value of a Dual2, number or array (for fields evaluated either way)."""
+    if isinstance(x, Dual2):
+        return x.val
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 def gradient(f: Callable, point: ParamPoint) -> np.ndarray:
-    """Gradient of f(c1, c2) at the point, via a single Dual2 evaluation."""
+    """Gradient (..., 2) of f(c1, c2) at the point, via a single Dual2 evaluation."""
     a, b = lift(point)
     return _coerce(f(a, b)).grad
 
 
 def hessian(f: Callable, point: ParamPoint) -> np.ndarray:
-    """Symmetric Hessian of f(c1, c2) at the point, via Dual2."""
+    """Symmetric Hessian (..., 2, 2) of f(c1, c2) at the point, via Dual2."""
     a, b = lift(point)
     return _coerce(f(a, b)).hess

@@ -27,6 +27,7 @@ from .core import (
     ParamPoint,
     SingularMetricError,
     Tolerances,
+    is_tolerance,
 )
 from .geometry import (
     levi_civita,
@@ -55,6 +56,7 @@ EXIT_DOMAIN = 2
 EXIT_AUDIT = 3
 EXIT_USAGE = 64
 MAX_GRID_POINTS = 1_000_000  # a larger --grid is a typo, not a computation
+BLOCK_POINTS = 4096  # grid points per kernel call; bounds the temporaries of a large grid
 
 
 class UsageError(Exception):
@@ -235,6 +237,16 @@ def _points(args, chart: Chart) -> list[ParamPoint]:
     return [ParamPoint(chart, c1, c2) for c1, c2 in coords]
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not is_tolerance(value):
+        raise argparse.ArgumentTypeError(f"want a finite number >= 0, got {text!r}")
+    return value
+
+
 def _parse_engine(spec: str):
     name, *fields = spec.split(":")
     try:
@@ -278,7 +290,7 @@ def _require_finite(p: ParamPoint, what: str, values) -> None:
 
 def _rec(point: ParamPoint, quantity: str, value, provenance: str = "oracle") -> dict:
     _require_finite(point, quantity, value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         value = value.tolist()
     return {
         "point": [point.c1, point.c2],
@@ -307,7 +319,7 @@ def _christoffel(p, args, engine):
 
 def _torsion(p, args, engine):
     t = torsion(_connection(p, args, engine)).t
-    return (("T", t), ("T_max_abs", float(np.max(np.abs(t)))))
+    return (("T", t), ("T_max_abs", np.max(np.abs(t), axis=(-3, -2, -1))))
 
 
 def _curvature(p, args, engine):
@@ -335,7 +347,7 @@ def _transform(p, args, engine):
             ("g_theta", fisher_metric(th).g))
 
 
-# per-point command -> (quantity, value) pairs at one point
+# command -> (quantity, value) pairs at a point, or at each point of a block
 _QUANTITIES = {
     "metric": _metric,
     "christoffel": _christoffel,
@@ -356,6 +368,37 @@ def _at(p: ParamPoint, fn, *args):
             f"{p.chart} point ({p.c1!r}, {p.c2!r}) is outside the double-precision "
             f"range of the formulas: {exc}"
         ) from exc
+
+
+def _blockwise(args, engine) -> bool:
+    """A closed-form grid through the geometry kernels is evaluated a block at a time."""
+    return (args.grid is not None and isinstance(engine, ClosedForm)
+            and args.command != "transform"
+            and getattr(args, "connection", "levi_civita") == "levi_civita")
+
+
+def _quantity_records(points: list[ParamPoint], args, engine) -> list[dict]:
+    fn = _QUANTITIES[args.command]
+
+    def one_at_a_time(block):
+        return [_rec(p, quantity, value) for p in block
+                for quantity, value in _at(p, fn, args, engine)]
+
+    if not _blockwise(args, engine):
+        return one_at_a_time(points)
+    records: list[dict] = []
+    for start in range(0, len(points), BLOCK_POINTS):
+        block = points[start:start + BLOCK_POINTS]
+        coords = np.array([p.coords for p in block])
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                pairs = fn(ParamPoint(block[0].chart, coords[:, 0], coords[:, 1]), args, engine)
+        except (DomainError, SingularMetricError, ArithmeticError):
+            records += one_at_a_time(block)  # the first failing point raises its own message
+            continue
+        records += (_rec(p, quantity, value[n]) for n, p in enumerate(block)
+                    for quantity, value in pairs)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +434,9 @@ def build_parser() -> _Parser:
     common(sp, chart=False, engine=False)
     sp.add_argument("--strict", action="store_true",
                     help="exit 3 when any row mismatches")
-    sp.add_argument("--tol-closed", type=float, default=DEFAULT_TOLERANCES.closed_form_abs)
-    sp.add_argument("--tol-derived", type=float, default=DEFAULT_TOLERANCES.derived_abs)
-    sp.add_argument("--tol-rel", type=float, default=DEFAULT_TOLERANCES.rel)
+    sp.add_argument("--tol-closed", type=_tolerance, default=DEFAULT_TOLERANCES.closed_form_abs)
+    sp.add_argument("--tol-derived", type=_tolerance, default=DEFAULT_TOLERANCES.derived_abs)
+    sp.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_TOLERANCES.rel)
 
     sp = sub.add_parser("selftest", help="quick internal consistency checks")
     sp.add_argument("--format", choices=["json", "csv", "text"], default="text")
@@ -410,8 +453,11 @@ def _emit(args, meta: dict, records: list[dict], notes: tuple[str, ...] = ()) ->
     else:
         text = _to_text(meta, records, notes)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -463,9 +509,7 @@ def main(argv=None) -> int:
             points = _points(args, chart)
             if hasattr(args, "engine"):
                 engine, engine_desc = _parse_engine(args.engine)
-            quantities = _QUANTITIES[args.command]
-            records = [_rec(p, quantity, value) for p in points
-                       for quantity, value in _at(p, quantities, args, engine)]
+            records = _quantity_records(points, args, engine)
             code = EXIT_OK
         meta = {"command": args.command, "chart": chart.value, "engine": engine_desc,
                 "tool_version": __version__}

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -33,8 +35,22 @@ class Chart(enum.Enum):
         return self.value
 
 
-def validate_coords(chart: Chart, c1: float, c2: float) -> None:
-    """Raise DomainError unless (c1, c2) lies in the chart's domain."""
+def validate_coords(chart: Chart, c1, c2) -> None:
+    """Raise DomainError unless (c1, c2) lies in the chart's domain.
+
+    For a block of points (arrays of one shape) the first point outside the
+    domain raises, with the message it raises on its own.
+    """
+    if isinstance(c1, np.ndarray) or isinstance(c2, np.ndarray):
+        c1, c2 = np.broadcast_arrays(c1, c2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = np.isfinite(c1) & np.isfinite(c2) & (
+                c2 > 0.0 if chart is Chart.THETA else c2 - c1 * c1 > 0.0
+            )
+        if not inside.all():
+            first = int(np.argmin(inside))
+            validate_coords(chart, float(c1.flat[first]), float(c2.flat[first]))
+        return
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise DomainError(f"{chart} chart requires finite coordinates, got ({c1}, {c2})")
     if chart is Chart.THETA:
@@ -49,7 +65,11 @@ def validate_coords(chart: Chart, c1: float, c2: float) -> None:
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """A point on the manifold, tagged with the chart its coordinates live in."""
+    """A point on the manifold, tagged with the chart its coordinates live in.
+
+    ``c1`` and ``c2`` are floats, or arrays of one shape for a block of points
+    that the geometry kernels evaluate in one call, block axes first.
+    """
 
     chart: Chart
     c1: float
@@ -62,13 +82,23 @@ class ParamPoint:
     def coords(self) -> tuple[float, float]:
         return (self.c1, self.c2)
 
-    @classmethod
-    def theta(cls, mu: float, sigma: float) -> "ParamPoint":
-        return cls(Chart.THETA, float(mu), float(sigma))
+    def at(self, index) -> "ParamPoint":
+        """The single point at ``index`` of a block."""
+        c1, c2 = np.broadcast_arrays(self.c1, self.c2)
+        return ParamPoint(self.chart, float(c1[index]), float(c2[index]))
 
     @classmethod
-    def xi(cls, x1: float, x2: float) -> "ParamPoint":
-        return cls(Chart.XI, float(x1), float(x2))
+    def theta(cls, mu, sigma) -> "ParamPoint":
+        return cls(Chart.THETA, _coord(mu), _coord(sigma))
+
+    @classmethod
+    def xi(cls, x1, x2) -> "ParamPoint":
+        return cls(Chart.XI, _coord(x1), _coord(x2))
+
+
+def _coord(x):
+    """A float, or a float array for a block."""
+    return float(x) if isinstance(x, (float, int, np.number)) else np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -83,6 +113,17 @@ class Tolerances:
     closed_form_abs: float = 1e-10
     derived_abs: float = 1e-8
     rel: float = 1e-8
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not is_tolerance(getattr(self, f.name)):
+                raise ValueError(f"tolerance {f.name} must be finite and >= 0, "
+                                 f"got {getattr(self, f.name)}")
+
+
+def is_tolerance(value: float) -> bool:
+    """A usable gate: finite and >= 0 (a NaN gate passes no gap, a negative one none)."""
+    return math.isfinite(value) and value >= 0.0
 
 
 DEFAULT_TOLERANCES = Tolerances()

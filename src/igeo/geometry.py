@@ -18,6 +18,13 @@ Index conventions (fixed throughout):
 * scalar curvature = (1/2) r[i, j, k, m] g^im g^jk  (n = 2 normalisation);
   with these conventions the unit sphere scores +1 and the Gaussian
   Fisher-Rao plane -1/2.
+
+The metric, connection and curvature kernels also take a block point, whose
+coordinates are arrays: every result then carries the block axes first
+(``g[..., i, j]``, ``r[..., i, j, k, m]``, ``scalar[...]``), and a single point
+is the shape-() case of the same code.  Each sum over an index is written out
+term by term in the order a per-point loop would add it, so a point of a block
+gets the same bits as the point alone.
 """
 
 from __future__ import annotations
@@ -27,10 +34,13 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Dual2, lift, value
+from .autodiff import Dual2, batch_array, lift, value
 from .core import ParamPoint, SingularMetricError
 
 MetricField = Callable[[object, object], object]  # (c1, c2) -> 2x2 of float/Dual2
+
+
+_COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # g^-1 det = g reversed, times these
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -41,7 +51,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MetricAt:
-    """Metric matrix and its inverse at a point."""
+    """Metric matrix and its inverse at a point, or at each point of a block."""
 
     point: ParamPoint
     g: np.ndarray
@@ -49,25 +59,60 @@ class MetricAt:
 
     @classmethod
     def from_matrix(cls, point: ParamPoint, g) -> "MetricAt":
-        """Validate symmetry and positive definiteness, attach the inverse."""
-        g = np.array(g, dtype=float)
-        if g.shape != (2, 2) or not np.isfinite(g).all():
+        """Validate symmetry and positive definiteness, attach the inverse.
+
+        ``g`` is an array (..., 2, 2) or 2x2 rows of floats or block arrays.
+        The whole block is validated at once; its first failing point raises.
+        """
+        g = np.array(g, dtype=float) if isinstance(g, np.ndarray) else _rows(g)
+        if g.shape[-2:] != (2, 2):
             raise SingularMetricError(f"metric at {point} is not a finite 2x2 matrix")
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if abs(g[0, 1] - g[1, 0]) > 1e-12 * scale:
-            raise SingularMetricError(f"metric at {point} is not symmetric: {g}")
-        g[1, 0] = g[0, 1]
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
-        if not (g[0, 0] > 0.0 and det > 0.0):
-            raise SingularMetricError(
-                f"metric at {point} is not positive definite (det = {det})"
-            )
-        g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[0, 1], g[0, 0]]]) / det
-        return cls(point=point, g=_frozen(g), g_inv=_frozen(g_inv))
+        finite = np.isfinite(g)
+        if not finite.all():
+            _, p = _first(point, ~finite.all(axis=(-2, -1)))
+            raise SingularMetricError(f"metric at {p} is not a finite 2x2 matrix")
+        # [()] makes the entries of one matrix numpy scalars, whose errors name scalar ops
+        g00, g01, g10, g11 = g[..., 0, 0][()], g[..., 0, 1][()], g[..., 1, 0][()], g[..., 1, 1][()]
+        if not (g01 == g10).all():  # equal entries pass at any scale
+            scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+            bad = np.abs(g01 - g10) > 1e-12 * scale
+            if bad.any():
+                at, p = _first(point, bad)
+                raise SingularMetricError(f"metric at {p} is not symmetric: {g[at]}")
+        g[..., 1, 0] = g01
+        det = g00 * g11 - g01 * g01
+        pd = (g00 > 0.0) & (det > 0.0)
+        if not pd.all():
+            at, p = _first(point, ~pd)
+            raise SingularMetricError(f"metric at {p} is not positive definite (det = {det[at]})")
+        # [[g11, -g01], [-g01, g00]] / det
+        g_inv = g[..., ::-1, ::-1] * _COFACTOR_SIGNS / det[..., None, None]
+        g.setflags(write=False)
+        g_inv.setflags(write=False)
+        return cls(point=point, g=g, g_inv=g_inv)
 
     @property
-    def det(self) -> float:
-        return float(self.g[0, 0] * self.g[1, 1] - self.g[0, 1] ** 2)
+    def det(self):
+        g = self.g
+        # the square as libm pow rounds it, like float ** 2 (np's ** 2 multiplies)
+        return g[..., 0, 0] * g[..., 1, 1] - np.float_power(g[..., 0, 1], 2)
+
+
+def _rows(rows) -> np.ndarray:
+    """Rows of floats, or 2x2 rows of block arrays and float constants, as (..., 2, 2)."""
+    try:
+        g = np.array(rows, dtype=float)
+        if g.ndim <= 2:
+            return g  # a malformed shape fails the caller's 2x2 check
+    except ValueError:  # block arrays next to float constants
+        pass
+    return batch_array([e for row in rows for e in row], (2, 2))
+
+
+def _first(point: ParamPoint, bad: np.ndarray) -> tuple[tuple, ParamPoint]:
+    """Index and point of the first point where ``bad`` holds: the point itself at shape ()."""
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    return at, point if bad.ndim == 0 else point.at(at)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,56 +171,54 @@ def _field_entries(field: MetricField, a, b):
 
 
 def evaluate_metric(field: MetricField, point: ParamPoint) -> MetricAt:
-    """Plain-float evaluation of a metric field."""
+    """Plain-float (or plain-array, for a block) evaluation of a metric field."""
     e00, e01, e11 = _field_entries(field, point.c1, point.c2)
     g = [[value(e00), value(e01)], [value(e01), value(e11)]]
     return MetricAt.from_matrix(point, g)
 
 
 def _metric_jet(field: MetricField, point: ParamPoint):
-    """g, dg[l,i,j] = d_l g_ij and d2g[l,m,i,j] = d_l d_m g_ij at the point."""
+    """g[..., i, j], dg[..., l, i, j] = d_l g_ij and d2g[..., l, m, i, j] = d_l d_m g_ij."""
     a, b = lift(point)
-    g = np.zeros((2, 2))
-    dg = np.zeros((2, 2, 2))
-    d2g = np.zeros((2, 2, 2, 2))
-    e00, e01, e11 = _field_entries(field, a, b)
-    for (i, j), e in (((0, 0), e00), ((0, 1), e01), ((1, 0), e01), ((1, 1), e11)):
-        d = e if isinstance(e, Dual2) else Dual2(value(e))
-        g[i, j] = d.val
-        dg[:, i, j] = d.grad
-        d2g[:, :, i, j] = d.hess
+    e00, e01, e11 = (e if isinstance(e, Dual2) else Dual2(value(e))
+                     for e in _field_entries(field, a, b))
+    ij = (e00, e01, e01, e11)  # the entries in (i, j) order
+    g = batch_array([e.val for e in ij], (2, 2))
+    dg = batch_array([e.g1 for e in ij] + [e.g2 for e in ij], (2, 2, 2))
+    d2g = batch_array([e.h11 for e in ij] + [e.h12 for e in ij] * 2 + [e.h22 for e in ij],
+                      (2, 2, 2, 2))
     return g, dg, d2g
 
 
-def _lc_jet(field: MetricField, point: ParamPoint):
-    """Levi-Civita data with first derivatives of the mixed coefficients.
+def _lower(dg: np.ndarray) -> np.ndarray:
+    """Gamma_ijk = (d_i g_jk + d_j g_ik - d_k g_ij) / 2 over the last three axes.
 
-    One Dual2 evaluation of the metric field supplies g, dg and d2g; the
-    Christoffel formula and its derivative are then assembled in closed form,
-    so curvature never needs more than second derivatives of the metric.
+    Applied to d2g (leading axis l) it gives d_l Gamma_ijk.
+    """
+    return 0.5 * (dg + dg.swapaxes(-3, -2) - np.moveaxis(dg, -3, -1))
+
+
+def _sum2(t0, t1):
+    """t0 + t1 from a zero start, the order (and zero sign) of einsum and sum()."""
+    return 0.0 + t0 + t1
+
+
+def _raise_index(ginv: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """mixed[..., k, i, j] = g^k0 lower[..., i, j, 0] + g^k1 lower[..., i, j, 1]."""
+    a, t = ginv[..., :, None, None, :], lower[..., None, :, :, :]
+    return _sum2(a[..., 0] * t[..., 0], a[..., 1] * t[..., 1])
+
+
+def _lc_jet(field: MetricField, point: ParamPoint):
+    """Levi-Civita coefficients with the metric data curvature needs.
+
+    One Dual2 evaluation of the metric field supplies g, dg and d2g, so
+    curvature never needs more than second derivatives of the metric.
     """
     g, dg, d2g = _metric_jet(field, point)
     metric = MetricAt.from_matrix(point, g)
-    ginv = np.asarray(metric.g_inv)
-    g = np.asarray(metric.g)
-
-    lower = np.zeros((2, 2, 2))
-    dlower = np.zeros((2, 2, 2, 2))  # dlower[l, i, j, k] = d_l Gamma_ijk
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                lower[i, j, k] = 0.5 * (dg[i, j, k] + dg[j, i, k] - dg[k, i, j])
-                for l in range(2):
-                    dlower[l, i, j, k] = 0.5 * (
-                        d2g[l, i, j, k] + d2g[l, j, i, k] - d2g[l, k, i, j]
-                    )
-    mixed = np.einsum("km,ijm->kij", ginv, lower)
-    # d_l g^{-1} = -g^{-1} (d_l g) g^{-1}
-    dginv = np.stack([-ginv @ dg[l] @ ginv for l in range(2)])
-    dmixed = np.einsum("lkm,ijm->lkij", dginv, lower) + np.einsum(
-        "km,lijm->lkij", ginv, dlower
-    )
-    return g, ginv, lower, mixed, dmixed, metric
+    lower = _lower(dg)
+    return metric, dg, d2g, lower, _raise_index(metric.g_inv, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -188,46 +231,43 @@ def levi_civita(metric_field: MetricField, point: ParamPoint) -> ConnAt:
     Metric derivatives come from one Dual2 evaluation of the field.
     Raises SingularMetricError when the metric is not invertible.
     """
-    _, _, lower, mixed, _, _ = _lc_jet(metric_field, point)
+    _, _, _, lower, mixed = _lc_jet(metric_field, point)
     return ConnAt(point=point, lower=lower, mixed=mixed)
 
 
 def torsion(conn: ConnAt) -> TorsionAt:
     """T_ijk = Gamma_ijk - Gamma_jik; exactly zero for any symmetric connection."""
     lower = np.asarray(conn.lower)
-    return TorsionAt(point=conn.point, t=lower - lower.transpose(1, 0, 2))
-
-
-def _assemble_riemann(g, lower, mixed, dmixed) -> np.ndarray:
-    r = np.zeros((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for m in range(2):
-                    curl = sum(
-                        (dmixed[i, s, j, k] - dmixed[j, s, i, k]) * g[s, m]
-                        for s in range(2)
-                    )
-                    prod = sum(
-                        lower[i, s, m] * mixed[s, j, k]
-                        - lower[j, s, m] * mixed[s, i, k]
-                        for s in range(2)
-                    )
-                    r[i, j, k, m] = curl + prod
-    return r
+    return TorsionAt(point=conn.point, t=lower - lower.swapaxes(-3, -2))
 
 
 def riemann_levi_civita(metric_field: MetricField, point: ParamPoint) -> RiemannAt:
     """Curvature of the Levi-Civita connection, all derivatives via Dual2."""
-    g, ginv, lower, mixed, dmixed, metric = _lc_jet(metric_field, point)
-    r = _assemble_riemann(g, lower, mixed, dmixed)
-    scalar = float(0.5 * np.einsum("ijkm,im,jk->", r, ginv, ginv))
-    return RiemannAt(point=point, r=r, scalar=scalar)
+    metric, dg, d2g, lower, mixed = _lc_jet(metric_field, point)
+    g, ginv = metric.g, metric.g_inv
+    # d_l g^-1 = -g^-1 (d_l g) g^-1, one 2x2 product per matrix
+    dginv = -ginv[..., None, :, :] @ dg @ ginv[..., None, :, :]
+    # dmixed[..., l, k, i, j] = d_l Gamma^k_ij
+    dmixed = (_raise_index(dginv, lower[..., None, :, :, :])
+              + _raise_index(ginv[..., None, :, :], _lower(d2g)))
+    # r[i, j, k, m] = sum_s (dmixed[i, s, j, k] - dmixed[j, s, i, k]) g[s, m]
+    #               + sum_s (lower[i, s, m] mixed[s, j, k] - lower[j, s, m] mixed[s, i, k])
+    curl, prod = [], []
+    for s in (0, 1):
+        d = dmixed[..., :, s, :, :]
+        curl.append((d - d.swapaxes(-3, -2))[..., None] * g[..., None, None, None, s, :])
+        p = lower[..., :, None, None, s, :] * mixed[..., None, s, :, :, None]
+        prod.append(p - p.swapaxes(-4, -3))
+    r = _sum2(*curl) + _sum2(*prod)
+    # 0.5 r[i, j, k, m] g^im g^jk, summed in (i, j, k, m) order as one running total
+    terms = r * ginv[..., :, None, None, :] * ginv[..., None, :, :, None]
+    total = np.add.accumulate(terms.reshape(terms.shape[:-4] + (16,)), axis=-1)[..., -1]
+    return RiemannAt(point=point, r=r, scalar=0.5 * (0.0 + total))
 
 
-def sectional_curvature(riem: RiemannAt, metric: MetricAt) -> float:
+def sectional_curvature(riem: RiemannAt, metric: MetricAt):
     """Plane curvature r[0,1,1,0] / det g (equals the scalar for Levi-Civita)."""
-    return float(riem.r[0, 1, 1, 0]) / metric.det
+    return riem.r[..., 0, 1, 1, 0] / metric.det
 
 
 # ---------------------------------------------------------------------------

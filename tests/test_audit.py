@@ -1,9 +1,11 @@
 """Audit behaviour: verdicts, gaps, determinism, documented discrepancies."""
 
+import math
+
 import numpy as np
 import pytest
 
-from igeo import ParamPoint, audit
+from igeo import ParamPoint, Tolerances, audit
 from igeo.papertable import MATCH, MISMATCH
 
 P01 = ParamPoint.theta(0, 1)
@@ -112,3 +114,16 @@ class TestDeterminism:
 
     def test_mismatch_listing(self, report01):
         assert {r.quantity for r in report01.mismatches} >= {"K", "R_xi.1212"}
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["closed_form_abs", "derived_abs", "rel"])
+    def test_refuses_negative_and_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"tolerance {name} must be finite and >= 0"):
+            Tolerances(**{name: bad})
+
+    def test_zero_gate_matches_only_exact_rows(self):
+        report = audit(P01, Tolerances(0.0, 0.0, 0.0))
+        assert all((row.verdict == MATCH) == (row.abs_gap == 0.0 or row.rel_gap == 0.0)
+                   for row in report.rows)

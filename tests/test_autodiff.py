@@ -125,3 +125,39 @@ class TestAgainstFiniteDifferences:
         assert np.max(np.abs(g - exact_g)) <= 1e-14 * scale
         assert np.array_equal(h, exact_h)
 
+
+
+class TestArrays:
+    """Dual2 carries arrays; a float point keeps the math functions."""
+
+    def test_array_times_dual_is_dual(self):
+        a, _ = lift(ParamPoint.theta(np.array([1.0, 2.0]), np.array([1.0, 1.0])))
+        for f in (np.array([3.0, 4.0]) * a, a * np.array([3.0, 4.0]), np.array([3.0, 4.0]) - a):
+            assert isinstance(f, Dual2)
+        f = np.array([3.0, 4.0]) * a
+        assert np.array_equal(f.val, [3.0, 8.0])
+        assert np.array_equal(f.grad, [[3.0, 0.0], [4.0, 0.0]])
+
+    def test_elementary_functions_match_points(self):
+        xs = np.array([0.3, 1.1, 2.5])
+        block = ParamPoint.theta(0.0, 1.0)
+        a, b = lift(ParamPoint(block.chart, xs, xs + 1.0))
+        for fn in (sqrt, log):
+            out = fn(a * b + 1.0)
+            assert isinstance(out.val, np.ndarray)
+            for n, x in enumerate(xs):
+                one_a, one_b = lift(ParamPoint.theta(x, x + 1.0))
+                one = fn(one_a * one_b + 1.0)
+                assert type(one.val) is float
+                assert np.array_equal(out.hess[n], one.hess)
+        for fn in (sin, cos):
+            assert np.allclose(fn(a).val, [getattr(math, fn.__name__)(x) for x in xs], rtol=1e-15)
+
+    def test_power_rounds_like_float_pow(self):
+        # float ** 2 calls pow; the block must not multiply instead
+        xs = np.random.default_rng(7).normal(size=2000)
+        a, _ = lift(ParamPoint.theta(xs, np.ones_like(xs)))
+        block = (a ** 2).val
+        assert np.array_equal(block, [x ** 2 for x in xs.tolist()])
+        assert np.array_equal(hessian(lambda u, v: u ** 3, ParamPoint.theta(2.0, 1.0)),
+                              [[12.0, 0.0], [0.0, 0.0]])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from igeo import cli
 from igeo.cli import main
 
 CMD = [sys.executable, "-m", "igeo.cli"]
@@ -37,6 +38,12 @@ def call(*argv):
 
 def records_of(out: str):
     return json.loads(out)["records"]
+
+
+def record_lines(out: str) -> list[str]:
+    """The JSON record lines of a report, as printed."""
+    return [line.strip().rstrip(",") for line in out.splitlines()
+            if line.startswith('    {"point"')]
 
 
 class TestQuantityCommands:
@@ -235,6 +242,19 @@ class TestTotalDomainChecks:
          "at most 300 nodes (MAX_GH_NODES)"),
         (("metric", "--point", "0,1", "--engine", "monte_carlo:10000001:1"), 64,
          "at most 10000000 samples (MAX_MC_SAMPLES)"),
+        # a failing point inside a closed-form grid raises what it raises on its own
+        (("scalar", "--grid", "0:0:1,1e-160:1e-150:3"), 2,
+         "theta point (0.0, 1e-160) is outside the double-precision range of the formulas: "
+         "float division by zero"),
+        (("curvature", "--chart", "xi", "--grid=-1e150:1e150:3,1e301:1e302:3"), 2,
+         "not positive definite"),
+        (("metric", "--point", "0,1", "--output", "/nonexistent/dir/x.json"), 64,
+         "cannot write --output '/nonexistent/dir/x.json'"),
+        # a negative gate fails every row, a NaN gate passes none
+        (("audit", "--point", "0,1", "--tol-closed", "-1"), 64, "argument --tol-closed"),
+        (("audit", "--point", "0,1", "--tol-derived", "nan"), 64, "argument --tol-derived"),
+        (("audit", "--point", "0,1", "--tol-rel", "inf"), 64, "argument --tol-rel"),
+        (("audit", "--point", "0,1", "--tol-rel", "x"), 64, "argument --tol-rel"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warnings are not messages
     def test_input(self, argv, code, words):
@@ -247,6 +267,45 @@ class TestTotalDomainChecks:
         monkeypatch.setenv("IGEO_SEED", "abc")
         got, _, err = call("metric", "--point", "0,1", "--engine", "monte_carlo:1000")
         assert got == 64 and "IGEO_SEED" in err
+
+
+class TestBlockwiseGrids:
+    """Closed-form grids go through the kernels a block at a time, with per-point bits."""
+
+    GRIDS = {"theta": "--grid=-1.5:2:4,0.3:2.5:3", "xi": "--grid=-1:1.5:4,2.5:5:3"}
+
+    @pytest.mark.parametrize("chart", sorted(GRIDS))
+    @pytest.mark.parametrize("command", [
+        ("metric",), ("christoffel", "--connection", "levi_civita"),
+        ("torsion", "--connection", "levi_civita"), ("curvature",), ("scalar",),
+    ], ids=lambda c: c[0])
+    def test_grid_record_equals_point_run(self, chart, command):
+        code, out, _ = call(*command, "--chart", chart, self.GRIDS[chart], "--format", "json")
+        assert code == 0
+        grid_lines = record_lines(out)
+        assert len(grid_lines) == 12 * len(record_lines(call(
+            *command, "--chart", chart, "--point=0.5,3", "--format", "json")[1]))
+        for c1, c2 in dict.fromkeys(tuple(r["point"]) for r in records_of(out)):
+            code, out, _ = call(*command, "--chart", chart, f"--point={c1!r},{c2!r}",
+                                "--format", "json")
+            assert code == 0
+            # 17 significant digits: equal lines are equal doubles
+            assert record_lines(out) == [line for line in grid_lines
+                                         if json.loads(line)["point"] == [c1, c2]]
+
+    def test_block_size_does_not_change_output(self, monkeypatch):
+        argv = ("curvature", "--chart", "xi", "--grid=-1:1:5,2:4:5", "--format", "text")
+        whole = call(*argv)
+        monkeypatch.setattr(cli, "BLOCK_POINTS", 3)
+        assert call(*argv) == whole
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failing_point_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_POINTS", 2)
+        code, out, err = call("metric", "--grid", "0:0:1,1:1e-200:5")
+        assert (code, out) == (2, "")
+        assert err == call("metric", "--point", "0,1e-200")[2]
+        assert "(0.0, 1e-200)" in err
 
 
 _REAL = st.one_of(
@@ -312,9 +371,11 @@ class TestFuzz:
             json.loads(out)  # no inf or nan slipped into the numbers
 
 
-# sha256 of stdout for closed-form runs at two points per chart, and for the
-# engine-computed metric and expectation connection on a 2x2 grid per chart; a
-# change that restructures the CLI, the library or the engines must keep every byte
+# sha256 of stdout for closed-form runs at two points per chart, for the
+# closed-form grid commands on a 3x3 grid per chart (JSON and text, which prints
+# the sign of a zero), and for the engine-computed metric and expectation
+# connection on a 2x2 grid per chart; a change that restructures the CLI, the
+# library or the engines must keep every byte
 PINNED = {
     "metric --chart theta --point=0.5,1.5 --format json":
         "a156f57edbfae6d440e1247bb6e4a182fb2d8aa1fe58eddd10c998d57be576af",
@@ -406,6 +467,46 @@ PINNED = {
         "5867eb77d9d483f609103a73fdb633c62d28eef70bbc813b8973c69a83124b0d",
     "christoffel --chart xi --grid=-0.5:0.5:2,2:3:2 --format json --engine monte_carlo:200000:7 --connection expectation":
         "ea1ab4765dc5db20c249bf39e041335b2ee110abf19a0e73c1da5b3258b16ccb",
+    "metric --chart theta --grid=-1:1:3,0.5:2:3 --format json":
+        "b6f84049ef0e27fcf83faa7638de86aa310e0e1854ab013254e384bdbd5bc423",
+    "metric --chart theta --grid=-1:1:3,0.5:2:3 --format text":
+        "680a733d2d0ea55634465aefc2e2440f479c286f915adf37b5fd1038c31864c7",
+    "christoffel --chart theta --grid=-1:1:3,0.5:2:3 --format json --connection levi_civita":
+        "8fb57b5ac51e07f279e85ad1582681db9af8cfbb9cd46cc1f8817feaf9bd064b",
+    "christoffel --chart theta --grid=-1:1:3,0.5:2:3 --format text --connection levi_civita":
+        "ca8611ccb4afbdbcc7f358940c8b42126add896d0d7a849f9a8b819a5a46f588",
+    "torsion --chart theta --grid=-1:1:3,0.5:2:3 --format json --connection levi_civita":
+        "5226f8da3eea74cf584cf142a989b35f7ee70ed6aea0cdbb9e6c2ba2c0846ffa",
+    "torsion --chart theta --grid=-1:1:3,0.5:2:3 --format text --connection levi_civita":
+        "fdcb3ed397ffdc393ecbf0fc2aaba953069665c05e61e02baf0fa94b4096a64a",
+    "curvature --chart theta --grid=-1:1:3,0.5:2:3 --format json":
+        "817782c0cd5cf389f5f55cbd9674ec6b3ad6962769710b7d9942fa0851050858",
+    "curvature --chart theta --grid=-1:1:3,0.5:2:3 --format text":
+        "a2881d59f026328ebe7dad60b64405f118353a6d8849fe89a4df8a1a1104a046",
+    "scalar --chart theta --grid=-1:1:3,0.5:2:3 --format json":
+        "9403991b6ce33b1e00b61ded5a0716961862b2c40a6a6c03c069cc5c043e5d1b",
+    "scalar --chart theta --grid=-1:1:3,0.5:2:3 --format text":
+        "3810657e4b075ea055cf25f8d7a8de6a9ef33bcb8a552eb70afe06c850f5e0d9",
+    "metric --chart xi --grid=-1:1:3,2.5:4:3 --format json":
+        "2c0916a5f7a32fe76379ce973d2ccbb050956dac4a2371b8c1302858e1f461e9",
+    "metric --chart xi --grid=-1:1:3,2.5:4:3 --format text":
+        "e4ee7c4c5d2b4e73f32639a77a7f11d3df7df9bde377bebc90d4a82648021826",
+    "christoffel --chart xi --grid=-1:1:3,2.5:4:3 --format json --connection levi_civita":
+        "5cfd9a907abb5d7585b8f909f12f219a8f6f26fa41be9705fe9b45dfe9fcb6e5",
+    "christoffel --chart xi --grid=-1:1:3,2.5:4:3 --format text --connection levi_civita":
+        "a11230f48a9b8f6e485cb2fcbce292c45e3d14f7cbdde9c297e2a594ea4435c3",
+    "torsion --chart xi --grid=-1:1:3,2.5:4:3 --format json --connection levi_civita":
+        "2ef66501ca04c569b2f01c565020f226ac54d0de5f624829214252131074e171",
+    "torsion --chart xi --grid=-1:1:3,2.5:4:3 --format text --connection levi_civita":
+        "0d94e5696226ec2d7c08ecaece5f1098dc8b28d4ba5f9cf0c1bf06f06396b45c",
+    "curvature --chart xi --grid=-1:1:3,2.5:4:3 --format json":
+        "8331c5924dcb09e501b74a27ef68238e5b309d4c307965c0841fac42b154cc32",
+    "curvature --chart xi --grid=-1:1:3,2.5:4:3 --format text":
+        "eaaa931a7b5781c6e1127d687f5565ed6bb6e6cbee24583b1db092b1ae1ed7fa",
+    "scalar --chart xi --grid=-1:1:3,2.5:4:3 --format json":
+        "4158ef0f3f31262151c8181c582d76dbfa129d62afb35a3c5036c1341c4e05b0",
+    "scalar --chart xi --grid=-1:1:3,2.5:4:3 --format text":
+        "33cbe4c35947a127fe95739a6c6869df44be8a7230dc7208fb8d251401c5b8b0",
 }
 
 

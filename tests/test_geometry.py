@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from igeo import (
     Chart,
     ConnAt,
+    DomainError,
     GaussHermite,
     MetricAt,
     ParamPoint,
@@ -421,3 +422,83 @@ class TestHypothesisInvariants:
     def test_scalar_constant_everywhere(self, mu, sigma):
         riem = riemann_levi_civita(THETA_FIELD, ParamPoint.theta(mu, sigma))
         assert abs(riem.scalar + 0.5) < 1e-8
+
+
+def same_bits(a, b) -> bool:
+    """Equal doubles, zero signs included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBlocks:
+    """A block point runs the same kernels as a single point, bit for bit."""
+
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI])
+    def test_block_equals_points_bit_for_bit(self, rng, chart):
+        points = random_theta_points(rng, 60, mu=(-4.0, 4.0), sigma=(0.05, 5.0))
+        if chart is Chart.XI:
+            points = [chart_forward(p) for p in points]
+        block = ParamPoint(chart, np.array([p.c1 for p in points]),
+                           np.array([p.c2 for p in points]))
+        field = fisher_metric_field(chart)
+        conn, riem, metric = levi_civita(field, block), riemann_levi_civita(field, block), \
+            evaluate_metric(field, block)
+        sec = sectional_curvature(riem, metric)
+        for n, p in enumerate(points):
+            one_conn, one_riem, one_metric = levi_civita(field, p), riemann_levi_civita(field, p), \
+                evaluate_metric(field, p)
+            assert same_bits(conn.lower[n], one_conn.lower)
+            assert same_bits(conn.mixed[n], one_conn.mixed)
+            assert same_bits(torsion(conn).t[n], torsion(one_conn).t)
+            assert same_bits(riem.r[n], one_riem.r)
+            assert same_bits(riem.scalar[n], one_riem.scalar)
+            assert same_bits(metric.g[n], one_metric.g)
+            assert same_bits(metric.g_inv[n], one_metric.g_inv)
+            assert same_bits(metric.det[n], one_metric.det)
+            assert same_bits(sec[n], sectional_curvature(one_riem, one_metric))
+
+    def test_block_axes_come_first(self):
+        c1, c2 = np.meshgrid(np.linspace(-1, 1, 3), np.linspace(0.5, 2, 4), indexing="ij")
+        block = ParamPoint(Chart.THETA, c1, c2)
+        riem = riemann_levi_civita(THETA_FIELD, block)
+        assert riem.r.shape == (3, 4, 2, 2, 2, 2) and riem.scalar.shape == (3, 4)
+        assert levi_civita(THETA_FIELD, block).mixed.shape == (3, 4, 2, 2, 2)
+        assert np.max(np.abs(riem.scalar + 0.5)) < 1e-12
+        assert same_bits(riem.r[2, 1], riemann_levi_civita(THETA_FIELD, block.at((2, 1))).r)
+
+    def test_block_keeps_exact_structure(self, rng):
+        points = [chart_forward(p) for p in random_theta_points(rng, 30)]
+        block = ParamPoint(Chart.XI, np.array([p.c1 for p in points]),
+                           np.array([p.c2 for p in points]))
+        conn = levi_civita(XI_FIELD, block)
+        r = riemann_levi_civita(XI_FIELD, block).r
+        assert not torsion(conn).t.any()
+        assert np.array_equal(conn.mixed, conn.mixed.swapaxes(-2, -1))
+        assert np.array_equal(r, -r.swapaxes(-4, -3))
+
+    def test_block_point_reports_first_point_outside_domain(self):
+        with pytest.raises(DomainError) as in_block:
+            ParamPoint.xi([0.0, 1.0, 2.0], [1.0, 0.5, 1.0])
+        with pytest.raises(DomainError) as alone:
+            ParamPoint.xi(1.0, 0.5)
+        assert str(in_block.value) == str(alone.value)
+        with pytest.raises(DomainError, match="finite"):
+            ParamPoint.theta([0.0, np.nan], [1.0, 1.0])
+
+    def test_from_matrix_names_the_first_failing_point(self):
+        block = ParamPoint(Chart.THETA, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
+        g = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        with pytest.raises(SingularMetricError) as in_block:
+            MetricAt.from_matrix(block, g)
+        with pytest.raises(SingularMetricError) as alone:
+            MetricAt.from_matrix(block.at(1), g[1])
+        assert str(in_block.value) == str(alone.value)
+        assert "c1=1.0" in str(alone.value) and "positive definite" in str(alone.value)
+
+    def test_from_matrix_rows_broadcast_constants(self):
+        block = ParamPoint(Chart.THETA, np.zeros(3), np.array([1.0, 2.0, 4.0]))
+        s = block.c2
+        m = MetricAt.from_matrix(block, [[1.0 / (s * s), 0.0], [0.0, 2.0 / (s * s)]])
+        assert m.g.shape == (3, 2, 2) and not m.g.flags.writeable
+        assert np.array_equal(m.g[2], [[1 / 16, 0.0], [0.0, 2 / 16]])
+        assert np.array_equal(m.det, [2.0, 2 / 2**4, 2 / 4**4])
