@@ -1,0 +1,38 @@
+"""Per-request timings of the command line, in-process (pytest-benchmark).
+
+    PYTHONPATH=src python -m pytest benchmarks/test_cli.py --benchmark-only
+
+Times ``igeo.cli.main(argv)`` with stdout and stderr captured in memory: one
+request costs parsing, the computation and the serialisation of its records.
+The cases are a single-point metric, a single-point audit, and the dual-chart
+curvature of a 40x40 grid written as JSON.  The directory lies outside
+``testpaths``, so the test suite does not collect it.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+from igeo import cli
+
+REQUESTS = {
+    "metric_point": ("metric", "--point=0.3,1.2", "--format", "json"),
+    "audit_point": ("audit", "--point=0.3,1.2", "--format", "json"),
+    "curvature_xi_grid40x40": ("curvature", "--chart=xi", "--grid=-1:1:40,2.5:4:40",
+                               "--format", "json"),
+}
+
+
+def request(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    assert code == 0, err.getvalue()
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_request(benchmark, name):
+    benchmark.group = "cli"
+    assert benchmark(request, REQUESTS[name])

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 domain error, 3 audit mismatch under ``--strict``,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -73,30 +74,67 @@ class _Parser(argparse.ArgumentParser):
 # deterministic serialisation (floats with 17 significant digits)
 # ---------------------------------------------------------------------------
 
-def _num(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalise -0.0
-    return format(x, ".17g")
+def _num(x) -> str:
+    return _float(float(x))
 
 
-def _json_value(v) -> str:
+def _float(x: float) -> str:
+    """A float with 17 significant digits; -0.0 is written as 0."""
+    return f"{x:.17g}" if x else "0"
+
+
+def _json_str(v: str) -> str:
+    if "\\" in v or '"' in v:
+        v = v.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{v}"'
+
+
+def _json_bool(v: bool) -> str:
+    return "true" if v else "false"
+
+
+def _json_list(v) -> str:
+    get = _JSON_BY_TYPE.get
+    return "[" + ", ".join([get(type(x), _json_other)(x) for x in v]) + "]"
+
+
+def _json_dict(v: dict) -> str:
+    get = _JSON_BY_TYPE.get
+    return "{" + ", ".join([f"{get(type(k), _json_other)(k)}: {get(type(x), _json_other)(x)}"
+                            for k, x in v.items()]) + "}"
+
+
+# exact type -> writer; subclasses and numpy scalars take the isinstance path
+_JSON_BY_TYPE = {
+    float: _float,
+    str: _json_str,
+    bool: _json_bool,
+    type(None): lambda v: "null",
+    int: str,
+    list: _json_list,
+    tuple: _json_list,
+    dict: _json_dict,
+}
+
+
+def _json_other(v) -> str:
     if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _json_str(v)
     if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
+        return _json_bool(v)
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return _num(v)
     if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(x) for x in v) + "]"
+        return _json_list(v)
     if isinstance(v, dict):
-        return "{" + ", ".join(f"{_json_value(k)}: {_json_value(x)}" for k, x in v.items()) + "}"
+        return _json_dict(v)
     raise TypeError(f"cannot serialise {type(v)}")
+
+
+def _json_value(v) -> str:
+    return _JSON_BY_TYPE.get(type(v), _json_other)(v)
 
 
 def _to_json(meta: dict, records: list[dict], notes: tuple[str, ...] = ()) -> str:
@@ -113,16 +151,38 @@ def _to_json(meta: dict, records: list[dict], notes: tuple[str, ...] = ()) -> st
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell(v) -> str:
+def _csv_str(v: str) -> str:
+    return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
+
+
+def _csv_list(v) -> str:
+    return '"' + _json_list(v).replace('"', '""') + '"'
+
+
+# the JSON number writers, with CSV's own strings, empty None and quoted arrays
+_CSV_BY_TYPE = {
+    float: _float,
+    str: _csv_str,
+    bool: str,
+    type(None): lambda v: "",
+    int: str,
+    list: _csv_list,
+    tuple: _csv_list,
+}
+
+
+def _csv_other(v) -> str:
     if isinstance(v, str):
-        return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
-    if v is None:
-        return ""
+        return _csv_str(v)
     if isinstance(v, (list, tuple)):
-        return '"' + _json_value(v).replace('"', '""') + '"'
+        return _csv_list(v)
     if isinstance(v, (float, np.floating)):
         return _num(v)
     return str(v)
+
+
+def _csv_cell(v) -> str:
+    return _CSV_BY_TYPE.get(type(v), _csv_other)(v)
 
 
 def _to_csv(records: list[dict]) -> str:
@@ -405,7 +465,9 @@ def _quantity_records(points: list[ParamPoint], args, engine) -> list[dict]:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process; each parse_args returns a fresh namespace."""
     parser = _Parser(prog="igeo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -243,6 +243,12 @@ def torsion(conn: ConnAt) -> TorsionAt:
 
 def riemann_levi_civita(metric_field: MetricField, point: ParamPoint) -> RiemannAt:
     """Curvature of the Levi-Civita connection, all derivatives via Dual2."""
+    return _levi_civita_and_riemann(metric_field, point)[1]
+
+
+def _levi_civita_and_riemann(metric_field: MetricField,
+                             point: ParamPoint) -> tuple[ConnAt, RiemannAt]:
+    """levi_civita and riemann_levi_civita from one Dual2 evaluation of the field."""
     metric, dg, d2g, lower, mixed = _lc_jet(metric_field, point)
     g, ginv = metric.g, metric.g_inv
     # d_l g^-1 = -g^-1 (d_l g) g^-1, one 2x2 product per matrix
@@ -262,7 +268,8 @@ def riemann_levi_civita(metric_field: MetricField, point: ParamPoint) -> Riemann
     # 0.5 r[i, j, k, m] g^im g^jk, summed in (i, j, k, m) order as one running total
     terms = r * ginv[..., :, None, None, :] * ginv[..., None, :, :, None]
     total = np.add.accumulate(terms.reshape(terms.shape[:-4] + (16,)), axis=-1)[..., -1]
-    return RiemannAt(point=point, r=r, scalar=0.5 * (0.0 + total))
+    return (ConnAt(point=point, lower=lower, mixed=mixed),
+            RiemannAt(point=point, r=r, scalar=0.5 * (0.0 + total)))
 
 
 def sectional_curvature(riem: RiemannAt, metric: MetricAt):

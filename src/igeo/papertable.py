@@ -22,8 +22,7 @@ import numpy as np
 
 from .core import Chart, DEFAULT_TOLERANCES, ParamPoint, Tolerances
 from .geometry import (
-    levi_civita,
-    riemann_levi_civita,
+    _levi_civita_and_riemann,
     torsion,
     transform_connection,
     transform_lower_tensor3,
@@ -215,9 +214,7 @@ def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
         econn, jac, jac_inv, chart_second_derivatives(p), metric_th, q
     ).lower
 
-    xi_field = fisher_metric_field(Chart.XI)
-    lc_xi = levi_civita(xi_field, q)
-    riem_xi = riemann_levi_civita(xi_field, q)
+    lc_xi, riem_xi = _levi_civita_and_riemann(fisher_metric_field(Chart.XI), q)
 
     rows: list[AuditRow] = []
     e = table.entries

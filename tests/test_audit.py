@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from igeo import ParamPoint, Tolerances, audit
+from igeo import (Chart, ParamPoint, Tolerances, audit, chart_forward, fisher_metric_field,
+                  levi_civita, riemann_levi_civita, torsion)
+from igeo import papertable
 from igeo.papertable import MATCH, MISMATCH
 
 P01 = ParamPoint.theta(0, 1)
@@ -127,3 +129,36 @@ class TestTolerances:
         report = audit(P01, Tolerances(0.0, 0.0, 0.0))
         assert all((row.verdict == MATCH) == (row.abs_gap == 0.0 or row.rel_gap == 0.0)
                    for row in report.rows)
+
+
+class TestDualChartJet:
+    """The audit takes the dual-chart connection and curvature from one field jet."""
+
+    def test_one_field_evaluation_per_point(self, monkeypatch):
+        calls = []
+
+        def counting(chart):
+            field = fisher_metric_field(chart)
+
+            def traced(a, b):
+                calls.append(chart)
+                return field(a, b)
+            return traced
+
+        monkeypatch.setattr(papertable, "fisher_metric_field", counting)
+        audit(ParamPoint.theta(0.3, 1.4))
+        assert calls == [Chart.XI]
+
+    def test_oracles_equal_the_public_kernels(self):
+        p = ParamPoint.theta(-0.7, 0.6)
+        report, q = audit(p), chart_forward(p)
+        field = fisher_metric_field(Chart.XI)
+        conn, riem = levi_civita(field, q), riemann_levi_civita(field, q)
+        for k, i, j in np.ndindex(2, 2, 2):
+            row = report.row(f"GammaMixed_xi.{k + 1}{i + 1}{j + 1}")
+            assert row.oracle == float(conn.mixed[k, i, j])
+        for i, j, k, m in np.ndindex(2, 2, 2, 2):
+            row = report.row(f"R_xi.{i + 1}{j + 1}{k + 1}{m + 1}")
+            assert row.oracle == float(riem.r[i, j, k, m])
+        assert report.row("K").oracle == float(riem.scalar)
+        assert report.row("T_xi.max_abs").oracle == float(np.max(np.abs(torsion(conn).t)))

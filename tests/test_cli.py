@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -306,6 +307,84 @@ class TestBlockwiseGrids:
         assert (code, out) == (2, "")
         assert err == call("metric", "--point", "0,1e-200")[2]
         assert "(0.0, 1e-200)" in err
+
+
+class TestParserReuse:
+    """main(argv) builds the parser once; no call leaves state for the next."""
+
+    SEQUENCE = [
+        ("metric", "--chart", "bogus", "--point", "0,1"),
+        ("metric", "--help"),
+        ("audit", "--strict", "--tol-closed", "0", "--tol-derived", "0", "--tol-rel", "0",
+         "--point", "0,1"),
+        ("audit", "--point", "0,1", "--format", "json"),
+        ("metric", "--chart", "xi", "--point=-1,2", "--format", "json"),
+    ]
+
+    def test_sequence_matches_fresh_processes(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at the terminal width
+        got = [call(*argv) for argv in self.SEQUENCE]
+        assert [code for code, _, _ in got] == [64, 0, 3, 0, 0]
+        for argv, result in zip(self.SEQUENCE, got):
+            fresh = run(*argv, env_extra={"COLUMNS": "80"})
+            assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+
+class TestSerialisation:
+    """Exact strings of the JSON and CSV writers."""
+
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.10000000000000001"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.float32(0.5), "0.5"),
+        (np.int64(-7), "-7"),
+        (12, "12"),
+        (-0.0, "0"),
+        (np.float64(-0.0), "0"),
+        (0.0, "0"),
+        (1.0, "1"),
+        (5e-324, "4.9406564584124654e-324"),
+        (True, "true"),
+        (False, "false"),
+        (None, "null"),
+        ((1, 2.5), "[1, 2.5]"),
+        ([[1.0, -0.0], [True, None], []], "[[1, 0], [true, null], []]"),
+        ({"a": [1, {"b": (False,)}], "c": "d"}, '{"a": [1, {"b": [false]}], "c": "d"}'),
+        ('say "hi" \\ bye', '"say \\"hi\\" \\\\ bye"'),
+    ])
+    def test_json_value(self, value, text):
+        assert cli._json_value(value) == text
+
+    @given(st.floats())
+    def test_json_float_is_num(self, x):
+        assert cli._json_value(x) == cli._num(x) == cli._json_value(np.float64(x))
+        assert cli._json_value([x]) == f"[{cli._num(x)}]"
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, 1j, b"x", np.array([1.0])])
+    def test_unsupported_raises(self, value):
+        with pytest.raises(TypeError):
+            cli._json_value(value)
+        with pytest.raises(TypeError):
+            cli._json_value({"nested": [value]})
+
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.10000000000000001"),
+        (np.float64(-0.0), "0"),
+        (-0.0, "0"),
+        (np.int64(3), "3"),
+        (True, "True"),
+        (None, ""),
+        ("plain", "plain"),
+        ("a,b", '"a,b"'),
+        ('x"y', '"x""y"'),
+        ([0.5, -0.0], '"[0.5, 0]"'),
+        ((1, "q"), '"[1, ""q""]"'),
+    ])
+    def test_csv_cell(self, value, text):
+        assert cli._csv_cell(value) == text
 
 
 _REAL = st.one_of(
