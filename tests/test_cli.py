@@ -279,16 +279,24 @@ class TestBlockwiseGrids:
     @pytest.mark.parametrize("command", [
         ("metric",), ("christoffel", "--connection", "levi_civita"),
         ("torsion", "--connection", "levi_civita"), ("curvature",), ("scalar",),
-    ], ids=lambda c: c[0])
+        ("transform",), ("christoffel", "--connection", "expectation"),
+        ("torsion", "--connection", "expectation"),
+    ], ids=lambda c: c[0] + ("_expectation" if "expectation" in c else ""))
     def test_grid_record_equals_point_run(self, chart, command):
-        code, out, _ = call(*command, "--chart", chart, self.GRIDS[chart], "--format", "json")
+        self.assert_grid_records_equal_point_runs((*command, "--chart", chart), self.GRIDS[chart])
+
+    def test_audit_grid_record_equals_point_run(self):
+        self.assert_grid_records_equal_point_runs(("audit",), self.GRIDS["theta"])
+
+    @staticmethod
+    def assert_grid_records_equal_point_runs(command, grid):
+        code, out, _ = call(*command, grid, "--format", "json")
         assert code == 0
         grid_lines = record_lines(out)
         assert len(grid_lines) == 12 * len(record_lines(call(
-            *command, "--chart", chart, "--point=0.5,3", "--format", "json")[1]))
+            *command, "--point=0.5,3", "--format", "json")[1]))
         for c1, c2 in dict.fromkeys(tuple(r["point"]) for r in records_of(out)):
-            code, out, _ = call(*command, "--chart", chart, f"--point={c1!r},{c2!r}",
-                                "--format", "json")
+            code, out, _ = call(*command, f"--point={c1!r},{c2!r}", "--format", "json")
             assert code == 0
             # 17 significant digits: equal lines are equal doubles
             assert record_lines(out) == [line for line in grid_lines
@@ -303,10 +311,11 @@ class TestBlockwiseGrids:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failing_point_in_a_later_block(self, monkeypatch):
         monkeypatch.setattr(cli, "BLOCK_POINTS", 2)
-        code, out, err = call("metric", "--grid", "0:0:1,1:1e-200:5")
-        assert (code, out) == (2, "")
-        assert err == call("metric", "--point", "0,1e-200")[2]
-        assert "(0.0, 1e-200)" in err
+        for command in ("metric", "audit"):
+            code, out, err = call(command, "--grid", "0:0:1,1:1e-200:5")
+            assert (code, out) == (2, "")
+            assert err == call(command, "--point", "0,1e-200")[2]
+            assert "(0.0, 1e-200)" in err
 
 
 class TestParserReuse:
@@ -452,9 +461,9 @@ class TestFuzz:
 
 # sha256 of stdout for closed-form runs at two points per chart, for the
 # closed-form grid commands on a 3x3 grid per chart (JSON and text, which prints
-# the sign of a zero), and for the engine-computed metric and expectation
-# connection on a 2x2 grid per chart; a change that restructures the CLI, the
-# library or the engines must keep every byte
+# the sign of a zero; the audit also as CSV), and for the engine-computed metric
+# and expectation connection on a 2x2 grid per chart; a change that restructures
+# the CLI, the library or the engines must keep every byte
 PINNED = {
     "metric --chart theta --point=0.5,1.5 --format json":
         "a156f57edbfae6d440e1247bb6e4a182fb2d8aa1fe58eddd10c998d57be576af",
@@ -586,6 +595,36 @@ PINNED = {
         "4158ef0f3f31262151c8181c582d76dbfa129d62afb35a3c5036c1341c4e05b0",
     "scalar --chart xi --grid=-1:1:3,2.5:4:3 --format text":
         "33cbe4c35947a127fe95739a6c6869df44be8a7230dc7208fb8d251401c5b8b0",
+    "transform --chart theta --grid=-1:1:3,0.5:2:3 --format json":
+        "783e087fd64a1577ed99c553676c314e5dc51ec7923774f710af3132e9845c85",
+    "christoffel --chart theta --grid=-1:1:3,0.5:2:3 --format json --connection expectation":
+        "315c55efcaaaef2c3a398373fc5ff584919778a3afc04c6d048d7f2379b5652c",
+    "torsion --chart theta --grid=-1:1:3,0.5:2:3 --format json --connection expectation":
+        "5226f8da3eea74cf584cf142a989b35f7ee70ed6aea0cdbb9e6c2ba2c0846ffa",
+    "transform --chart theta --grid=-1:1:3,0.5:2:3 --format text":
+        "518c304cf47c26aa9dd1ec7c3ba1d8435daf807434d4726103a8ce49467a0b4e",
+    "christoffel --chart theta --grid=-1:1:3,0.5:2:3 --format text --connection expectation":
+        "ab9d1a2c500ab258e8dd56c800db72c9ecbbce705c0cbee121af2215d1825b61",
+    "torsion --chart theta --grid=-1:1:3,0.5:2:3 --format text --connection expectation":
+        "fdcb3ed397ffdc393ecbf0fc2aaba953069665c05e61e02baf0fa94b4096a64a",
+    "transform --chart xi --grid=-1:1:3,2.5:4:3 --format json":
+        "b7fd3c13db64048f935a60a9de0e010f254cee97dec300a7c37b3af01cac0c5b",
+    "christoffel --chart xi --grid=-1:1:3,2.5:4:3 --format json --connection expectation":
+        "17040f6b63014ca20059b6cd012b9d459d111f4bbc21cbffb8e8cc59222d4528",
+    "torsion --chart xi --grid=-1:1:3,2.5:4:3 --format json --connection expectation":
+        "2ef66501ca04c569b2f01c565020f226ac54d0de5f624829214252131074e171",
+    "transform --chart xi --grid=-1:1:3,2.5:4:3 --format text":
+        "43a6f61c72fe4d5f6a6204fce8be094428671be3b483135f09ebdc0dc34bbc8d",
+    "christoffel --chart xi --grid=-1:1:3,2.5:4:3 --format text --connection expectation":
+        "423ed85148c71ffc5a0bbb483fac8fe1b04a52c606199f3f2e3ab899ae8ebd73",
+    "torsion --chart xi --grid=-1:1:3,2.5:4:3 --format text --connection expectation":
+        "0d94e5696226ec2d7c08ecaece5f1098dc8b28d4ba5f9cf0c1bf06f06396b45c",
+    "audit --grid=-1:1:3,0.5:2:3 --format json":
+        "8d100501afc8d67ed41792c1b3677c43bd87d4baafeba45cdf998d2a2def4550",
+    "audit --grid=-1:1:3,0.5:2:3 --format csv":
+        "1da991bfdd0c34260973db245652aaf6fe9e5d5c6f5634b0ef53b6cfd1a2c40e",
+    "audit --grid=-1:1:3,0.5:2:3 --format text":
+        "5445aff83e222d44a6c41f97ee0e519dab3ac8613ac60d606335f99bfffc475c",
 }
 
 
