@@ -4,9 +4,10 @@
 
 Times ``igeo.cli.main(argv)`` with stdout and stderr captured in memory: one
 request costs parsing, the computation and the serialisation of its records.
-The cases are a single-point metric, a single-point audit, and the dual-chart
-curvature of a 40x40 grid written as JSON.  The directory lies outside
-``testpaths``, so the test suite does not collect it.
+The cases are a single-point metric and audit, and, written as JSON, the
+dual-chart curvature, ``transform`` and the dual-chart closed-form expectation
+connection of a 40x40 grid and the audit of a 20x20 grid.  The directory lies
+outside ``testpaths``, so the test suite does not collect it.
 """
 
 import contextlib
@@ -21,6 +22,11 @@ REQUESTS = {
     "audit_point": ("audit", "--point=0.3,1.2", "--format", "json"),
     "curvature_xi_grid40x40": ("curvature", "--chart=xi", "--grid=-1:1:40,2.5:4:40",
                                "--format", "json"),
+    "audit_grid20x20": ("audit", "--grid=-1:1:20,0.5:2:20", "--format", "json"),
+    "transform_grid40x40": ("transform", "--grid=-1:1:40,0.5:2:40", "--format", "json"),
+    "christoffel_expectation_xi_grid40x40": ("christoffel", "--chart=xi",
+                                             "--connection=expectation",
+                                             "--grid=-1:1:40,2.5:4:40", "--format", "json"),
 }
 
 

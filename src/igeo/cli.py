@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .autodiff import batch_array
 from .core import (
     Chart,
     DEFAULT_TOLERANCES,
@@ -50,7 +51,7 @@ from .models import (
     jacobian,
     selftest_checks,
 )
-from .papertable import audit as run_audit
+from .papertable import MISMATCH, NOTES as AUDIT_NOTES, audit as run_audit
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -258,7 +259,7 @@ def _parse_point(text: str) -> tuple[float, float]:
         raise UsageError(f"--point wants two reals, got {text!r}") from exc
 
 
-def _parse_grid(text: str) -> list[tuple[float, float]]:
+def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     axes = []
     parts = text.split(",")
     if len(parts) != 2:
@@ -283,18 +284,19 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
             f"--grid asks for {axes[0][2] * axes[1][2]} points; at most {MAX_GRID_POINTS} "
             "(MAX_GRID_POINTS)"
         )
-    c1s, c2s = (np.linspace(*axis) for axis in axes)
-    return [(float(a), float(b)) for a in c1s for b in c2s]
+    c1s, c2s = np.meshgrid(*(np.linspace(*axis) for axis in axes), indexing="ij")
+    return c1s.ravel(), c2s.ravel()  # row-major: the second coordinate varies fastest
 
 
-def _points(args, chart: Chart) -> list[ParamPoint]:
+def _points(args, chart: Chart) -> ParamPoint:
+    """The --point (floats), or the --grid's points as one block of flat arrays."""
     if args.point is None and args.grid is None:
         raise UsageError("one of --point or --grid is required")
     if args.point is not None and args.grid is not None:
         raise UsageError("--point and --grid are mutually exclusive")
-    coords = [_parse_point(args.point)] if args.point is not None else _parse_grid(args.grid)
+    c1, c2 = _parse_point(args.point) if args.point is not None else _parse_grid(args.grid)
     # every grid point must satisfy the chart invariant before any computation
-    return [ParamPoint(chart, c1, c2) for c1, c2 in coords]
+    return ParamPoint(chart, c1, c2)
 
 
 def _tolerance(text: str) -> float:
@@ -341,23 +343,31 @@ def _require_closed_form(engine, what: str):
 # ---------------------------------------------------------------------------
 
 def _require_finite(p: ParamPoint, what: str, values) -> None:
-    # einsum ignores np.errstate, so an overflow can reach the output silently
+    # einsum ignores np.errstate, so an overflow can reach the output silently; a
+    # block that fails here runs again point by point, so the message names a point
     if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
         raise DomainError(
             f"{what} at {p.chart} point ({p.c1!r}, {p.c2!r}) is not finite in double precision"
         )
 
 
-def _rec(point: ParamPoint, quantity: str, value, provenance: str = "oracle") -> dict:
-    _require_finite(point, quantity, value)
-    if isinstance(value, (np.ndarray, np.generic)):
-        value = value.tolist()
-    return {
-        "point": [point.c1, point.c2],
-        "quantity": quantity,
-        "value": value,
-        "provenance": provenance,
-    }
+def _each_point(p: ParamPoint) -> list[tuple]:
+    """(index, c1, c2) of each point of a block in order; index () for a single point."""
+    if np.ndim(p.c1) == 0:
+        return [((), p.c1, p.c2)]
+    return list(zip(range(p.c1.size), p.c1.tolist(), p.c2.tolist()))
+
+
+def _quantity_records(fn):
+    """A command of (quantity, value) pairs, values with block axes first, as records."""
+    def records(p: ParamPoint, args, engine) -> list[dict]:
+        pairs = fn(p, args, engine)
+        for quantity, value in pairs:
+            _require_finite(p, quantity, value)
+        return [{"point": [c1, c2], "quantity": quantity, "value": value[n].tolist(),
+                 "provenance": "oracle"}
+                for n, c1, c2 in _each_point(p) for quantity, value in pairs]
+    return records
 
 
 def _connection(p: ParamPoint, args, engine):
@@ -399,66 +409,62 @@ def _transform(p, args, engine):
         q = chart_forward(p)
         jac, jac_inv = jacobian(p)
         m = transform_metric(fisher_metric(p), jac_inv, q)
-        return (("point_xi", [q.c1, q.c2]), ("jacobian", jac), ("jacobian_inv", jac_inv),
-                ("g_xi", m.g), ("g_xi_det", m.det))
+        return (("point_xi", batch_array([q.c1, q.c2], (2,))), ("jacobian", jac),
+                ("jacobian_inv", jac_inv), ("g_xi", m.g), ("g_xi_det", m.det))
     th = chart_backward(p)
     jac, jac_inv = jacobian(th)
-    return (("point_theta", [th.c1, th.c2]), ("jacobian", jac), ("jacobian_inv", jac_inv),
-            ("g_theta", fisher_metric(th).g))
+    return (("point_theta", batch_array([th.c1, th.c2], (2,))), ("jacobian", jac),
+            ("jacobian_inv", jac_inv), ("g_theta", fisher_metric(th).g))
 
 
-# command -> (quantity, value) pairs at a point, or at each point of a block
-_QUANTITIES = {
-    "metric": _metric,
-    "christoffel": _christoffel,
-    "torsion": _torsion,
-    "curvature": _curvature,
-    "scalar": _scalar,
-    "transform": _transform,
+def _audit(p, args, engine) -> list[dict]:
+    rows = run_audit(p, Tolerances(args.tol_closed, args.tol_derived, args.tol_rel)).rows
+    # a finite |paper - oracle| makes both sides and the relative gap finite
+    _require_finite(p, "an audit gap", [row.abs_gap for row in rows])
+    points = [[c1, c2] for _, c1, c2 in _each_point(p)]
+    per_point = len(rows) // len(points)  # the rows come point by point
+    return [{"point": points[i // per_point], **vars(row)} for i, row in enumerate(rows)]
+
+
+# command -> the records of a point, or of each point of a block in order
+_COMMANDS = {
+    "metric": _quantity_records(_metric),
+    "christoffel": _quantity_records(_christoffel),
+    "torsion": _quantity_records(_torsion),
+    "curvature": _quantity_records(_curvature),
+    "scalar": _quantity_records(_scalar),
+    "transform": _quantity_records(_transform),
+    "audit": _audit,
 }
 
 
-def _at(p: ParamPoint, fn, *args):
-    """fn(p, *args); a float that overflows or divides by zero there is a domain error."""
+def _blocks(p: ParamPoint, engine) -> list[ParamPoint]:
+    """A single point as it is; a grid in blocks of BLOCK_POINTS for the closed
+    form, one point per call for a numerical engine."""
+    if np.ndim(p.c1) == 0:
+        return [p]
+    if not isinstance(engine, ClosedForm):
+        return [p.at(i) for i in range(p.c1.size)]
+    return [ParamPoint(p.chart, p.c1[i:i + BLOCK_POINTS], p.c2[i:i + BLOCK_POINTS])
+            for i in range(0, p.c1.size, BLOCK_POINTS)]
+
+
+def _run(p: ParamPoint, fn, args, engine) -> list[dict]:
+    """fn's records at a point or block.  A float that overflows or divides by zero
+    at a point is a domain error; a block that raises runs again point by point,
+    so its first failing point raises its own message."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return fn(p, *args)
-    except ArithmeticError as exc:
+            return fn(p, args, engine)
+    except (DomainError, SingularMetricError, ArithmeticError) as exc:
+        if np.ndim(p.c1):
+            return [rec for i in range(p.c1.size) for rec in _run(p.at(i), fn, args, engine)]
+        if not isinstance(exc, ArithmeticError):
+            raise
         raise DomainError(
             f"{p.chart} point ({p.c1!r}, {p.c2!r}) is outside the double-precision "
             f"range of the formulas: {exc}"
         ) from exc
-
-
-def _blockwise(args, engine) -> bool:
-    """A closed-form grid through the geometry kernels is evaluated a block at a time."""
-    return (args.grid is not None and isinstance(engine, ClosedForm)
-            and args.command != "transform"
-            and getattr(args, "connection", "levi_civita") == "levi_civita")
-
-
-def _quantity_records(points: list[ParamPoint], args, engine) -> list[dict]:
-    fn = _QUANTITIES[args.command]
-
-    def one_at_a_time(block):
-        return [_rec(p, quantity, value) for p in block
-                for quantity, value in _at(p, fn, args, engine)]
-
-    if not _blockwise(args, engine):
-        return one_at_a_time(points)
-    records: list[dict] = []
-    for start in range(0, len(points), BLOCK_POINTS):
-        block = points[start:start + BLOCK_POINTS]
-        coords = np.array([p.coords for p in block])
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                pairs = fn(ParamPoint(block[0].chart, coords[:, 0], coords[:, 1]), args, engine)
-        except (DomainError, SingularMetricError, ArithmeticError):
-            records += one_at_a_time(block)  # the first failing point raises its own message
-            continue
-        records += (_rec(p, quantity, value[n]) for n, p in enumerate(block)
-                    for quantity, value in pairs)
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -555,24 +561,17 @@ def main(argv=None) -> int:
                 "provenance": "oracle",
             } for name, residual, bound in selftest_checks()]
             code = EXIT_OK if all(r["verdict"] == "PASS" for r in records) else 1
-        elif args.command == "audit":
-            points = _points(args, chart)
-            tol = Tolerances(args.tol_closed, args.tol_derived, args.tol_rel)
-            records, mismatch = [], False
-            for p in points:
-                report = _at(p, run_audit, tol)
-                # a finite |paper - oracle| makes both sides and the relative gap finite
-                _require_finite(p, "an audit gap", [row.abs_gap for row in report.rows])
-                records += ({"point": [p.c1, p.c2], **vars(row)} for row in report.rows)
-                mismatch = mismatch or bool(report.mismatches)
-            notes = report.notes
-            code = EXIT_AUDIT if (mismatch and args.strict) else EXIT_OK
         else:
-            points = _points(args, chart)
+            point = _points(args, chart)
             if hasattr(args, "engine"):
                 engine, engine_desc = _parse_engine(args.engine)
-            records = _quantity_records(points, args, engine)
+            records = [rec for block in _blocks(point, engine)
+                       for rec in _run(block, _COMMANDS[args.command], args, engine)]
             code = EXIT_OK
+            if args.command == "audit":
+                notes = AUDIT_NOTES
+                if args.strict and any(rec["verdict"] == MISMATCH for rec in records):
+                    code = EXIT_AUDIT
         meta = {"command": args.command, "chart": chart.value, "engine": engine_desc,
                 "tool_version": __version__}
         _emit(args, meta, records, notes)

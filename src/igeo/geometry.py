@@ -19,12 +19,13 @@ Index conventions (fixed throughout):
   with these conventions the unit sphere scores +1 and the Gaussian
   Fisher-Rao plane -1/2.
 
-The metric, connection and curvature kernels also take a block point, whose
-coordinates are arrays: every result then carries the block axes first
-(``g[..., i, j]``, ``r[..., i, j, k, m]``, ``scalar[...]``), and a single point
-is the shape-() case of the same code.  Each sum over an index is written out
-term by term in the order a per-point loop would add it, so a point of a block
-gets the same bits as the point alone.
+The metric, connection and curvature kernels and the metric, (0,3)-tensor and
+connection laws also take a block point, whose coordinates are arrays: every
+result then carries the block axes first (``g[..., i, j]``,
+``r[..., i, j, k, m]``, ``scalar[...]``), and a single point is the shape-()
+case of the same code.  Each sum over an index is written out term by term in
+the order a per-point loop would add it, so a point of a block gets the same
+bits as the point alone.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ def sectional_curvature(riem: RiemannAt, metric: MetricAt):
 
 def _basis_change(jac_inv: np.ndarray) -> np.ndarray:
     # rows: target-chart index alpha; columns: source index i
-    return np.asarray(jac_inv, dtype=float).T
+    return np.asarray(jac_inv, dtype=float).swapaxes(-1, -2)
 
 
 def transform_metric(m: MetricAt, jac_inv, to_point: ParamPoint) -> MetricAt:
@@ -293,14 +294,13 @@ def transform_metric(m: MetricAt, jac_inv, to_point: ParamPoint) -> MetricAt:
     rows.  The full law is applied, cross terms included.
     """
     b = _basis_change(jac_inv)
-    g_new = b @ np.asarray(m.g) @ b.T
-    return MetricAt.from_matrix(to_point, g_new)
+    return MetricAt.from_matrix(to_point, b @ m.g @ b.swapaxes(-1, -2))
 
 
 def transform_lower_tensor3(t, jac_inv) -> np.ndarray:
     """(0,3)-tensor law t'_abc = B_a^i B_b^j B_c^k t_ijk."""
     b = _basis_change(jac_inv)
-    return np.einsum("ai,bj,ck,ijk->abc", b, b, b, np.asarray(t, dtype=float))
+    return np.einsum("...ai,...bj,...ck,...ijk->...abc", b, b, b, np.asarray(t, dtype=float))
 
 
 def transform_lower_tensor4(r, jac_inv) -> np.ndarray:
@@ -329,8 +329,8 @@ def transform_connection(
     b = _basis_change(jac_inv)
     jac = np.asarray(jac, dtype=float)
     sd = np.asarray(second_derivs, dtype=float)
-    mixed = np.einsum("ai,bj,gk,kij->gab", b, b, jac, np.asarray(conn.mixed))
-    mixed += np.einsum("gm,mab->gab", jac, sd)
-    lower = np.einsum("ai,bj,ck,ijk->abc", b, b, b, np.asarray(conn.lower))
-    lower += np.einsum("mab,ck,mk->abc", sd, b, np.asarray(metric.g))
+    mixed = np.einsum("...ai,...bj,...gk,...kij->...gab", b, b, jac, conn.mixed)
+    mixed += np.einsum("...gm,...mab->...gab", jac, sd)
+    lower = transform_lower_tensor3(conn.lower, jac_inv)
+    lower += np.einsum("...mab,...ck,...mk->...abc", sd, b, metric.g)
     return ConnAt(point=to_point, lower=lower, mixed=mixed)

@@ -21,6 +21,8 @@ from .geometry import (
     ConnAt,
     MetricAt,
     MetricField,
+    _first,
+    _raise_index,
     evaluate_metric,
     levi_civita,
     riemann_levi_civita,
@@ -225,8 +227,7 @@ def fisher_metric_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricA
     """
     mu, s = _require_theta(p)
     if isinstance(engine, ClosedForm):
-        g = [[1.0 / (s * s), 0.0], [0.0, 2.0 / (s * s)]]
-        return MetricAt.from_matrix(p, g)
+        return evaluate_metric(fisher_metric_field(Chart.THETA), p)
     return _metric_from_hessian_means(p, engine.expect(lambda x: _hessian_parts(x - mu, s), p))
 
 
@@ -240,13 +241,12 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
     """Expectation-form connection Gamma_ijk = E[d_i d_j l . d_k l].
 
     Closed form: Gamma_121 = Gamma_211 = -2/sigma^3, Gamma_222 = -6/sigma^3,
-    all other components zero.
+    all other components zero; at a block point, block axes come first.
     """
     mu, s = _require_theta(p)
     if isinstance(engine, ClosedForm):
-        lower = np.zeros((2, 2, 2))
-        lower[0, 1, 0] = lower[1, 0, 0] = -2.0 / s**3
-        lower[1, 1, 1] = -6.0 / s**3
+        g121, g222 = -2.0 / ad._pow(s, 3), -6.0 / ad._pow(s, 3)
+        lower = ad.batch_array([0.0, 0.0, g121, 0.0, g121, 0.0, 0.0, g222], (2, 2, 2))
         g_inv = fisher_metric_theta(p).g_inv
     else:
         def integrands(x):  # the products in (i, j, k) order, one alive at a time; then h
@@ -259,8 +259,7 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
         means = engine.expect(integrands, p)
         lower = means[:8].reshape(2, 2, 2)
         g_inv = _metric_from_hessian_means(p, means[8:]).g_inv
-    mixed = np.einsum("km,ijm->kij", np.asarray(g_inv), lower)
-    return ConnAt(point=p, lower=lower, mixed=mixed)
+    return ConnAt(point=p, lower=lower, mixed=_raise_index(g_inv, lower))
 
 
 # ---------------------------------------------------------------------------
@@ -268,40 +267,42 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
 # ---------------------------------------------------------------------------
 
 def chart_forward(p: ParamPoint) -> ParamPoint:
-    """(mu, sigma) -> (mu, mu^2 + sigma^2)."""
+    """(mu, sigma) -> (mu, mu^2 + sigma^2); DomainError names a point where that overflows."""
     mu, s = _require_theta(p)
-    return ParamPoint.xi(mu, mu * mu + s * s)
+    x2 = mu * mu + s * s
+    if not (math.isfinite(x2) if isinstance(x2, float) else np.isfinite(x2).all()):
+        _, bad = _first(p, ~np.isfinite(x2))
+        raise DomainError(f"theta point ({bad.c1!r}, {bad.c2!r}) has no xi coordinates in "
+                          "double precision: mu^2 + sigma^2 overflows")
+    return ParamPoint.xi(mu, x2)
 
 
 def chart_backward(q: ParamPoint) -> ParamPoint:
     """(x1, x2) -> (x1, sqrt(x2 - x1^2)); the positive root, sigma > 0."""
     x1, x2 = _require_xi(q)
-    return ParamPoint.theta(x1, math.sqrt(x2 - x1 * x1))
+    return ParamPoint.theta(x1, ad.sqrt(x2 - x1 * x1))
 
 
 def jacobian(p: ParamPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Forward Jacobian [[1, 0], [2 mu, 2 sigma]] and its inverse.
+    """Forward Jacobian [[1, 0], [2 mu, 2 sigma]] and its inverse, block axes first.
 
     Rows of the Jacobian are dual-chart components, columns natural ones;
     the inverse holds d theta_i / d xi_a with natural components as rows.
     """
     mu, s = _require_theta(p)
-    jac = np.array([[1.0, 0.0], [2.0 * mu, 2.0 * s]])
-    jac_inv = np.array([[1.0, 0.0], [-mu / s, 1.0 / (2.0 * s)]])
+    jac = ad.batch_array([1.0, 0.0, 2.0 * mu, 2.0 * s], (2, 2))
+    jac_inv = ad.batch_array([1.0, 0.0, -mu / s, 1.0 / (2.0 * s)], (2, 2))
     return jac, jac_inv
 
 
 def chart_second_derivatives(p: ParamPoint) -> np.ndarray:
-    """sd[m, a, b] = d^2 theta_m / d xi_a d xi_b at the point, via Dual2.
+    """sd[..., m, a, b] = d^2 theta_m / d xi_a d xi_b at the point, via Dual2.
 
     theta_1 is linear in xi, so only the sigma row is nonzero.
     """
-    q = chart_forward(p)
-    x1, x2 = ad.lift(q)
+    x1, x2 = ad.lift(chart_forward(p))
     sigma = ad.sqrt(x2 - x1 * x1)
-    sd = np.zeros((2, 2, 2))
-    sd[1] = sigma.hess
-    return sd
+    return ad.batch_array([0.0] * 4 + [sigma.h11, sigma.h12, sigma.h12, sigma.h22], (2, 2, 2))
 
 
 def fisher_metric_field(chart: Chart) -> MetricField:

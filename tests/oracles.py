@@ -1,8 +1,9 @@
-"""Independent finite-difference oracles for the test suite.
+"""Independent oracles for the test suite.
 
-Everything here is plain numpy with 5-point stencils; none of it touches the
-package's forward-mode machinery, so derivative-based results always have a
-second, unrelated computation path to compare against.
+Everything here is plain numpy: 5-point stencils, and the dual potential's
+derivatives written out by hand.  None of it touches the package's
+forward-mode machinery, so derivative-based results always have a second,
+unrelated computation path to compare against.
 """
 
 import numpy as np
@@ -129,3 +130,49 @@ def sphere_metric(polar, azimuth):
 
 def euclidean_metric(a, b):
     return np.array([[1.0, 0.0], [0.0, 1.0]])
+
+
+# -- dual potential of the Gaussian family (Amari & Nagaoka 2000, sections 3.3-3.5) ---
+# In the expectation coordinates xi = (E[x], E[x^2]) the dual potential is the
+# negative entropy phi(xi) = -1/2 log D - 1/2 (1 + log 2 pi), D = xi2 - xi1^2.  Its
+# derivatives below are written out by hand, rational in D; elementwise over arrays.
+
+def dual_potential(x1, x2):
+    return -0.5 * np.log(x2 - x1 * x1) - 0.5 * (1.0 + np.log(2.0 * np.pi))
+
+
+def dual_potential_grad(x1, x2):
+    """d_i phi; by Legendre duality, the natural parameters (mu/sigma^2, -1/(2 sigma^2))."""
+    d = x2 - x1 * x1
+    return np.stack([x1 / d, -0.5 / d], axis=-1)
+
+
+def dual_potential_hess(x1, x2):
+    """d_i d_j phi, shape (..., 2, 2): the Fisher metric in xi."""
+    d = x2 - x1 * x1
+    h11, h12, h22 = 1.0 / d + 2.0 * x1 * x1 / d**2, -x1 / d**2, 0.5 / d**2
+    return np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
+
+
+def dual_potential_third(x1, x2):
+    """d_i d_j d_k phi, shape (..., 2, 2, 2): the e-connection's coefficients in xi."""
+    d = x2 - x1 * x1
+    t = {3: 6.0 * x1 / d**2 + 8.0 * x1**3 / d**3,   # keyed by the count of xi1 derivatives
+         2: -1.0 / d**2 - 4.0 * x1 * x1 / d**3,
+         1: 2.0 * x1 / d**3,
+         0: -1.0 / d**3}
+    return np.stack([t[(i == 0) + (j == 0) + (k == 0)]
+                     for i in range(2) for j in range(2) for k in range(2)], -1
+                    ).reshape(np.shape(d) + (2, 2, 2))
+
+
+def log_partition(t1, t2):
+    """psi(theta) of the natural parameters t = (mu/sigma^2, -1/(2 sigma^2))."""
+    return -t1 * t1 / (4.0 * t2) - 0.5 * np.log(-2.0 * t2) + 0.5 * np.log(2.0 * np.pi)
+
+
+def hessian_riemann(g_inv, third):
+    """r[i, j, k, m] = -1/4 g^pq (phi_jkp phi_imq - phi_ikp phi_jmq), the curvature of a
+    Hessian metric's Levi-Civita connection, in this package's index convention."""
+    return -0.25 * (np.einsum("...pq,...jkp,...imq->...ijkm", g_inv, third, third)
+                    - np.einsum("...pq,...ikp,...jmq->...ijkm", g_inv, third, third))

@@ -249,6 +249,12 @@ class TestTotalDomainChecks:
          "float division by zero"),
         (("curvature", "--chart", "xi", "--grid=-1e150:1e150:3,1e301:1e302:3"), 2,
          "not positive definite"),
+        (("christoffel", "--chart", "xi", "--grid", "0:0:1,1:1e-150:3", "--connection",
+          "expectation"), 2, "Gamma_lower at xi point (0.0, 1e-150) is not finite"),
+        # mu^2 + sigma^2 overflows: the message names the theta point given
+        (("transform", "--point", "1e200,1"), 2, "theta point (1e+200, 1.0) has no xi coordinates"),
+        (("transform", "--grid", "0:1e200:2,1:1:1"), 2,
+         "theta point (1e+200, 1.0) has no xi coordinates"),
         (("metric", "--point", "0,1", "--output", "/nonexistent/dir/x.json"), 64,
          "cannot write --output '/nonexistent/dir/x.json'"),
         # a negative gate fails every row, a NaN gate passes none

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from igeo import (
     Chart,
     ConnAt,
+    DEFAULT_TOLERANCES,
     DomainError,
     GaussHermite,
     MetricAt,
     ParamPoint,
     SingularMetricError,
+    audit,
+    chart_backward,
     chart_forward,
     chart_second_derivatives,
     conn_expectation_theta,
     evaluate_metric,
     expectation_connection,
+    fisher_metric,
     fisher_metric_field,
     fisher_metric_theta,
     jacobian,
@@ -424,6 +428,62 @@ class TestHypothesisInvariants:
         assert abs(riem.scalar + 0.5) < 1e-8
 
 
+class TestDualPotential:
+    """The dual-chart geometry is the Hessian geometry of the dual potential phi(xi)."""
+
+    TOL = DEFAULT_TOLERANCES
+
+    @pytest.fixture(params=["block", "points"])
+    def evaluate(self, request, rng):
+        """(block, at): 200 random xi points, mu of both signs, and at(fn), the stacked
+        fn(point) of each point, from one block call or from one call per point."""
+        thetas = random_theta_points(rng, 200, mu=(-3.0, 3.0), sigma=(0.3, 3.0))
+        assert min(p.c1 for p in thetas) < 0.0 < max(p.c1 for p in thetas)
+        qs = [chart_forward(p) for p in thetas]
+        block = ParamPoint(Chart.XI, np.array([q.c1 for q in qs]), np.array([q.c2 for q in qs]))
+        if request.param == "block":
+            return block, lambda fn: np.asarray(fn(block))
+        return block, lambda fn: np.stack([np.asarray(fn(q)) for q in qs])
+
+    @staticmethod
+    def close(got, want, tol):
+        assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
+    def test_gradient_is_the_natural_parameters(self, evaluate):
+        q, at = evaluate
+        mu, s = at(lambda p: chart_backward(p).c1), at(lambda p: chart_backward(p).c2)
+        natural = np.stack([mu / s**2, -0.5 / s**2], -1)
+        self.close(oracles.dual_potential_grad(q.c1, q.c2), natural, self.TOL.closed_form_abs)
+
+    def test_metric_is_the_hessian(self, evaluate):
+        q, at = evaluate
+        self.close(at(lambda p: fisher_metric(p).g), oracles.dual_potential_hess(q.c1, q.c2),
+                   self.TOL.closed_form_abs)
+
+    def test_levi_civita_is_half_the_third_derivative(self, evaluate):
+        q, at = evaluate
+        self.close(at(lambda p: levi_civita(XI_FIELD, p).lower),
+                   0.5 * oracles.dual_potential_third(q.c1, q.c2), self.TOL.derived_abs)
+
+    def test_expectation_connection_is_the_third_derivative(self, evaluate):
+        q, at = evaluate
+        self.close(at(lambda p: expectation_connection(p).lower),
+                   oracles.dual_potential_third(q.c1, q.c2), self.TOL.derived_abs)
+
+    def test_riemann_from_the_third_derivative(self, evaluate):
+        q, at = evaluate
+        g_inv = np.linalg.inv(oracles.dual_potential_hess(q.c1, q.c2))
+        want = oracles.hessian_riemann(g_inv, oracles.dual_potential_third(q.c1, q.c2))
+        self.close(at(lambda p: riemann_levi_civita(XI_FIELD, p).r), want, self.TOL.derived_abs)
+
+    def test_legendre_identity(self, evaluate):
+        q, at = evaluate
+        mu, s = at(lambda p: chart_backward(p).c1), at(lambda p: chart_backward(p).c2)
+        t1, t2 = mu / s**2, -0.5 / s**2
+        lhs = oracles.log_partition(t1, t2) + oracles.dual_potential(q.c1, q.c2)
+        self.close(lhs, t1 * q.c1 + t2 * q.c2, self.TOL.closed_form_abs)
+
+
 def same_bits(a, b) -> bool:
     """Equal doubles, zero signs included."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -456,6 +516,35 @@ class TestBlocks:
             assert same_bits(metric.g_inv[n], one_metric.g_inv)
             assert same_bits(metric.det[n], one_metric.det)
             assert same_bits(sec[n], sectional_curvature(one_riem, one_metric))
+
+    def test_chart_maps_transforms_and_audit_bit_for_bit(self, rng):
+        points = random_theta_points(rng, 60, mu=(-300.0, 300.0), sigma=(0.003, 50.0))
+        block = ParamPoint(Chart.THETA, np.array([p.c1 for p in points]),
+                           np.array([p.c2 for p in points]))
+
+        def arrays(p):
+            q = chart_forward(p)
+            jac, jac_inv = jacobian(p)
+            metric, econn = fisher_metric_theta(p), conn_expectation_theta(p)
+            moved = transform_metric(metric, jac_inv, q)
+            pushed = transform_connection(econn, jac, jac_inv, chart_second_derivatives(p),
+                                          metric, q)
+            xi_conn = expectation_connection(q)
+            rows = audit(p).rows
+            return [q.c2, chart_backward(q).c2, jac, jac_inv, chart_second_derivatives(p),
+                    metric.g, econn.lower, econn.mixed, moved.g, moved.g_inv, moved.det,
+                    transform_lower_tensor3(econn.lower, jac_inv), pushed.lower, pushed.mixed,
+                    xi_conn.lower, xi_conn.mixed,
+                    [(r.paper, r.oracle, r.abs_gap, r.rel_gap) for r in rows],
+                    [r.verdict for r in rows]]
+
+        in_block = arrays(block)
+        in_block[-2:] = [np.reshape(a, (len(points), -1) + np.shape(a)[1:]) for a in in_block[-2:]]
+        for n, p in enumerate(points):
+            *numbers, verdicts = arrays(p)
+            assert list(in_block[-1][n]) == verdicts
+            for got, alone in zip(in_block, numbers):
+                assert same_bits(got[n], alone)
 
     def test_block_axes_come_first(self):
         c1, c2 = np.meshgrid(np.linspace(-1, 1, 3), np.linspace(0.5, 2, 4), indexing="ij")

@@ -1,6 +1,7 @@
 """Gaussian family: likelihood, scores, engines, metric, connection, charts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -325,6 +326,13 @@ class TestCharts:
             chart_backward(ParamPoint.theta(0, 1))
         with pytest.raises(DomainError):
             ParamPoint.xi(2.0, 4.0)  # x2 - x1^2 = 0
+
+    def test_forward_overflow_names_the_theta_point(self):
+        message = "theta point (1e+200, 1.0) has no xi coordinates in double precision"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            chart_forward(ParamPoint.theta(1e200, 1.0))
+        with pytest.raises(DomainError, match=re.escape(message)), np.errstate(over="ignore"):
+            chart_forward(ParamPoint.theta(np.array([0.0, 1e200, 1e300]), np.ones(3)))
 
     @given(mu=st.floats(-10, 10), sigma=st.floats(0.1, 10))
     @settings(max_examples=200)
