@@ -467,9 +467,11 @@ class TestFuzz:
 
 # sha256 of stdout for closed-form runs at two points per chart, for the
 # closed-form grid commands on a 3x3 grid per chart (JSON and text, which prints
-# the sign of a zero; the audit also as CSV), and for the engine-computed metric
-# and expectation connection on a 2x2 grid per chart; a change that restructures
-# the CLI, the library or the engines must keep every byte
+# the sign of a zero; the audit, metric, curvature and transform also as CSV),
+# for the engine-computed metric and expectation connection on a 2x2 grid per
+# chart (the Gauss-Hermite connection at a point also as CSV), and for the
+# selftest in every format; a change that restructures the CLI, the library or
+# the engines must keep every byte
 PINNED = {
     "metric --chart theta --point=0.5,1.5 --format json":
         "a156f57edbfae6d440e1247bb6e4a182fb2d8aa1fe58eddd10c998d57be576af",
@@ -631,6 +633,26 @@ PINNED = {
         "1da991bfdd0c34260973db245652aaf6fe9e5d5c6f5634b0ef53b6cfd1a2c40e",
     "audit --grid=-1:1:3,0.5:2:3 --format text":
         "5445aff83e222d44a6c41f97ee0e519dab3ac8613ac60d606335f99bfffc475c",
+    "metric --chart theta --grid=-1:1:3,0.5:2:3 --format csv":
+        "5d3cb419ad961d864e3c2df37d229a64f9b8755347391e8133a371c7d7632cea",
+    "curvature --chart theta --grid=-1:1:3,0.5:2:3 --format csv":
+        "10d3c77e64cb70e0e03e147acc718abe40c2776ae74f26c6787f381129a07d07",
+    "transform --chart theta --grid=-1:1:3,0.5:2:3 --format csv":
+        "f192cd27e596881b14a420472777721d504d2a426d6391cd0090818b3dfc9cd3",
+    "metric --chart xi --grid=-1:1:3,2.5:4:3 --format csv":
+        "6f4787ecdacdcc33e48cd636b17a38c647a00f17ad38342c0622aaaaf490fd56",
+    "curvature --chart xi --grid=-1:1:3,2.5:4:3 --format csv":
+        "f63913252d60e4367ae22bad51736f8bde38efa78b078d68454b2e976c0d9ee2",
+    "transform --chart xi --grid=-1:1:3,2.5:4:3 --format csv":
+        "5602c34fb5e7efe27f760f5ee225c8fc26255214726674ca2e13167dad8f4472",
+    "christoffel --chart theta --point=0.5,1.5 --format csv --engine gauss_hermite:16 --connection expectation":
+        "f78cfd3bd1c45acec9d376176d125c7c6596043fc155d350fe11da5c70ce8531",
+    "christoffel --chart xi --point=0.5,2.5 --format csv --engine gauss_hermite:16 --connection expectation":
+        "c68a7c2a6bceb20bc1c8fe59009de18c3b9d26efb67fd7b20fc65e1a25899dd0",
+    "selftest --format text":
+        "19a2767129cfa94b3d558fa2a5b07f28505e48bc077059255b8d515d1ca7282e",
+    "selftest --format csv":
+        "efabe086e7392462d96a650402eb52eb589326be9a8536cc9ff7c3be5f2dc397",
 }
 
 
