@@ -51,7 +51,7 @@ from .models import (
     jacobian,
     selftest_checks,
 )
-from .papertable import MISMATCH, NOTES as AUDIT_NOTES, audit as run_audit
+from .papertable import MISMATCH, NOTES as AUDIT_NOTES, AuditRow, audit as run_audit
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -72,16 +72,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialisation (floats with 17 significant digits)
+# records and their writers (floats with 17 significant digits)
 # ---------------------------------------------------------------------------
 
-def _num(x) -> str:
-    return _float(float(x))
+# each report's records are tuples in the order of its keys; a cell is a str,
+# None, a float, a (c1, c2) point or an array
+QUANTITY_KEYS = ("point", "quantity", "value", "provenance")
+AUDIT_KEYS = ("point",) + AuditRow._fields
+SELFTEST_KEYS = ("point", "quantity", "value", "bound", "verdict", "provenance")
 
 
 def _float(x: float) -> str:
     """A float with 17 significant digits; -0.0 is written as 0."""
     return f"{x:.17g}" if x else "0"
+
+
+@functools.cache
+def _template(shape: tuple[int, ...]) -> str:
+    """A slot for each float of an array of this shape, nested as JSON lists."""
+    if not shape:
+        return "{}"
+    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
 
 
 def _json_str(v: str) -> str:
@@ -90,156 +101,99 @@ def _json_str(v: str) -> str:
     return f'"{v}"'
 
 
-def _json_bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
-def _json_list(v) -> str:
-    get = _JSON_BY_TYPE.get
-    return "[" + ", ".join([get(type(x), _json_other)(x) for x in v]) + "]"
-
-
-def _json_dict(v: dict) -> str:
-    get = _JSON_BY_TYPE.get
-    return "{" + ", ".join([f"{get(type(k), _json_other)(k)}: {get(type(x), _json_other)(x)}"
-                            for k, x in v.items()]) + "}"
-
-
-# exact type -> writer; subclasses and numpy scalars take the isinstance path
-_JSON_BY_TYPE = {
-    float: _float,
-    str: _json_str,
-    bool: _json_bool,
-    type(None): lambda v: "null",
-    int: str,
-    list: _json_list,
-    tuple: _json_list,
-    dict: _json_dict,
-}
-
-
-def _json_other(v) -> str:
+def _json_cell(v) -> str:
+    if isinstance(v, float):
+        return _float(v)
     if isinstance(v, str):
         return _json_str(v)
-    if isinstance(v, bool):
-        return _json_bool(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _num(v)
-    if isinstance(v, (list, tuple)):
-        return _json_list(v)
-    if isinstance(v, dict):
-        return _json_dict(v)
-    raise TypeError(f"cannot serialise {type(v)}")
+    if v is None:
+        return "null"
+    if isinstance(v, tuple):
+        return f"[{_float(v[0])}, {_float(v[1])}]"
+    return _template(v.shape).format(*map(_float, v.ravel().tolist()))
 
 
-def _json_value(v) -> str:
-    return _JSON_BY_TYPE.get(type(v), _json_other)(v)
-
-
-def _to_json(meta: dict, records: list[dict], notes: tuple[str, ...] = ()) -> str:
-    lines = ["{"]
-    lines.append(f'  "meta": {_json_value(meta)},')
+def _to_json(meta: dict, keys: tuple[str, ...], records: list[tuple],
+             notes: tuple[str, ...] = ()) -> str:
+    record = "    {{" + ", ".join(f"{_json_str(k)}: {{}}" for k in keys) + "}},"
+    meta_items = ", ".join(f"{_json_str(k)}: {_json_str(v)}" for k, v in meta.items())
+    lines = ["{", f'  "meta": {{{meta_items}}},']
     if notes:
-        lines.append(f'  "notes": {_json_value(list(notes))},')
+        lines.append('  "notes": [' + ", ".join(map(_json_str, notes)) + "],")
     lines.append('  "records": [')
-    for i, rec in enumerate(records):
-        comma = "," if i + 1 < len(records) else ""
-        lines.append(f"    {_json_value(rec)}{comma}")
+    lines.extend([record.format(*map(_json_cell, rec)) for rec in records])
+    lines[-1] = lines[-1][:-1]  # no comma after the last record
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _csv_str(v: str) -> str:
-    return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
-
-
-def _csv_list(v) -> str:
-    return '"' + _json_list(v).replace('"', '""') + '"'
-
-
-# the JSON number writers, with CSV's own strings, empty None and quoted arrays
-_CSV_BY_TYPE = {
-    float: _float,
-    str: _csv_str,
-    bool: str,
-    type(None): lambda v: "",
-    int: str,
-    list: _csv_list,
-    tuple: _csv_list,
-}
-
-
-def _csv_other(v) -> str:
-    if isinstance(v, str):
-        return _csv_str(v)
-    if isinstance(v, (list, tuple)):
-        return _csv_list(v)
-    if isinstance(v, (float, np.floating)):
-        return _num(v)
-    return str(v)
-
-
 def _csv_cell(v) -> str:
-    return _CSV_BY_TYPE.get(type(v), _csv_other)(v)
+    if isinstance(v, float):
+        return _float(v)
+    if isinstance(v, str):
+        return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
+    if v is None:
+        return ""
+    return f'"{_json_cell(v)}"'  # a point or an array: its JSON numbers, quoted
 
 
-def _to_csv(records: list[dict]) -> str:
-    if not records:
-        return "\n"
-    header = list(records[0].keys())
-    lines = [",".join(header)]
-    for rec in records:
-        lines.append(",".join(_csv_cell(rec.get(k)) for k in header))
+def _to_csv(keys: tuple[str, ...], records: list[tuple]) -> str:
+    lines = [",".join(keys)]
+    lines.extend([",".join(map(_csv_cell, rec)) for rec in records])
     return "\n".join(lines) + "\n"
 
 
 def _render_value(v, indent="  ") -> list[str]:
-    if isinstance(v, (float, int, np.floating, np.integer)):
+    if v.ndim == 0:
         return [format(float(v), ".12g")]
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 1:
-        return ["[" + "  ".join(format(x, ".12g") for x in arr) + "]"]
-    if arr.ndim == 2:
-        return ["[" + "  ".join(f"{x:>15.12g}" for x in row) + "]" for row in arr]
+    if v.ndim == 1:
+        return ["[" + "  ".join(format(x, ".12g") for x in v) + "]"]
+    if v.ndim == 2:
+        return ["[" + "  ".join(f"{x:>15.12g}" for x in row) + "]" for row in v]
     out = []
-    for i, sub in enumerate(arr):
+    for i, sub in enumerate(v):
         block = _render_value(sub, indent)
         out.append(f"[{i + 1}] " + block[0])
         out.extend(indent + b for b in block[1:])
     return out
 
 
-def _to_text(meta: dict, records: list[dict], notes: tuple[str, ...] = ()) -> str:
+def _quantity_lines(rec: tuple) -> list[str]:
+    _, quantity, value, _ = rec
+    val = _render_value(value)
+    if len(val) == 1:
+        return [f"  {quantity}: {val[0]}"]
+    return [f"  {quantity}:"] + ["    " + v for v in val]
+
+
+def _audit_lines(rec: tuple) -> list[str]:
+    _, quantity, paper, oracle, abs_gap, _, verdict, oracle_label, note = rec
+    note = f"   # {note}" if note else ""
+    label = f"oracle[{oracle_label}]"
+    return [f"  {quantity:<22} paper={paper:<+24.16g} {label:<34}={oracle:<+24.16g} "
+            f"gap={abs_gap:<12.4g} {verdict}{note}"]
+
+
+def _selftest_lines(rec: tuple) -> list[str]:
+    _, quantity, value, bound, verdict, _ = rec
+    return [f"  {quantity:<46} residual={value:<12.4g} bound={bound:<10.4g} {verdict}"]
+
+
+_TEXT_LINES = {QUANTITY_KEYS: _quantity_lines, AUDIT_KEYS: _audit_lines,
+               SELFTEST_KEYS: _selftest_lines}
+
+
+def _to_text(meta: dict, keys: tuple[str, ...], records: list[tuple],
+             notes: tuple[str, ...] = ()) -> str:
     lines = ["# " + "  ".join(f"{k}={v}" for k, v in meta.items())]
+    record_lines = _TEXT_LINES[keys]
     last_point = None
     for rec in records:
-        pt = tuple(rec["point"])
-        if pt != last_point:
-            lines.append(f"point ({format(pt[0], '.12g')}, {format(pt[1], '.12g')})")
-            last_point = pt
-        if "paper" in rec:  # audit row
-            note = f"   # {rec['note']}" if rec.get("note") else ""
-            label = f"oracle[{rec['oracle_label']}]"
-            lines.append(
-                f"  {rec['quantity']:<22} paper={rec['paper']:<+24.16g} "
-                f"{label:<34}={rec['oracle']:<+24.16g} "
-                f"gap={rec['abs_gap']:<12.4g} {rec['verdict']}{note}"
-            )
-        elif "bound" in rec:  # selftest row
-            lines.append(
-                f"  {rec['quantity']:<46} residual={rec['value']:<12.4g} "
-                f"bound={rec['bound']:<10.4g} {rec['verdict']}"
-            )
-        else:
-            val = _render_value(rec["value"])
-            if len(val) == 1:
-                lines.append(f"  {rec['quantity']}: {val[0]}")
-            else:
-                lines.append(f"  {rec['quantity']}:")
-                lines.extend("    " + v for v in val)
+        if rec[0] != last_point:
+            last_point = rec[0]
+            lines.append(f"point ({last_point[0]:.12g}, {last_point[1]:.12g})")
+        lines.extend(record_lines(rec))
     for n in notes:
         lines.append(f"note: {n}")
     return "\n".join(lines) + "\n"
@@ -346,27 +300,25 @@ def _require_finite(p: ParamPoint, what: str, values) -> None:
     # einsum ignores np.errstate, so an overflow can reach the output silently; a
     # block that fails here runs again point by point, so the message names a point
     if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
-        raise DomainError(
-            f"{what} at {p.chart} point ({p.c1!r}, {p.c2!r}) is not finite in double precision"
-        )
+        raise DomainError(f"{what} at {p} is not finite in double precision")
 
 
-def _each_point(p: ParamPoint) -> list[tuple]:
-    """(index, c1, c2) of each point of a block in order; index () for a single point."""
-    if np.ndim(p.c1) == 0:
-        return [((), p.c1, p.c2)]
-    return list(zip(range(p.c1.size), p.c1.tolist(), p.c2.tolist()))
+def _coords(p: ParamPoint) -> list[tuple[float, float]]:
+    """The (c1, c2) of each point of a block in order, or of the single point."""
+    return list(zip(np.ravel(p.c1).tolist(), np.ravel(p.c2).tolist()))
 
 
 def _quantity_records(fn):
     """A command of (quantity, value) pairs, values with block axes first, as records."""
-    def records(p: ParamPoint, args, engine) -> list[dict]:
+    def records(p: ParamPoint, args, engine) -> list[tuple]:
         pairs = fn(p, args, engine)
         for quantity, value in pairs:
             _require_finite(p, quantity, value)
-        return [{"point": [c1, c2], "quantity": quantity, "value": value[n].tolist(),
-                 "provenance": "oracle"}
-                for n, c1, c2 in _each_point(p) for quantity, value in pairs]
+        # a single point's values as a block of one
+        columns = [value if np.ndim(p.c1) else value[None] for _, value in pairs]
+        return [(point, quantity, value, "oracle")
+                for point, values in zip(_coords(p), zip(*columns))
+                for (quantity, _), value in zip(pairs, values)]
     return records
 
 
@@ -417,13 +369,13 @@ def _transform(p, args, engine):
             ("jacobian_inv", jac_inv), ("g_theta", fisher_metric(th).g))
 
 
-def _audit(p, args, engine) -> list[dict]:
+def _audit(p, args, engine) -> list[tuple]:
     rows = run_audit(p, Tolerances(args.tol_closed, args.tol_derived, args.tol_rel)).rows
     # a finite |paper - oracle| makes both sides and the relative gap finite
     _require_finite(p, "an audit gap", [row.abs_gap for row in rows])
-    points = [[c1, c2] for _, c1, c2 in _each_point(p)]
+    points = _coords(p)
     per_point = len(rows) // len(points)  # the rows come point by point
-    return [{"point": points[i // per_point], **vars(row)} for i, row in enumerate(rows)]
+    return [(points[i // per_point],) + row for i, row in enumerate(rows)]
 
 
 # command -> the records of a point, or of each point of a block in order
@@ -449,7 +401,7 @@ def _blocks(p: ParamPoint, engine) -> list[ParamPoint]:
             for i in range(0, p.c1.size, BLOCK_POINTS)]
 
 
-def _run(p: ParamPoint, fn, args, engine) -> list[dict]:
+def _run(p: ParamPoint, fn, args, engine) -> list[tuple]:
     """fn's records at a point or block.  A float that overflows or divides by zero
     at a point is a domain error; a block that raises runs again point by point,
     so its first failing point raises its own message."""
@@ -462,8 +414,7 @@ def _run(p: ParamPoint, fn, args, engine) -> list[dict]:
         if not isinstance(exc, ArithmeticError):
             raise
         raise DomainError(
-            f"{p.chart} point ({p.c1!r}, {p.c2!r}) is outside the double-precision "
-            f"range of the formulas: {exc}"
+            f"{p} is outside the double-precision range of the formulas: {exc}"
         ) from exc
 
 
@@ -512,14 +463,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, meta: dict, records: list[dict], notes: tuple[str, ...] = ()) -> None:
+def _emit(args, meta: dict, keys: tuple[str, ...], records: list[tuple],
+          notes: tuple[str, ...] = ()) -> None:
     fmt = args.format
     if fmt == "json":
-        text = _to_json(meta, records, notes)
+        text = _to_json(meta, keys, records, notes)
     elif fmt == "csv":
-        text = _to_csv(records)
+        text = _to_csv(keys, records)
     else:
-        text = _to_text(meta, records, notes)
+        text = _to_text(meta, keys, records, notes)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -552,16 +504,13 @@ def main(argv=None) -> int:
         chart = Chart(getattr(args, "chart", "theta"))
         engine, engine_desc = ClosedForm(), "closed_form"
         if args.command == "selftest":
-            records = [{
-                "point": [0.0, 1.0],
-                "quantity": f"selftest.{name}",
-                "value": residual,
-                "bound": bound,
-                "verdict": "PASS" if residual <= bound else "FAIL",
-                "provenance": "oracle",
-            } for name, residual, bound in selftest_checks()]
-            code = EXIT_OK if all(r["verdict"] == "PASS" for r in records) else 1
+            keys, checks = SELFTEST_KEYS, selftest_checks()
+            records = [((0.0, 1.0), f"selftest.{name}", residual, bound,
+                        "PASS" if residual <= bound else "FAIL", "oracle")
+                       for name, residual, bound in checks]
+            code = EXIT_OK if all(residual <= bound for _, residual, bound in checks) else 1
         else:
+            keys = QUANTITY_KEYS
             point = _points(args, chart)
             if hasattr(args, "engine"):
                 engine, engine_desc = _parse_engine(args.engine)
@@ -569,12 +518,13 @@ def main(argv=None) -> int:
                        for rec in _run(block, _COMMANDS[args.command], args, engine)]
             code = EXIT_OK
             if args.command == "audit":
-                notes = AUDIT_NOTES
-                if args.strict and any(rec["verdict"] == MISMATCH for rec in records):
+                keys, notes = AUDIT_KEYS, AUDIT_NOTES
+                verdict = AUDIT_KEYS.index("verdict")
+                if args.strict and any(rec[verdict] == MISMATCH for rec in records):
                     code = EXIT_AUDIT
         meta = {"command": args.command, "chart": chart.value, "engine": engine_desc,
                 "tool_version": __version__}
-        _emit(args, meta, records, notes)
+        _emit(args, meta, keys, records, notes)
         return code
     except UsageError as exc:
         print(f"igeo: usage error: {exc}", file=sys.stderr)

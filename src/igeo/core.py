@@ -78,6 +78,10 @@ class ParamPoint:
     def __post_init__(self) -> None:
         validate_coords(self.chart, self.c1, self.c2)
 
+    def __str__(self) -> str:
+        """The point as messages name it, e.g. ``theta point (0.0, 1e+200)``."""
+        return f"{self.chart} point ({self.c1!r}, {self.c2!r})"
+
     @property
     def coords(self) -> tuple[float, float]:
         return (self.c1, self.c2)

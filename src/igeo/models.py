@@ -267,13 +267,18 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
 # ---------------------------------------------------------------------------
 
 def chart_forward(p: ParamPoint) -> ParamPoint:
-    """(mu, sigma) -> (mu, mu^2 + sigma^2); DomainError names a point where that overflows."""
+    """(mu, sigma) -> (mu, mu^2 + sigma^2); DomainError names the first theta point
+    where that overflows, or rounds to mu^2 and so leaves the xi domain."""
     mu, s = _require_theta(p)
     x2 = mu * mu + s * s
-    if not (math.isfinite(x2) if isinstance(x2, float) else np.isfinite(x2).all()):
-        _, bad = _first(p, ~np.isfinite(x2))
-        raise DomainError(f"theta point ({bad.c1!r}, {bad.c2!r}) has no xi coordinates in "
-                          "double precision: mu^2 + sigma^2 overflows")
+    finite = np.isfinite(x2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = finite & (x2 - mu * mu > 0.0)  # the test the xi chart applies to its points
+    if not inside.all():
+        at, bad = _first(p, ~inside)
+        cause = "rounds to mu^2" if finite[at] else "overflows"
+        raise DomainError(f"{bad} has no xi coordinates in double precision: "
+                          f"mu^2 + sigma^2 {cause}")
     return ParamPoint.xi(mu, x2)
 
 

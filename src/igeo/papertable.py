@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,8 +160,7 @@ MATCH = "MATCH"
 MISMATCH = "MISMATCH"
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     quantity: str
     paper: float
     oracle: float

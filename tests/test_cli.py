@@ -262,6 +262,16 @@ class TestTotalDomainChecks:
         (("audit", "--point", "0,1", "--tol-derived", "nan"), 64, "argument --tol-derived"),
         (("audit", "--point", "0,1", "--tol-rel", "inf"), 64, "argument --tol-rel"),
         (("audit", "--point", "0,1", "--tol-rel", "x"), 64, "argument --tol-rel"),
+        # every message spells a point as the chart's own coordinates
+        (("metric", "--point", "0,1e200"), 2,
+         "metric at theta point (0.0, 1e+200) is not positive definite"),
+        # mu^2 + sigma^2 rounds to mu^2: the message names the theta point given
+        (("transform", "--point", "1e10,1e-10"), 2,
+         "theta point (10000000000.0, 1e-10) has no xi coordinates"),
+        (("audit", "--point", "1e10,1e-3"), 2,
+         "theta point (10000000000.0, 0.001) has no xi coordinates"),
+        (("transform", "--grid", "0:1e10:3,1e-10:1e-10:1"), 2,
+         "theta point (5000000000.0, 1e-10) has no xi coordinates"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warnings are not messages
     def test_input(self, argv, code, words):
@@ -349,57 +359,43 @@ class TestParserReuse:
 
 
 class TestSerialisation:
-    """Exact strings of the JSON and CSV writers."""
+    """Exact strings of the JSON and CSV cell writers, for each kind of cell a record holds."""
 
-    @pytest.mark.parametrize("value, text", [
-        (0.1, "0.10000000000000001"),
-        (np.float64(0.1), "0.10000000000000001"),
-        (np.float32(0.5), "0.5"),
-        (np.int64(-7), "-7"),
-        (12, "12"),
-        (-0.0, "0"),
-        (np.float64(-0.0), "0"),
-        (0.0, "0"),
-        (1.0, "1"),
-        (5e-324, "4.9406564584124654e-324"),
-        (True, "true"),
-        (False, "false"),
-        (None, "null"),
-        ((1, 2.5), "[1, 2.5]"),
-        ([[1.0, -0.0], [True, None], []], "[[1, 0], [true, null], []]"),
-        ({"a": [1, {"b": (False,)}], "c": "d"}, '{"a": [1, {"b": [false]}], "c": "d"}'),
-        ('say "hi" \\ bye', '"say \\"hi\\" \\\\ bye"'),
-    ])
-    def test_json_value(self, value, text):
-        assert cli._json_value(value) == text
+    CELLS = [
+        ('say "hi" \\ bye', '"say \\"hi\\" \\\\ bye"', '"say ""hi"" \\ bye"'),
+        ("a,b", '"a,b"', '"a,b"'),
+        ("plain", '"plain"', "plain"),
+        (None, "null", ""),
+        (0.1, "0.10000000000000001", "0.10000000000000001"),
+        (-0.0, "0", "0"),
+        (0.0, "0", "0"),
+        (1.0, "1", "1"),
+        (5e-324, "4.9406564584124654e-324", "4.9406564584124654e-324"),
+        (np.float64(-0.0), "0", "0"),
+        (np.float64(0.1), "0.10000000000000001", "0.10000000000000001"),
+        ((0.5, -0.0), "[0.5, 0]", '"[0.5, 0]"'),
+        (np.array([0.5, -0.0]), "[0.5, 0]", '"[0.5, 0]"'),
+        (np.array([[1.0, -0.0], [0.1, -2.5]]), "[[1, 0], [0.10000000000000001, -2.5]]",
+         '"[[1, 0], [0.10000000000000001, -2.5]]"'),
+        (np.arange(16.0).reshape(2, 2, 2, 2),
+         "[[[[0, 1], [2, 3]], [[4, 5], [6, 7]]], [[[8, 9], [10, 11]], [[12, 13], [14, 15]]]]",
+         '"[[[[0, 1], [2, 3]], [[4, 5], [6, 7]]], [[[8, 9], [10, 11]], [[12, 13], [14, 15]]]]"'),
+    ]
 
-    @given(st.floats())
-    def test_json_float_is_num(self, x):
-        assert cli._json_value(x) == cli._num(x) == cli._json_value(np.float64(x))
-        assert cli._json_value([x]) == f"[{cli._num(x)}]"
+    @pytest.mark.parametrize("value, text", [(value, text) for value, text, _ in CELLS])
+    def test_json_cell(self, value, text):
+        assert cli._json_cell(value) == text
 
-    @pytest.mark.parametrize("value", [object(), {1, 2}, 1j, b"x", np.array([1.0])])
-    def test_unsupported_raises(self, value):
-        with pytest.raises(TypeError):
-            cli._json_value(value)
-        with pytest.raises(TypeError):
-            cli._json_value({"nested": [value]})
-
-    @pytest.mark.parametrize("value, text", [
-        (0.1, "0.10000000000000001"),
-        (np.float64(-0.0), "0"),
-        (-0.0, "0"),
-        (np.int64(3), "3"),
-        (True, "True"),
-        (None, ""),
-        ("plain", "plain"),
-        ("a,b", '"a,b"'),
-        ('x"y', '"x""y"'),
-        ([0.5, -0.0], '"[0.5, 0]"'),
-        ((1, "q"), '"[1, ""q""]"'),
-    ])
+    @pytest.mark.parametrize("value, text", [(value, text) for value, _, text in CELLS])
     def test_csv_cell(self, value, text):
         assert cli._csv_cell(value) == text
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_json_float_cell(self, x):
+        text = cli._json_cell(x)
+        assert text == (f"{x:.17g}" if x else "0") == cli._json_cell(np.float64(x))
+        assert json.loads(text) == x
+        assert cli._json_cell(np.array([x])) == f"[{text}]"
 
 
 _REAL = st.one_of(

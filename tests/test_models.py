@@ -334,6 +334,16 @@ class TestCharts:
         with pytest.raises(DomainError, match=re.escape(message)), np.errstate(over="ignore"):
             chart_forward(ParamPoint.theta(np.array([0.0, 1e200, 1e300]), np.ones(3)))
 
+    def test_forward_cancellation_names_the_theta_point(self):
+        # sigma^2 below half an ulp of mu^2: mu^2 + sigma^2 == mu^2 leaves the xi domain
+        message = "theta point (10000000000.0, 1e-10) has no xi coordinates in double precision"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            chart_forward(ParamPoint.theta(1e10, 1e-10))
+        message = "theta point (10000000000.0, 0.001) has no xi coordinates in double precision"
+        with pytest.raises(DomainError, match=re.escape(message)), np.errstate(over="ignore"):
+            chart_forward(ParamPoint.theta(np.array([0.0, 1e10, 1e200]),
+                                           np.array([1e-10, 1e-3, 1.0])))
+
     @given(mu=st.floats(-10, 10), sigma=st.floats(0.1, 10))
     @settings(max_examples=200)
     def test_round_trip(self, mu, sigma):
