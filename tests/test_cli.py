@@ -465,9 +465,10 @@ class TestFuzz:
 # closed-form grid commands on a 3x3 grid per chart (JSON and text, which prints
 # the sign of a zero; the audit, metric, curvature and transform also as CSV),
 # for the engine-computed metric and expectation connection on a 2x2 grid per
-# chart (the Gauss-Hermite connection at a point also as CSV), and for the
-# selftest in every format; a change that restructures the CLI, the library or
-# the engines must keep every byte
+# chart (the Gauss-Hermite connection at a point also as CSV), for the
+# Gauss-Hermite dual-chart torsion (JSON) and the Monte Carlo metric (CSV) on a
+# 3x3 grid, and for the selftest in every format; a change that restructures
+# the CLI, the library or the engines must keep every byte
 PINNED = {
     "metric --chart theta --point=0.5,1.5 --format json":
         "a156f57edbfae6d440e1247bb6e4a182fb2d8aa1fe58eddd10c998d57be576af",
@@ -645,6 +646,10 @@ PINNED = {
         "f78cfd3bd1c45acec9d376176d125c7c6596043fc155d350fe11da5c70ce8531",
     "christoffel --chart xi --point=0.5,2.5 --format csv --engine gauss_hermite:16 --connection expectation":
         "c68a7c2a6bceb20bc1c8fe59009de18c3b9d26efb67fd7b20fc65e1a25899dd0",
+    "torsion --chart xi --grid=-1:1:3,2.5:4:3 --format json --engine gauss_hermite:16 --connection expectation":
+        "e79d420292b343e51bef378a7374f07db4956a09bd3f7b26fafe0fe3a157474b",
+    "metric --chart theta --grid=-1:1:3,0.5:2:3 --format csv --engine monte_carlo:200000:7":
+        "5ceca230e85a7fb8a1fbe6a4029c882694c7d88580db6ca8cd3b1893e3abf9c4",
     "selftest --format text":
         "19a2767129cfa94b3d558fa2a5b07f28505e48bc077059255b8d515d1ca7282e",
     "selftest --format csv":
