@@ -6,7 +6,8 @@ Times ``igeo.cli.main(argv)`` with stdout and stderr captured in memory: one
 request costs parsing, the computation and the serialisation of its records.
 The cases are a single-point metric and audit, and, written as JSON, the
 dual-chart curvature, ``transform`` and the dual-chart closed-form expectation
-connection of a 40x40 grid and the audit of a 20x20 grid.  The audit of the
+connection of a 40x40 grid, the Gauss-Hermite dual-chart expectation
+connection of a 20x20 grid and the audit of a 20x20 grid.  The audit of the
 20x20 grid as CSV and as text and the metric of a 40x40 grid as CSV time the
 CSV and text writers.  The directory lies outside ``testpaths``, so the test
 suite does not collect it.
@@ -32,6 +33,10 @@ REQUESTS = {
     "christoffel_expectation_xi_grid40x40": ("christoffel", "--chart=xi",
                                              "--connection=expectation",
                                              "--grid=-1:1:40,2.5:4:40", "--format", "json"),
+    "christoffel_expectation_xi_gh64_grid20x20": ("christoffel", "--chart=xi",
+                                                  "--connection=expectation",
+                                                  "--engine=gauss_hermite:64",
+                                                  "--grid=-1:1:20,2.5:4:20", "--format", "json"),
 }
 
 

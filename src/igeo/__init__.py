@@ -56,7 +56,6 @@ from .models import (
 from .papertable import (
     AuditReport,
     AuditRow,
-    PaperTable,
     QUANTITY_IDS,
     audit,
     paper_christoffel_xi,
@@ -81,6 +80,6 @@ __all__ = [
     "fisher_metric", "expectation_connection",
     "chart_forward", "chart_backward", "jacobian", "chart_second_derivatives",
     "fisher_metric_field",
-    "PaperTable", "QUANTITY_IDS", "paper_metric_xi", "paper_christoffel_xi",
+    "QUANTITY_IDS", "paper_metric_xi", "paper_christoffel_xi",
     "paper_riemann_xi", "paper_table", "audit", "AuditReport", "AuditRow",
 ]

@@ -390,13 +390,10 @@ _COMMANDS = {
 }
 
 
-def _blocks(p: ParamPoint, engine) -> list[ParamPoint]:
-    """A single point as it is; a grid in blocks of BLOCK_POINTS for the closed
-    form, one point per call for a numerical engine."""
+def _blocks(p: ParamPoint) -> list[ParamPoint]:
+    """A single point as it is; a grid in blocks of BLOCK_POINTS."""
     if np.ndim(p.c1) == 0:
         return [p]
-    if not isinstance(engine, ClosedForm):
-        return [p.at(i) for i in range(p.c1.size)]
     return [ParamPoint(p.chart, p.c1[i:i + BLOCK_POINTS], p.c2[i:i + BLOCK_POINTS])
             for i in range(0, p.c1.size, BLOCK_POINTS)]
 
@@ -514,7 +511,7 @@ def main(argv=None) -> int:
             point = _points(args, chart)
             if hasattr(args, "engine"):
                 engine, engine_desc = _parse_engine(args.engine)
-            records = [rec for block in _blocks(point, engine)
+            records = [rec for block in _blocks(point)
                        for rec in _run(block, _COMMANDS[args.command], args, engine)]
             code = EXIT_OK
             if args.command == "audit":

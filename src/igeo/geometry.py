@@ -19,7 +19,7 @@ Index conventions (fixed throughout):
   with these conventions the unit sphere scores +1 and the Gaussian
   Fisher-Rao plane -1/2.
 
-The metric, connection and curvature kernels and the metric, (0,3)-tensor and
+The metric, connection and curvature kernels and the metric, tensor and
 connection laws also take a block point, whose coordinates are arrays: every
 result then carries the block axes first (``g[..., i, j]``,
 ``r[..., i, j, k, m]``, ``scalar[...]``), and a single point is the shape-()
@@ -62,10 +62,11 @@ class MetricAt:
     def from_matrix(cls, point: ParamPoint, g) -> "MetricAt":
         """Validate symmetry and positive definiteness, attach the inverse.
 
-        ``g`` is an array (..., 2, 2) or 2x2 rows of floats or block arrays.
-        The whole block is validated at once; its first failing point raises.
+        ``g`` is an array (..., 2, 2), such as ``batch_array`` builds from a
+        block's entries, or 2x2 nested floats.  The whole block is validated at
+        once; its first failing point raises.
         """
-        g = np.array(g, dtype=float) if isinstance(g, np.ndarray) else _rows(g)
+        g = np.array(g, dtype=float)
         if g.shape[-2:] != (2, 2):
             raise SingularMetricError(f"metric at {point} is not a finite 2x2 matrix")
         finite = np.isfinite(g)
@@ -97,17 +98,6 @@ class MetricAt:
         g = self.g
         # the square as libm pow rounds it, like float ** 2 (np's ** 2 multiplies)
         return g[..., 0, 0] * g[..., 1, 1] - np.float_power(g[..., 0, 1], 2)
-
-
-def _rows(rows) -> np.ndarray:
-    """Rows of floats, or 2x2 rows of block arrays and float constants, as (..., 2, 2)."""
-    try:
-        g = np.array(rows, dtype=float)
-        if g.ndim <= 2:
-            return g  # a malformed shape fails the caller's 2x2 check
-    except ValueError:  # block arrays next to float constants
-        pass
-    return batch_array([e for row in rows for e in row], (2, 2))
 
 
 def _first(point: ParamPoint, bad: np.ndarray) -> tuple[tuple, ParamPoint]:
@@ -173,9 +163,8 @@ def _field_entries(field: MetricField, a, b):
 
 def evaluate_metric(field: MetricField, point: ParamPoint) -> MetricAt:
     """Plain-float (or plain-array, for a block) evaluation of a metric field."""
-    e00, e01, e11 = _field_entries(field, point.c1, point.c2)
-    g = [[value(e00), value(e01)], [value(e01), value(e11)]]
-    return MetricAt.from_matrix(point, g)
+    e00, e01, e11 = (value(e) for e in _field_entries(field, point.c1, point.c2))
+    return MetricAt.from_matrix(point, batch_array([e00, e01, e01, e11], (2, 2)))
 
 
 def _metric_jet(field: MetricField, point: ParamPoint):
@@ -306,7 +295,8 @@ def transform_lower_tensor3(t, jac_inv) -> np.ndarray:
 def transform_lower_tensor4(r, jac_inv) -> np.ndarray:
     """(0,4)-tensor law r'_abcd = B_a^i B_b^j B_c^k B_d^m r_ijkm."""
     b = _basis_change(jac_inv)
-    return np.einsum("ai,bj,ck,dm,ijkm->abcd", b, b, b, b, np.asarray(r, dtype=float))
+    return np.einsum("...ai,...bj,...ck,...dm,...ijkm->...abcd", b, b, b, b,
+                     np.asarray(r, dtype=float))
 
 
 def transform_connection(

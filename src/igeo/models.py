@@ -219,22 +219,37 @@ Engine = Union[ClosedForm, GaussHermite, MonteCarlo]
 # Fisher metric and expectation connection
 # ---------------------------------------------------------------------------
 
+def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint) -> np.ndarray:
+    """E[integrands(x - mu, mu, sigma)] at a theta point, block axes first.
+
+    An engine integrates one point per call: each point of a block goes to
+    ``engine.expect`` alone, in order, with its float coordinates.
+    """
+    def at(q: ParamPoint):
+        return engine.expect(lambda x: integrands(x - q.c1, q.c1, q.c2), q)
+
+    if not np.ndim(p.c1):
+        return at(p)
+    block = np.shape(p.c1)
+    return np.array([at(p.at(i)) for i in np.ndindex(block)]).reshape(block + (-1,))
+
+
+def _metric_from_means(p: ParamPoint, means: np.ndarray) -> MetricAt:
+    """The metric whose distinct entries (g11, g12, g22) are means[..., 0:3]."""
+    g11, g12, g22 = means[..., 0], means[..., 1], means[..., 2]
+    return MetricAt.from_matrix(p, ad.batch_array([g11, g12, g12, g22], (2, 2)))
+
+
 def fisher_metric_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricAt:
     """Fisher metric in the natural chart.
 
     Closed form diag(1/sigma^2, 2/sigma^2); quadrature and Monte Carlo
     engines evaluate -E[d_i d_j l] instead, as independent routes.
     """
-    mu, s = _require_theta(p)
+    _require_theta(p)
     if isinstance(engine, ClosedForm):
         return evaluate_metric(fisher_metric_field(Chart.THETA), p)
-    return _metric_from_hessian_means(p, engine.expect(lambda x: _hessian_parts(x - mu, s), p))
-
-
-def _metric_from_hessian_means(p: ParamPoint, means: np.ndarray) -> MetricAt:
-    """-E[d_i d_j l] from the engine means of (h11, h12, h22)."""
-    g11, g12, g22 = -means
-    return MetricAt.from_matrix(p, [[g11, g12], [g12, g22]])
+    return _metric_from_means(p, -_engine_means(engine, lambda z, _, s: _hessian_parts(z, s), p))
 
 
 def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> ConnAt:
@@ -249,16 +264,15 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
         lower = ad.batch_array([0.0, 0.0, g121, 0.0, g121, 0.0, 0.0, g222], (2, 2, 2))
         g_inv = fisher_metric_theta(p).g_inv
     else:
-        def integrands(x):  # the products in (i, j, k) order, one alive at a time; then h
-            z = x - mu
+        def integrands(z, _, s):  # the products in (i, j, k) order, one alive at a time; then h
             h = h11, h12, h22 = _hessian_parts(z, s)
             hess, score = ((h11, h12), (h12, h22)), _score_parts(z, s)
             yield from (hess[i][j] * score[k] for i in range(2) for j in range(2) for k in range(2))
             yield from h
 
-        means = engine.expect(integrands, p)
-        lower = means[:8].reshape(2, 2, 2)
-        g_inv = _metric_from_hessian_means(p, means[8:]).g_inv
+        means = _engine_means(engine, integrands, p)
+        lower = means[..., :8].reshape(means.shape[:-1] + (2, 2, 2))
+        g_inv = _metric_from_means(p, -means[..., 8:]).g_inv
     return ConnAt(point=p, lower=lower, mixed=_raise_index(g_inv, lower))
 
 
@@ -357,15 +371,12 @@ def fisher_metric(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricAt:
         return fisher_metric_theta(p, engine)
     if isinstance(engine, ClosedForm):
         return evaluate_metric(fisher_metric_field(Chart.XI), p)
-    th = chart_backward(p)
-    mu, s = th.c1, th.c2
 
-    def products(x):
-        s1, s2 = _pullback_parts(x - mu, mu, s)
+    def products(z, mu, s):
+        s1, s2 = _pullback_parts(z, mu, s)
         return (u * v for u, v in ((s1, s1), (s1, s2), (s2, s2)))
 
-    g11, g12, g22 = engine.expect(products, th)
-    return MetricAt.from_matrix(p, [[g11, g12], [g12, g22]])
+    return _metric_from_means(p, _engine_means(engine, products, chart_backward(p)))
 
 
 def expectation_connection(p: ParamPoint, engine: Engine = ClosedForm()) -> ConnAt:

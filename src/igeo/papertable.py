@@ -56,14 +56,6 @@ QUANTITY_IDS = _METRIC_IDS + _LOWER_IDS + _MIXED_IDS + _R_IDS + ("K",)
 UNPRINTED_R_ID = "R_xi.1222"
 
 
-@dataclass(frozen=True)
-class PaperTable:
-    """Published values evaluated at a natural-chart point (arrays for a block)."""
-
-    point: ParamPoint
-    entries: dict[str, float]
-
-
 def paper_metric_xi(p: ParamPoint) -> dict[str, float]:
     """Published dual-chart metric, stated determinant, and stated inverse.
 
@@ -145,11 +137,11 @@ def paper_riemann_xi(p: ParamPoint) -> dict[str, float]:
     return out
 
 
-def paper_table(p: ParamPoint) -> PaperTable:
-    """All published quantities at a point or block, keyed by canonical id."""
+def paper_table(p: ParamPoint) -> dict[str, float]:
+    """All published quantities at a point (arrays for a block), keyed by canonical id."""
     entries = {**paper_metric_xi(p), **paper_christoffel_xi(p), **paper_riemann_xi(p)}
     assert tuple(entries) == QUANTITY_IDS  # canonical order, each id exactly once
-    return PaperTable(point=p, entries=entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +222,7 @@ def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
     correct.  A block point is audited at once, each row a column over the
     block, and every point gets the rows it gets alone.
     """
-    e = paper_table(p).entries
+    e = paper_table(p)
     q = chart_forward(p)
     jac, jac_inv = jacobian(p)
     metric_th = fisher_metric_theta(p)

@@ -251,6 +251,12 @@ class TestTotalDomainChecks:
          "not positive definite"),
         (("christoffel", "--chart", "xi", "--grid", "0:0:1,1:1e-150:3", "--connection",
           "expectation"), 2, "Gamma_lower at xi point (0.0, 1e-150) is not finite"),
+        # a failing point inside an engine grid, likewise
+        (("christoffel", "--chart", "xi", "--connection", "expectation", "--engine",
+          "gauss_hermite:8", "--grid=0:0:1,1:1e-150:2"), 2,
+         "Gamma_lower at xi point (0.0, 1e-150) is not finite in double precision"),
+        (("metric", "--engine", "monte_carlo:1000:3", "--grid=0:1e200:2,1:1:1"), 2,
+         "metric at theta point (1e+200, 1.0) is not positive definite (det = -1.0)"),
         # mu^2 + sigma^2 overflows: the message names the theta point given
         (("transform", "--point", "1e200,1"), 2, "theta point (1e+200, 1.0) has no xi coordinates"),
         (("transform", "--grid", "0:1e200:2,1:1:1"), 2,

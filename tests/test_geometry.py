@@ -14,6 +14,7 @@ from igeo import (
     DomainError,
     GaussHermite,
     MetricAt,
+    MonteCarlo,
     ParamPoint,
     SingularMetricError,
     audit,
@@ -38,7 +39,7 @@ from igeo import (
     transform_lower_tensor4,
     transform_metric,
 )
-from igeo.autodiff import gradient, sin
+from igeo.autodiff import batch_array, gradient, sin
 
 import oracles
 from conftest import random_theta_points
@@ -530,11 +531,17 @@ class TestBlocks:
             pushed = transform_connection(econn, jac, jac_inv, chart_second_derivatives(p),
                                           metric, q)
             xi_conn = expectation_connection(q)
+            engine_arrays = []
+            for engine in (GaussHermite(64), MonteCarlo(2000, 5)):
+                for at in (p, q):
+                    m, conn = fisher_metric(at, engine), expectation_connection(at, engine)
+                    engine_arrays += [m.g, m.g_inv, conn.lower, conn.mixed]
             rows = audit(p).rows
             return [q.c2, chart_backward(q).c2, jac, jac_inv, chart_second_derivatives(p),
                     metric.g, econn.lower, econn.mixed, moved.g, moved.g_inv, moved.det,
                     transform_lower_tensor3(econn.lower, jac_inv), pushed.lower, pushed.mixed,
-                    xi_conn.lower, xi_conn.mixed,
+                    transform_lower_tensor4(riemann_levi_civita(THETA_FIELD, p).r, jac_inv),
+                    xi_conn.lower, xi_conn.mixed, *engine_arrays,
                     [(r.paper, r.oracle, r.abs_gap, r.rel_gap) for r in rows],
                     [r.verdict for r in rows]]
 
@@ -587,7 +594,8 @@ class TestBlocks:
     def test_from_matrix_rows_broadcast_constants(self):
         block = ParamPoint(Chart.THETA, np.zeros(3), np.array([1.0, 2.0, 4.0]))
         s = block.c2
-        m = MetricAt.from_matrix(block, [[1.0 / (s * s), 0.0], [0.0, 2.0 / (s * s)]])
+        m = MetricAt.from_matrix(block, batch_array([1.0 / (s * s), 0.0, 0.0, 2.0 / (s * s)],
+                                                    (2, 2)))
         assert m.g.shape == (3, 2, 2) and not m.g.flags.writeable
         assert np.array_equal(m.g[2], [[1 / 16, 0.0], [0.0, 2 / 16]])
         assert np.array_equal(m.det, [2.0, 2 / 2**4, 2 / 4**4])

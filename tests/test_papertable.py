@@ -27,7 +27,7 @@ P11 = ParamPoint.theta(1, 1)
 class TestCompleteness:
     def test_canonical_ids_present_exactly_once(self):
         table = paper_table(ParamPoint.theta(0.3, 1.2))
-        assert tuple(table.entries.keys()) == QUANTITY_IDS
+        assert tuple(table.keys()) == QUANTITY_IDS
         assert len(QUANTITY_IDS) == len(set(QUANTITY_IDS)) == 42
         # 2x2 metric + det + 2x2 inverse, 8 lower, 8 mixed, 16 R, scalar
         assert sum(q.startswith("G_d.") for q in QUANTITY_IDS) == 5
@@ -38,8 +38,8 @@ class TestCompleteness:
 
     def test_bit_identical_reevaluation(self):
         p = ParamPoint.theta(-0.7, 1.9)
-        first = paper_table(p).entries
-        second = paper_table(p).entries
+        first = paper_table(p)
+        second = paper_table(p)
         assert first == second  # pure rational functions of the point
 
 
