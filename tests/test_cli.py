@@ -257,6 +257,17 @@ class TestTotalDomainChecks:
          "Gamma_lower at xi point (0.0, 1e-150) is not finite in double precision"),
         (("metric", "--engine", "monte_carlo:1000:3", "--grid=0:1e200:2,1:1:1"), 2,
          "metric at theta point (1e+200, 1.0) is not positive definite (det = -1.0)"),
+        # a float error inside the Monte Carlo engine names its operation
+        (("metric", "--chart", "theta", "--engine", "monte_carlo:100000:1", "--point=0,1.7e308"),
+         2, "theta point (0.0, 1.7e+308) is outside the double-precision range of the formulas: "
+         "overflow encountered in multiply"),
+        (("metric", "--chart", "theta", "--engine", "monte_carlo:100000:1", "--point=-3,1e-100"),
+         2, "theta point (-3.0, 1e-100) is outside the double-precision range of the formulas: "
+         "invalid value encountered in divide"),
+        # a sum over the draw that overflows although every sample is finite
+        (("metric", "--chart", "xi", "--engine", "monte_carlo:100003:5", "--point=0,1e-152"),
+         2, "xi point (0.0, 1e-152) is outside the double-precision range of the formulas: "
+         "overflow encountered in reduce"),
         # mu^2 + sigma^2 overflows: the message names the theta point given
         (("transform", "--point", "1e200,1"), 2, "theta point (1e+200, 1.0) has no xi coordinates"),
         (("transform", "--grid", "0:1e200:2,1:1:1"), 2,
@@ -473,8 +484,10 @@ class TestFuzz:
 # for the engine-computed metric and expectation connection on a 2x2 grid per
 # chart (the Gauss-Hermite connection at a point also as CSV), for the
 # Gauss-Hermite dual-chart torsion (JSON) and the Monte Carlo metric (CSV) on a
-# 3x3 grid, and for the selftest in every format; a change that restructures
-# the CLI, the library or the engines must keep every byte
+# 3x3 grid, for the Monte Carlo natural-chart connection and dual-chart metric
+# on a 2x2 grid at a sample count that is not a multiple of 8, and for the
+# selftest in every format; a change that restructures the CLI, the library or
+# the engines must keep every byte
 PINNED = {
     "metric --chart theta --point=0.5,1.5 --format json":
         "a156f57edbfae6d440e1247bb6e4a182fb2d8aa1fe58eddd10c998d57be576af",
@@ -656,6 +669,10 @@ PINNED = {
         "e79d420292b343e51bef378a7374f07db4956a09bd3f7b26fafe0fe3a157474b",
     "metric --chart theta --grid=-1:1:3,0.5:2:3 --format csv --engine monte_carlo:200000:7":
         "5ceca230e85a7fb8a1fbe6a4029c882694c7d88580db6ca8cd3b1893e3abf9c4",
+    "christoffel --chart theta --connection expectation --engine monte_carlo:100003:5 --grid=-0.5:0.5:2,1:1.5:2 --format json":
+        "fdca0906b460c9d75bcf895afb3f994a22c21bcb65acedc71bb756b8836db180",
+    "metric --chart xi --engine monte_carlo:100003:5 --grid=-0.5:0.5:2,2:3:2 --format csv":
+        "63951b680e87a272e97e510b4b61a44f2bb2880b25abcff30319646a34a06eab",
     "selftest --format text":
         "19a2767129cfa94b3d558fa2a5b07f28505e48bc077059255b8d515d1ca7282e",
     "selftest --format csv":
