@@ -7,7 +7,9 @@ request costs parsing, the computation and the serialisation of its records.
 The cases are a single-point metric and audit, and, written as JSON, the
 dual-chart curvature, ``transform`` and the dual-chart closed-form expectation
 connection of a 40x40 grid, the Gauss-Hermite dual-chart expectation
-connection of a 20x20 grid and the audit of a 20x20 grid.  The audit of the
+connection of a 20x20 grid, the Monte Carlo natural-chart expectation
+connection and dual-chart metric of a 2x2 grid at 10^6 samples, and the audit
+of a 20x20 grid.  The audit of the
 20x20 grid as CSV and as text and the metric of a 40x40 grid as CSV time the
 CSV and text writers.  The directory lies outside ``testpaths``, so the test
 suite does not collect it.
@@ -37,6 +39,11 @@ REQUESTS = {
                                                   "--connection=expectation",
                                                   "--engine=gauss_hermite:64",
                                                   "--grid=-1:1:20,2.5:4:20", "--format", "json"),
+    "christoffel_expectation_theta_mc_grid2x2": ("christoffel", "--connection=expectation",
+                                                 "--engine=monte_carlo",
+                                                 "--grid=-1:1:2,1:2.5:2", "--format", "json"),
+    "metric_xi_mc_grid2x2": ("metric", "--chart=xi", "--engine=monte_carlo:1000000:7",
+                             "--grid=-1:1:2,2.5:4:2", "--format", "json"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from igeo.models import (
     LOG_SQRT_2PI,
     MAX_GH_NODES,
     MAX_MC_SAMPLES,
+    MC_LEAF,
     _hermgauss,
     _standard_normals,
 )
@@ -230,6 +232,62 @@ class TestDrawCache:
         fresh = 0.5 + 1.5 * np.random.default_rng(15).standard_normal(1_000)
         for _ in range(2):
             assert MonteCarlo(1_000, 15).expect(lambda x: x**3, p) == float(np.mean(fresh**3))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestLeafSums:
+    """The Monte Carlo engine sums the draw in leaves of at most MC_LEAF samples
+    along numpy's pairwise tree, so each mean keeps the bits of np.mean over the
+    whole draw.  A numpy that changes its pairwise rule fails here, instead of
+    moving the last bits of every Monte Carlo output."""
+
+    INTEGRANDS = (lambda x: x**3, lambda x: np.exp(-x * x), lambda x: 1.0 / (x - 0.1))
+
+    @pytest.mark.parametrize("samples", [100, 8191, 8192, 8193, 10_000, 200_003, 1_000_000])
+    def test_bits_equal_the_whole_draw_mean(self, samples):
+        p = ParamPoint.theta(0.4, 1.7)
+        fresh = 0.4 + 1.7 * np.random.default_rng(17).standard_normal(samples)
+        engine = MonteCarlo(samples, 17)
+        want = [float(np.mean(f(fresh))) for f in self.INTEGRANDS]
+        for f, mean in zip(self.INTEGRANDS, want):
+            got = engine.expect(f, p)
+            assert isinstance(got, float) and _bits(got) == _bits(mean)
+        stacked = engine.expect(lambda x: (f(x) for f in self.INTEGRANDS), p)
+        assert np.array_equal(_bits(stacked), _bits(want))
+
+    def test_a_sum_that_overflows_raises_as_the_whole_draw_does(self):
+        # every leaf sum is finite; numpy's sum over the whole draw overflows
+        p = ParamPoint.theta(0.0, 1.0)
+        for f in (lambda x: np.full_like(x, 1e304), lambda x: (np.full_like(x, 1e304),)):
+            with np.errstate(over="raise"), pytest.raises(
+                    FloatingPointError, match="^overflow encountered in reduce$"):
+                MonteCarlo(16 * MC_LEAF, 1).expect(f, p)
+
+
+class TestMemoryBound:
+    """One engine call holds leaf-sized temporaries, whatever the sample count."""
+
+    def test_peak_per_call(self):
+        p = ParamPoint.theta(0.4, 1.7)
+        q = chart_forward(p)
+        peaks = {}
+        for samples in (1_000_000, 2_000_000):
+            engine = MonteCarlo(samples, 19)
+            _standard_normals(samples, 19)  # the cached draw is not the call's
+            for name, call in (("connection", lambda: conn_expectation_theta(p, engine)),
+                               ("xi metric", lambda: fisher_metric(q, engine))):
+                tracemalloc.start()
+                try:
+                    call()
+                    peaks[name, samples] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        for name in ("connection", "xi metric"):
+            assert peaks[name, 1_000_000] < 2 * 2**20
+            assert peaks[name, 2_000_000] < 1.1 * peaks[name, 1_000_000]
 
 
 class TestFisherMetric:
