@@ -219,19 +219,20 @@ class MonteCarlo:
         mu, s = _require_theta(p)
         z = _standard_normals(self.samples, self.seed)
 
-        def total(a: int, b: int):
+        def total(a: int, b: int, leaf: int = MC_LEAF):
             n = b - a
-            if n <= MC_LEAF:
+            if n <= leaf:
                 return _each(f(mu + s * z[a:b]), lambda v: np.add.reduce(np.asarray(v, dtype=float)))
             half = n // 2 - n // 2 % 8
-            return total(a, a + half) + total(a + half, b)
+            return total(a, a + half, leaf) + total(a + half, b, leaf)
 
         try:
-            mean = total(0, self.samples) / self.samples
+            sums = total(0, self.samples)
         except ArithmeticError:
             # a float error is raised again over the whole draw, so that it names the
             # operation that fails first there: an overflowing sum is "reduce", not "add"
-            return _each(f(mu + s * z), lambda v: float(np.mean(np.asarray(v, dtype=float))))
+            sums = total(0, self.samples, leaf=self.samples)
+        mean = sums / self.samples
         return float(mean) if np.ndim(mean) == 0 else mean
 
 
