@@ -485,9 +485,10 @@ class TestFuzz:
 # chart (the Gauss-Hermite connection at a point also as CSV), for the
 # Gauss-Hermite dual-chart torsion (JSON) and the Monte Carlo metric (CSV) on a
 # 3x3 grid, for the Monte Carlo natural-chart connection and dual-chart metric
-# on a 2x2 grid at a sample count that is not a multiple of 8, and for the
-# selftest in every format; a change that restructures the CLI, the library or
-# the engines must keep every byte
+# on a 2x2 grid at a sample count that is not a multiple of 8, for the audit
+# (JSON, CSV and text) and the metric (JSON and CSV) on a grid whose first
+# coordinate ends on -0.0, and for the selftest in every format; a change that
+# restructures the CLI, the library or the engines must keep every byte
 PINNED = {
     "metric --chart theta --point=0.5,1.5 --format json":
         "a156f57edbfae6d440e1247bb6e4a182fb2d8aa1fe58eddd10c998d57be576af",
@@ -673,10 +674,27 @@ PINNED = {
         "fdca0906b460c9d75bcf895afb3f994a22c21bcb65acedc71bb756b8836db180",
     "metric --chart xi --engine monte_carlo:100003:5 --grid=-0.5:0.5:2,2:3:2 --format csv":
         "63951b680e87a272e97e510b4b61a44f2bb2880b25abcff30319646a34a06eab",
+    "audit --grid=1:-0:2,1:2:2 --format json":
+        "e24f4c7fe7c35d315fe31e8e49b2b0b22dfef7c4dfb2451bae2aba628790fcb3",
+    "audit --grid=1:-0:2,1:2:2 --format csv":
+        "ee0c42c9d86ec62d11707a4d54a7025f9ab397a00abc5912a79e43e1c3f6ceee",
+    "audit --grid=1:-0:2,1:2:2 --format text":
+        "9f4a887cfbbdcede25520f9af46009537d171133aebd10a2d92e536c7ed4ee3c",
+    "metric --chart theta --grid=1:-0:2,1:2:2 --format json":
+        "fa52a3445bb85a46ab18b2d4258377347f1028081b7faa3fa727a86e16f74f41",
+    "metric --chart theta --grid=1:-0:2,1:2:2 --format csv":
+        "7312e60041525610ed06e45a1ce9f9b2e3948962c346694db3380566b79e5978",
     "selftest --format text":
         "19a2767129cfa94b3d558fa2a5b07f28505e48bc077059255b8d515d1ca7282e",
     "selftest --format csv":
         "efabe086e7392462d96a650402eb52eb589326be9a8536cc9ff7c3be5f2dc397",
+}
+
+
+# argv -> (exit code, sha256 of stdout) for runs that exit non-zero with a report
+PINNED_FAILING = {
+    "audit --grid=-1:1:3,0.5:2:3 --format csv --strict":
+        (3, "1da991bfdd0c34260973db245652aaf6fe9e5d5c6f5634b0ef53b6cfd1a2c40e"),
 }
 
 
@@ -686,3 +704,8 @@ class TestPinnedOutput:
         code, out, _ = call(*argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == PINNED[argv]
+
+    @pytest.mark.parametrize("argv", sorted(PINNED_FAILING))
+    def test_failing_run_stdout_bytes(self, argv):
+        code, out, _ = call(*argv.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_FAILING[argv]
