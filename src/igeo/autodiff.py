@@ -10,7 +10,6 @@ points; a float point keeps the ``math`` functions and their bits.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable
 
 import numpy as np
@@ -148,8 +147,16 @@ def _elementary(scalar: Callable, array: Callable) -> Callable:
     return lambda u, *args: array(u, *args) if isinstance(u, np.ndarray) else scalar(u, *args)
 
 
+def _float_pow(u: float, n) -> float:
+    """u ** n by libm pow; an overflow names its operation, as numpy's float errors do."""
+    try:
+        return u**n
+    except OverflowError:
+        raise OverflowError("overflow encountered in power") from None
+
+
 # float ** n calls libm pow, which can differ from the product np's ** takes for n = 2
-_pow = _elementary(operator.pow, np.float_power)
+_pow = _elementary(_float_pow, np.float_power)
 _sqrt = _elementary(math.sqrt, np.sqrt)
 _log = _elementary(math.log, np.log)
 _sin = _elementary(math.sin, np.sin)

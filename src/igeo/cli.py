@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
+import operator
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +54,14 @@ from .models import (
     jacobian,
     selftest_checks,
 )
-from .papertable import MISMATCH, NOTES as AUDIT_NOTES, AuditRow, audit as run_audit
+from .papertable import (
+    MATCH,
+    MISMATCH,
+    NOTES as AUDIT_NOTES,
+    ROWS as AUDIT_ROWS,
+    AuditRow,
+    audit as run_audit,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -72,27 +82,59 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# records and their writers (floats with 17 significant digits)
+# records as columns, and their writers (floats with 17 significant digits)
 # ---------------------------------------------------------------------------
 
-# each report's records are tuples in the order of its keys; a cell is a str,
-# None, a float, a (c1, c2) point or an array
 QUANTITY_KEYS = ("point", "quantity", "value", "provenance")
 AUDIT_KEYS = ("point",) + AuditRow._fields
 SELFTEST_KEYS = ("point", "quantity", "value", "bound", "verdict", "provenance")
 
 
-def _float(x: float) -> str:
-    """A float with 17 significant digits; -0.0 is written as 0."""
-    return f"{x:.17g}" if x else "0"
+class Floats(NamedTuple):
+    """A cell that holds a value's floats: one for shape (), else nested lists."""
+
+    shape: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
 
 
-@functools.cache
-def _template(shape: tuple[int, ...]) -> str:
-    """A slot for each float of an array of this shape, nested as JSON lists."""
-    if not shape:
-        return "{}"
-    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
+class Verdict(NamedTuple):
+    """A cell that holds a row's verdict: ``ok`` where it holds, else ``fail``.
+    The Verdict cells of one report share their words."""
+
+    fail: str
+    ok: str
+
+
+class Block(NamedTuple):
+    """The records of a point or block, as columns.
+
+    ``rows`` is each point's row pattern: per record, the cells after the point
+    in key order, each a constant str or None, a ``Floats`` or a ``Verdict``.
+    ``coords[i]`` is point i's (c1, c2), ``floats[i]`` its floats row by row, and
+    ``ok[i]`` the verdict of each of its rows, for a report with verdicts.
+    """
+
+    coords: np.ndarray
+    rows: tuple[tuple, ...]
+    floats: np.ndarray
+    ok: np.ndarray | None = None
+
+
+class Report(NamedTuple):
+    """What a request writes: its meta, record keys, Blocks in point order, notes."""
+
+    meta: dict
+    keys: tuple[str, ...]
+    blocks: list[Block]
+    notes: tuple[str, ...] = ()
+
+
+_FLOAT = Floats(())
+_AUDIT_ROWS = tuple((qid, _FLOAT, _FLOAT, _FLOAT, _FLOAT, Verdict(MISMATCH, MATCH), label, note)
+                    for qid, label, _, note in AUDIT_ROWS)
 
 
 def _json_str(v: str) -> str:
@@ -101,102 +143,158 @@ def _json_str(v: str) -> str:
     return f'"{v}"'
 
 
-def _json_cell(v) -> str:
-    if isinstance(v, float):
-        return _float(v)
-    if isinstance(v, str):
-        return _json_str(v)
-    if v is None:
-        return "null"
-    if isinstance(v, tuple):
-        return f"[{_float(v[0])}, {_float(v[1])}]"
-    return _template(v.shape).format(*map(_float, v.ravel().tolist()))
+def _csv_str(v: str) -> str:
+    return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
 
 
-def _to_json(meta: dict, keys: tuple[str, ...], records: list[tuple],
-             notes: tuple[str, ...] = ()) -> str:
-    record = "    {{" + ", ".join(f"{_json_str(k)}: {{}}" for k in keys) + "}},"
-    meta_items = ", ".join(f"{_json_str(k)}: {_json_str(v)}" for k, v in meta.items())
-    lines = ["{", f'  "meta": {{{meta_items}}},']
-    if notes:
-        lines.append('  "notes": [' + ", ".join(map(_json_str, notes)) + "],")
-    lines.append('  "records": [')
-    lines.extend([record.format(*map(_json_cell, rec)) for rec in records])
-    lines[-1] = lines[-1][:-1]  # no comma after the last record
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _nested(shape: tuple[int, ...]) -> str:
+    """A %.17g slot for each float of an array of this shape, nested as JSON lists."""
+    if not shape:
+        return "%.17g"
+    return "[" + ", ".join([_nested(shape[1:])] * shape[0]) + "]"
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return _float(v)
-    if isinstance(v, str):
-        return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
-    if v is None:
-        return ""
-    return f'"{_json_cell(v)}"'  # a point or an array: its JSON numbers, quoted
+@functools.cache
+def _spans(rows: tuple[tuple, ...]) -> tuple[tuple[int, int], ...]:
+    """Each row's (start, stop) in a point's floats."""
+    stops = itertools.accumulate(sum(c.size for c in row if isinstance(c, Floats)) for row in rows)
+    return tuple(itertools.pairwise(itertools.chain([0], stops)))
 
 
-def _to_csv(keys: tuple[str, ...], records: list[tuple]) -> str:
-    lines = [",".join(keys)]
-    lines.extend([",".join(map(_csv_cell, rec)) for rec in records])
-    return "\n".join(lines) + "\n"
+@functools.cache
+def _template(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
+    """The records of one point in fmt as one %-template, the picker that orders a
+    point's arguments [point, *floats, *verdicts] for it, and the verdict words.
+
+    Keys and constants are escaped here once, with % doubled; the point is a %s
+    slot, each float a %.17g slot and each verdict a %s slot.
+    """
+    esc, null = (_json_str, "null") if fmt == "json" else (_csv_str, "")
+    keys = [esc(k).replace("%", "%%") for k in keys]
+    order, words, records = [], (), []
+    verdict = 1 + _spans(rows)[-1][1]  # verdicts come after the floats
+    for row, (at, _) in zip(rows, _spans(rows)):
+        cells = ["%s" if fmt == "json" else '"%s"']
+        order.append(0)
+        for c in row:
+            if isinstance(c, Floats):
+                slots = _nested(c.shape)
+                cells.append(slots if fmt == "json" or not c.shape else f'"{slots}"')
+                order.extend(range(1 + at, 1 + at + c.size))
+                at += c.size
+            elif isinstance(c, Verdict):
+                cells.append("%s")
+                words = (esc(c.fail), esc(c.ok))
+                order.append(verdict)
+                verdict += 1
+            else:
+                cells.append(null if c is None else esc(c).replace("%", "%%"))
+        if fmt == "json":
+            records.append("    {" + ", ".join(f"{k}: {c}" for k, c in zip(keys, cells)) + "},\n")
+        else:
+            records.append(",".join(cells) + "\n")
+    return "".join(records), operator.itemgetter(*order), words
 
 
-def _render_value(v, indent="  ") -> list[str]:
-    if v.ndim == 0:
-        return [format(float(v), ".12g")]
-    if v.ndim == 1:
-        return ["[" + "  ".join(format(x, ".12g") for x in v) + "]"]
-    if v.ndim == 2:
-        return ["[" + "  ".join(f"{x:>15.12g}" for x in row) + "]" for row in v]
+def _coords(p: ParamPoint) -> np.ndarray:
+    """(n, 2): the (c1, c2) of each point of a block in order, or of the single point."""
+    return np.array([p.c1, p.c2]).reshape(2, -1).T
+
+
+def _write_records(out: list[str], keys: tuple[str, ...], blocks: list[Block], fmt: str) -> None:
+    """Append each point's records in fmt to out, one %-format per point."""
+    for block in blocks:
+        template, pick, words = _template(keys, block.rows, fmt)
+        # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0
+        oks = itertools.repeat(()) if block.ok is None else block.ok.tolist()
+        for (c1, c2), floats, ok in zip((block.coords + 0.0).tolist(),
+                                        (block.floats + 0.0).tolist(), oks):
+            out.append(template % pick(["[%.17g, %.17g]" % (c1, c2), *floats,
+                                        *map(words.__getitem__, ok)]))
+
+
+def _to_json(report: Report) -> str:
+    meta_items = ", ".join(f"{_json_str(k)}: {_json_str(v)}" for k, v in report.meta.items())
+    out = ["{\n", f'  "meta": {{{meta_items}}},\n']
+    if report.notes:
+        out.append('  "notes": [' + ", ".join(map(_json_str, report.notes)) + "],\n")
+    out.append('  "records": [\n')
+    _write_records(out, report.keys, report.blocks, "json")
+    out[-1] = out[-1][:-2] + "\n"  # no comma after the last record
+    out.append("  ]\n}\n")
+    return "".join(out)
+
+
+def _to_csv(report: Report) -> str:
+    out = [",".join(report.keys) + "\n"]
+    _write_records(out, report.keys, report.blocks, "csv")
+    return "".join(out)
+
+
+def _render_value(values: list[float], shape: tuple[int, ...], indent="  ") -> list[str]:
+    if not shape:
+        return [format(values[0], ".12g")]
+    if len(shape) == 1:
+        return ["[" + "  ".join(format(x, ".12g") for x in values) + "]"]
+    if len(shape) == 2:
+        n = shape[1]
+        return ["[" + "  ".join(f"{x:>15.12g}" for x in values[i:i + n]) + "]"
+                for i in range(0, len(values), n)]
     out = []
-    for i, sub in enumerate(v):
-        block = _render_value(sub, indent)
+    size = len(values) // shape[0]
+    for i in range(shape[0]):
+        block = _render_value(values[i * size:(i + 1) * size], shape[1:], indent)
         out.append(f"[{i + 1}] " + block[0])
         out.extend(indent + b for b in block[1:])
     return out
 
 
-def _quantity_lines(rec: tuple) -> list[str]:
-    _, quantity, value, _ = rec
-    val = _render_value(value)
+def _quantity_lines(row: tuple, values: list[float], ok) -> list[str]:
+    quantity, floats, _ = row
+    val = _render_value(values, floats.shape)
     if len(val) == 1:
         return [f"  {quantity}: {val[0]}"]
     return [f"  {quantity}:"] + ["    " + v for v in val]
 
 
-def _audit_lines(rec: tuple) -> list[str]:
-    _, quantity, paper, oracle, abs_gap, _, verdict, oracle_label, note = rec
+def _audit_lines(row: tuple, values: list[float], ok) -> list[str]:
+    quantity, _, _, _, _, verdict, oracle_label, note = row
+    paper, oracle, abs_gap, _ = values
     note = f"   # {note}" if note else ""
     label = f"oracle[{oracle_label}]"
     return [f"  {quantity:<22} paper={paper:<+24.16g} {label:<34}={oracle:<+24.16g} "
-            f"gap={abs_gap:<12.4g} {verdict}{note}"]
+            f"gap={abs_gap:<12.4g} {verdict[ok]}{note}"]
 
 
-def _selftest_lines(rec: tuple) -> list[str]:
-    _, quantity, value, bound, verdict, _ = rec
-    return [f"  {quantity:<46} residual={value:<12.4g} bound={bound:<10.4g} {verdict}"]
+def _selftest_lines(row: tuple, values: list[float], ok) -> list[str]:
+    quantity, _, _, verdict, _ = row
+    value, bound = values
+    return [f"  {quantity:<46} residual={value:<12.4g} bound={bound:<10.4g} {verdict[ok]}"]
 
 
 _TEXT_LINES = {QUANTITY_KEYS: _quantity_lines, AUDIT_KEYS: _audit_lines,
                SELFTEST_KEYS: _selftest_lines}
 
 
-def _to_text(meta: dict, keys: tuple[str, ...], records: list[tuple],
-             notes: tuple[str, ...] = ()) -> str:
-    lines = ["# " + "  ".join(f"{k}={v}" for k, v in meta.items())]
-    record_lines = _TEXT_LINES[keys]
+def _to_text(report: Report) -> str:
+    lines = ["# " + "  ".join(f"{k}={v}" for k, v in report.meta.items())]
+    record_lines = _TEXT_LINES[report.keys]
     last_point = None
-    for rec in records:
-        if rec[0] != last_point:
-            last_point = rec[0]
-            lines.append(f"point ({last_point[0]:.12g}, {last_point[1]:.12g})")
-        lines.extend(record_lines(rec))
-    for n in notes:
+    for block in report.blocks:
+        spans = _spans(block.rows)
+        oks = itertools.repeat([None] * len(block.rows)) if block.ok is None else block.ok.tolist()
+        for point, floats, ok in zip(block.coords.tolist(), block.floats.tolist(), oks):
+            if point != last_point:
+                last_point = point
+                lines.append(f"point ({point[0]:.12g}, {point[1]:.12g})")
+            for row, (a, b), row_ok in zip(block.rows, spans, ok):
+                lines.extend(record_lines(row, floats[a:b], row_ok))
+    for n in report.notes:
         lines.append(f"note: {n}")
     return "\n".join(lines) + "\n"
+
+
+_WRITERS = {"json": _to_json, "csv": _to_csv, "text": _to_text}
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +401,17 @@ def _require_finite(p: ParamPoint, what: str, values) -> None:
         raise DomainError(f"{what} at {p} is not finite in double precision")
 
 
-def _coords(p: ParamPoint) -> list[tuple[float, float]]:
-    """The (c1, c2) of each point of a block in order, or of the single point."""
-    return list(zip(np.ravel(p.c1).tolist(), np.ravel(p.c2).tolist()))
-
-
-def _quantity_records(fn):
-    """A command of (quantity, value) pairs, values with block axes first, as records."""
-    def records(p: ParamPoint, args, engine) -> list[tuple]:
+def _quantity_block(fn):
+    """A command of (quantity, value) pairs, values with block axes first, as a Block."""
+    def block(p: ParamPoint, args, engine) -> Block:
         pairs = fn(p, args, engine)
         for quantity, value in pairs:
             _require_finite(p, quantity, value)
-        # a single point's values as a block of one
-        columns = [value if np.ndim(p.c1) else value[None] for _, value in pairs]
-        return [(point, quantity, value, "oracle")
-                for point, values in zip(_coords(p), zip(*columns))
-                for (quantity, _), value in zip(pairs, values)]
-    return records
+        n, axes = np.size(p.c1), np.ndim(p.c1)
+        rows = tuple((quantity, Floats(np.shape(v)[axes:]), "oracle") for quantity, v in pairs)
+        return Block(_coords(p), rows,
+                     np.concatenate([np.reshape(v, (n, -1)) for _, v in pairs], axis=1))
+    return block
 
 
 def _connection(p: ParamPoint, args, engine):
@@ -369,23 +461,23 @@ def _transform(p, args, engine):
             ("jacobian_inv", jac_inv), ("g_theta", fisher_metric(th).g))
 
 
-def _audit(p, args, engine) -> list[tuple]:
-    rows = run_audit(p, Tolerances(args.tol_closed, args.tol_derived, args.tol_rel)).rows
+def _audit(p, args, engine) -> Block:
+    r = run_audit(p, Tolerances(args.tol_closed, args.tol_derived, args.tol_rel))
     # a finite |paper - oracle| makes both sides and the relative gap finite
-    _require_finite(p, "an audit gap", [row.abs_gap for row in rows])
-    points = _coords(p)
-    per_point = len(rows) // len(points)  # the rows come point by point
-    return [(points[i // per_point],) + row for i, row in enumerate(rows)]
+    _require_finite(p, "an audit gap", r.abs_gap)
+    n = np.size(p.c1)
+    floats = np.stack([r.paper, r.oracle, r.abs_gap, r.rel_gap], axis=-1).reshape(n, -1)
+    return Block(_coords(p), _AUDIT_ROWS, floats, r.match.reshape(n, -1))
 
 
-# command -> the records of a point, or of each point of a block in order
+# command -> the Block of a point, or of a block of points
 _COMMANDS = {
-    "metric": _quantity_records(_metric),
-    "christoffel": _quantity_records(_christoffel),
-    "torsion": _quantity_records(_torsion),
-    "curvature": _quantity_records(_curvature),
-    "scalar": _quantity_records(_scalar),
-    "transform": _quantity_records(_transform),
+    "metric": _quantity_block(_metric),
+    "christoffel": _quantity_block(_christoffel),
+    "torsion": _quantity_block(_torsion),
+    "curvature": _quantity_block(_curvature),
+    "scalar": _quantity_block(_scalar),
+    "transform": _quantity_block(_transform),
     "audit": _audit,
 }
 
@@ -398,16 +490,16 @@ def _blocks(p: ParamPoint) -> list[ParamPoint]:
             for i in range(0, p.c1.size, BLOCK_POINTS)]
 
 
-def _run(p: ParamPoint, fn, args, engine) -> list[tuple]:
-    """fn's records at a point or block.  A float that overflows or divides by zero
+def _run(p: ParamPoint, fn, args, engine) -> list[Block]:
+    """fn's Block at a point or block.  A float that overflows or divides by zero
     at a point is a domain error; a block that raises runs again point by point,
     so its first failing point raises its own message."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return fn(p, args, engine)
+            return [fn(p, args, engine)]
     except (DomainError, SingularMetricError, ArithmeticError) as exc:
         if np.ndim(p.c1):
-            return [rec for i in range(p.c1.size) for rec in _run(p.at(i), fn, args, engine)]
+            return [b for i in range(p.c1.size) for b in _run(p.at(i), fn, args, engine)]
         if not isinstance(exc, ArithmeticError):
             raise
         raise DomainError(
@@ -460,15 +552,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, meta: dict, keys: tuple[str, ...], records: list[tuple],
-          notes: tuple[str, ...] = ()) -> None:
-    fmt = args.format
-    if fmt == "json":
-        text = _to_json(meta, keys, records, notes)
-    elif fmt == "csv":
-        text = _to_csv(keys, records)
-    else:
-        text = _to_text(meta, keys, records, notes)
+def _selftest() -> tuple[Block, bool]:
+    """The selftest's checks as one Block at (0, 1), and whether every check passes."""
+    checks = selftest_checks()
+    rows = tuple((f"selftest.{name}", _FLOAT, _FLOAT, Verdict("FAIL", "PASS"), "oracle")
+                 for name, _, _ in checks)
+    ok = np.array([[residual <= bound for _, residual, bound in checks]])
+    floats = np.array([[x for _, residual, bound in checks for x in (residual, bound)]])
+    return Block(np.array([[0.0, 1.0]]), rows, floats, ok), bool(ok.all())
+
+
+def _emit(args, report: Report) -> None:
+    text = _WRITERS[args.format](report)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -490,6 +585,31 @@ def _join_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _report(args) -> tuple[Report, int]:
+    """The report of a parsed request, and its exit code."""
+    notes: tuple[str, ...] = ()
+    chart = Chart(getattr(args, "chart", "theta"))
+    engine, engine_desc = ClosedForm(), "closed_form"
+    if args.command == "selftest":
+        block, passed = _selftest()
+        keys, blocks, code = SELFTEST_KEYS, [block], EXIT_OK if passed else 1
+    else:
+        keys = QUANTITY_KEYS
+        point = _points(args, chart)
+        if hasattr(args, "engine"):
+            engine, engine_desc = _parse_engine(args.engine)
+        blocks = [b for block in _blocks(point)
+                  for b in _run(block, _COMMANDS[args.command], args, engine)]
+        code = EXIT_OK
+        if args.command == "audit":
+            keys, notes = AUDIT_KEYS, AUDIT_NOTES
+            if args.strict and not all(b.ok.all() for b in blocks):
+                code = EXIT_AUDIT
+    meta = {"command": args.command, "chart": chart.value, "engine": engine_desc,
+            "tool_version": __version__}
+    return Report(meta, keys, blocks, notes), code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -497,31 +617,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        notes: tuple[str, ...] = ()
-        chart = Chart(getattr(args, "chart", "theta"))
-        engine, engine_desc = ClosedForm(), "closed_form"
-        if args.command == "selftest":
-            keys, checks = SELFTEST_KEYS, selftest_checks()
-            records = [((0.0, 1.0), f"selftest.{name}", residual, bound,
-                        "PASS" if residual <= bound else "FAIL", "oracle")
-                       for name, residual, bound in checks]
-            code = EXIT_OK if all(residual <= bound for _, residual, bound in checks) else 1
-        else:
-            keys = QUANTITY_KEYS
-            point = _points(args, chart)
-            if hasattr(args, "engine"):
-                engine, engine_desc = _parse_engine(args.engine)
-            records = [rec for block in _blocks(point)
-                       for rec in _run(block, _COMMANDS[args.command], args, engine)]
-            code = EXIT_OK
-            if args.command == "audit":
-                keys, notes = AUDIT_KEYS, AUDIT_NOTES
-                verdict = AUDIT_KEYS.index("verdict")
-                if args.strict and any(rec[verdict] == MISMATCH for rec in records):
-                    code = EXIT_AUDIT
-        meta = {"command": args.command, "chart": chart.value, "engine": engine_desc,
-                "tool_version": __version__}
-        _emit(args, meta, keys, records, notes)
+        report, code = _report(args)
+        _emit(args, report)
         return code
     except UsageError as exc:
         print(f"igeo: usage error: {exc}", file=sys.stderr)

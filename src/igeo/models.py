@@ -73,14 +73,14 @@ def density(x, p: ParamPoint):
 
 def _score_parts(z: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     """(d l/d mu, d l/d sigma) at the offsets z = x - mu."""
-    return z / (s * s), -1.0 / s + z * z / s**3
+    return z / (s * s), -1.0 / s + z * z / ad._pow(s, 3)
 
 
 def _hessian_parts(z: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct second partials (h11, h12, h22) of l at the offsets z = x - mu."""
     h11 = np.broadcast_to(-1.0 / (s * s), z.shape).copy()
-    h12 = -2.0 * z / s**3
-    h22 = 1.0 / (s * s) - 3.0 * z * z / s**4
+    h12 = -2.0 * z / ad._pow(s, 3)
+    h22 = 1.0 / (s * s) - 3.0 * z * z / ad._pow(s, 4)
     return h11, h12, h22
 
 
@@ -103,7 +103,7 @@ def score_xi(x, p: ParamPoint) -> np.ndarray:
     mu, s = _require_theta(p)
     z = np.asarray(x, dtype=float) - mu
     first = z / (s * s)
-    second = z * z / (2.0 * s**4) - mu * z / s**3 - 1.0 / (2.0 * s * s)
+    second = z * z / (2.0 * ad._pow(s, 4)) - mu * z / ad._pow(s, 3) - 1.0 / (2.0 * s * s)
     return np.stack([first, second])
 
 
@@ -243,19 +243,29 @@ Engine = Union[ClosedForm, GaussHermite, MonteCarlo]
 # Fisher metric and expectation connection
 # ---------------------------------------------------------------------------
 
-def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint) -> np.ndarray:
-    """E[integrands(x - mu, mu, sigma)] at a theta point, block axes first.
+def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint,
+                  metric: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """E[integrands(x - mu, mu, sigma)] at the theta coordinates of a point, block
+    axes first; ``metric(means)`` picks the metric entries (g11, g12, g22).
 
     An engine integrates one point per call: each point of a block goes to
-    ``engine.expect`` alone, in order, with its float coordinates.
+    ``engine.expect`` alone, in order, with its float coordinates.  A block stops
+    at its first point whose metric fails the MetricAt check, with that error.
     """
+    th = p if p.chart is Chart.THETA else chart_backward(p)
+
     def at(q: ParamPoint):
         return engine.expect(lambda x: integrands(x - q.c1, q.c1, q.c2), q)
 
     if not np.ndim(p.c1):
-        return at(p)
-    block = np.shape(p.c1)
-    return np.array([at(p.at(i)) for i in np.ndindex(block)]).reshape(block + (-1,))
+        return at(th)
+    block, out = np.shape(p.c1), []
+    for i in np.ndindex(block):
+        out.append(at(th.at(i)))
+        g11, g12, g22 = metric(out[-1]).tolist()
+        if not (g11 > 0.0 and 0.0 < g11 * g22 - g12 * g12 < math.inf):  # NaN fails too
+            _metric_from_means(p.at(i), metric(out[-1]))  # raises what the block's check would
+    return np.array(out).reshape(block + (-1,))
 
 
 def _metric_from_means(p: ParamPoint, means: np.ndarray) -> MetricAt:
@@ -273,7 +283,8 @@ def fisher_metric_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricA
     _require_theta(p)
     if isinstance(engine, ClosedForm):
         return evaluate_metric(fisher_metric_field(Chart.THETA), p)
-    return _metric_from_means(p, -_engine_means(engine, lambda z, _, s: _hessian_parts(z, s), p))
+    means = _engine_means(engine, lambda z, _, s: _hessian_parts(z, s), p, np.negative)
+    return _metric_from_means(p, np.negative(means))
 
 
 def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> ConnAt:
@@ -294,9 +305,12 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
             yield from (hess[i][j] * score[k] for i in range(2) for j in range(2) for k in range(2))
             yield from h
 
-        means = _engine_means(engine, integrands, p)
+        def metric(means):
+            return -means[..., 8:]
+
+        means = _engine_means(engine, integrands, p, metric)
         lower = means[..., :8].reshape(means.shape[:-1] + (2, 2, 2))
-        g_inv = _metric_from_means(p, -means[..., 8:]).g_inv
+        g_inv = _metric_from_means(p, metric(means)).g_inv
     return ConnAt(point=p, lower=lower, mixed=_raise_index(g_inv, lower))
 
 
@@ -400,7 +414,7 @@ def fisher_metric(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricAt:
         s1, s2 = _pullback_parts(z, mu, s)
         return (u * v for u, v in ((s1, s1), (s1, s2), (s2, s2)))
 
-    return _metric_from_means(p, _engine_means(engine, products, chart_backward(p)))
+    return _metric_from_means(p, _engine_means(engine, products, p, lambda means: means))
 
 
 def expectation_connection(p: ParamPoint, engine: Engine = ClosedForm()) -> ConnAt:

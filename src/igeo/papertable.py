@@ -17,6 +17,7 @@ Quantity ids: ``G_d.11 .. G_d.22``, ``G_d.det``, ``G_d_inv.11 .. G_d_inv.22``,
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -163,23 +164,61 @@ class AuditRow(NamedTuple):
     note: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuditReport:
-    """The audit rows of a point; for a block point, each point's rows in point order."""
+    """The audit of a point, as columns over its rows in ``ROWS`` order.
+
+    ``paper``, ``oracle``, ``abs_gap``, ``rel_gap`` and ``match`` each have the
+    block's shape + (len(ROWS),); ``rows`` reads them as ``AuditRow``s, each
+    point's rows in point order.
+    """
 
     point: ParamPoint
-    rows: tuple[AuditRow, ...]
+    paper: np.ndarray
+    oracle: np.ndarray
+    abs_gap: np.ndarray
+    rel_gap: np.ndarray
+    match: np.ndarray
     notes: tuple[str, ...]
 
     @property
+    def rows(self) -> "AuditRows":
+        return AuditRows(self)
+
+    @property
     def mismatches(self) -> tuple[AuditRow, ...]:
-        return tuple(r for r in self.rows if r.verdict == MISMATCH)
+        return tuple(self.rows[i] for i in np.flatnonzero(~self.match))
 
     def row(self, quantity: str, oracle_label: str | None = None) -> AuditRow:
-        for r in self.rows:
-            if r.quantity == quantity and (oracle_label is None or r.oracle_label == oracle_label):
-                return r
+        """The first point's row of this quantity (and oracle label)."""
+        for i, (qid, label, _, _) in enumerate(ROWS):
+            if qid == quantity and (oracle_label is None or label == oracle_label):
+                return self.rows[i]
         raise KeyError(quantity)
+
+
+class AuditRows(Sequence):
+    """The rows of an ``AuditReport``, each built from its columns as it is read."""
+
+    def __init__(self, report: AuditReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report.match.size
+
+    def __getitem__(self, i: int) -> AuditRow:
+        i = range(len(self))[i]  # a tuple's IndexError and negative indices
+        r = self._report
+        qid, label, _, note = ROWS[i % len(ROWS)]
+        values = [np.ravel(a)[i].item() for a in (r.paper, r.oracle, r.abs_gap, r.rel_gap)]
+        return AuditRow(qid, *values, MATCH if np.ravel(r.match)[i] else MISMATCH, label, note)
+
+    def __iter__(self):
+        r = self._report
+        columns = zip(*(np.ravel(a).tolist()
+                        for a in (r.paper, r.oracle, r.abs_gap, r.rel_gap, r.match)))
+        for (qid, label, _, note), (*values, ok) in zip(itertools.cycle(ROWS), columns):
+            yield AuditRow(qid, *values, MATCH if ok else MISMATCH, label, note)
 
 
 _TORSION_NOTE = (
@@ -197,7 +236,7 @@ NOTES = (
 # the rows of one point in order, as (quantity, oracle label, derived, note): a
 # derived row is gated by derived_abs, the others by closed_form_abs; each lower
 # coefficient is audited under both transport laws
-_ROWS = (
+ROWS = (
     [(qid, "transform_metric", False, None) for qid in _METRIC_IDS]
     + [(qid, label, derived, None) for qid in _LOWER_IDS
        for label, derived in (("tensor_law", False), ("connection_law", True))]
@@ -206,7 +245,7 @@ _ROWS = (
         if qid == UNPRINTED_R_ID else None) for qid in _MIXED_IDS + _R_IDS + ("K",)]
     + [("T_xi.max_abs", "native_levi_civita", False, _TORSION_NOTE)]
 )
-_DERIVED = np.array([derived for _, _, derived, _ in _ROWS])
+_DERIVED = np.array([derived for _, _, derived, _ in ROWS])
 
 
 def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
@@ -239,8 +278,8 @@ def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
     # torsion of the published lower coefficients, via T_ijk = G_ijk - G_jik
     paper_lower = batch_array([e[qid] for qid in _LOWER_IDS], (2, 2, 2))
     t_paper = paper_lower - paper_lower.swapaxes(-3, -2)
-    paper = batch_array([e[qid] for qid, *_ in _ROWS[:-1]]
-                        + [np.max(np.abs(t_paper), axis=(-3, -2, -1))], (len(_ROWS),))
+    paper = batch_array([e[qid] for qid, *_ in ROWS[:-1]]
+                        + [np.max(np.abs(t_paper), axis=(-3, -2, -1))], (len(ROWS),))
     # each oracle's components in C order, the two laws side by side
     block = np.shape(p.c1)
     oracle = np.concatenate([np.reshape(a, block + (-1,)) for a in (
@@ -256,9 +295,4 @@ def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
     rel = np.divide(gap, denom, out=np.zeros_like(gap), where=denom > 0.0)
     gate = np.where(_DERIVED, tol.derived_abs, tol.closed_form_abs)
     match = (gap <= gate) | (rel <= tol.rel)
-    columns = zip(*(a.reshape(-1).tolist() for a in (paper, oracle, gap, rel, match)))
-    rows = tuple(
-        AuditRow(qid, *values, MATCH if ok else MISMATCH, label, note)
-        for (qid, label, _, note), (*values, ok) in zip(itertools.cycle(_ROWS), columns)
-    )
-    return AuditReport(point=p, rows=rows, notes=NOTES)
+    return AuditReport(p, paper, oracle, gap, rel, match, NOTES)

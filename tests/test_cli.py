@@ -1,6 +1,7 @@
 """CLI contract: records, formats, exit codes, determinism, env seed."""
 
 import contextlib
+import csv as csvmod
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from igeo import cli
+from igeo import MonteCarlo, cli
 from igeo.cli import main
 
 CMD = [sys.executable, "-m", "igeo.cli"]
@@ -268,6 +269,20 @@ class TestTotalDomainChecks:
         (("metric", "--chart", "xi", "--engine", "monte_carlo:100003:5", "--point=0,1e-152"),
          2, "xi point (0.0, 1e-152) is outside the double-precision range of the formulas: "
          "overflow encountered in reduce"),
+        # a float power that overflows names its operation, as numpy's errors do
+        (("metric", "--point", "0,1e100", "--engine", "gauss_hermite:8"), 2,
+         "igeo: domain error: theta point (0.0, 1e+100) is outside the double-precision range "
+         "of the formulas: overflow encountered in power\n"),
+        (("torsion", "--connection", "expectation", "--engine", "monte_carlo:1000:1",
+          "--point=3,1e154"), 2,
+         "igeo: domain error: theta point (3.0, 1e+154) is outside the double-precision range "
+         "of the formulas: overflow encountered in power\n"),
+        (("christoffel", "--connection", "expectation", "--point=0,1e200"), 2,
+         "igeo: domain error: theta point (0.0, 1e+200) is outside the double-precision range "
+         "of the formulas: overflow encountered in power\n"),
+        (("audit", "--point=0,1e100"), 2,
+         "igeo: domain error: theta point (0.0, 1e+100) is outside the double-precision range "
+         "of the formulas: overflow encountered in power\n"),
         # mu^2 + sigma^2 overflows: the message names the theta point given
         (("transform", "--point", "1e200,1"), 2, "theta point (1e+200, 1.0) has no xi coordinates"),
         (("transform", "--grid", "0:1e200:2,1:1:1"), 2,
@@ -296,6 +311,23 @@ class TestTotalDomainChecks:
         assert got == code
         assert words in err
         assert "Traceback" not in err and out == ""
+
+    def test_failing_engine_block_stops_at_its_point(self, monkeypatch):
+        calls = []
+        expect = MonteCarlo.expect
+
+        def counting(engine, f, p):
+            calls.append((p.c1, p.c2))
+            return expect(engine, f, p)
+
+        monkeypatch.setattr(MonteCarlo, "expect", counting)
+        code, out, err = call("metric", "--engine", "monte_carlo:1000:1",
+                              "--grid=1e200:0:2000,1:1:1")
+        assert (code, out) == (2, "")
+        assert err == ("igeo: domain error: metric at theta point (1e+200, 1.0) is not "
+                       "positive definite (det = -1.0)\n")
+        # the block stops at its first point, which then runs alone
+        assert calls == [(1e200, 1.0)] * 2
 
     def test_non_integer_env_seed_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("IGEO_SEED", "abc")
@@ -375,8 +407,32 @@ class TestParserReuse:
         assert cli.build_parser() is cli.build_parser()
 
 
+def written_cell(value, fmt: str) -> str:
+    """The text the record writer gives ``value`` in fmt (json or csv).
+
+    A tuple is written as the point of a record; a str or None as a constant
+    cell after the point; a float or an array as a Floats cell, its floats taken
+    from the block the way a command's values are.
+    """
+    coords, rows, floats = np.array([[0.0, 1.0]]), ((),), np.zeros((1, 0))
+    if isinstance(value, tuple):
+        coords = np.array([value])
+    elif value is None or isinstance(value, str):
+        rows = ((value,),)
+    else:
+        rows, floats = ((cli.Floats(np.shape(value)),),), np.reshape(value, (1, -1))
+    keys = ("point",) if isinstance(value, tuple) else ("point", "cell")
+    text = cli._WRITERS[fmt](cli.Report({}, keys, [cli.Block(coords, rows, floats)]))
+    if fmt == "json":
+        record = text.splitlines()[3]
+        assert record.startswith('    {"point": ') and record.endswith("}")
+        return record[len('    {"point": '):-1].split(', "cell": ')[-1]
+    record = text.splitlines()[1]
+    return record if isinstance(value, tuple) else record[len('"[0, 1]",'):]
+
+
 class TestSerialisation:
-    """Exact strings of the JSON and CSV cell writers, for each kind of cell a record holds."""
+    """Exact strings of the JSON and CSV record writers, for each kind of cell a record holds."""
 
     CELLS = [
         ('say "hi" \\ bye', '"say \\"hi\\" \\\\ bye"', '"say ""hi"" \\ bye"'),
@@ -401,18 +457,37 @@ class TestSerialisation:
 
     @pytest.mark.parametrize("value, text", [(value, text) for value, text, _ in CELLS])
     def test_json_cell(self, value, text):
-        assert cli._json_cell(value) == text
+        assert written_cell(value, "json") == text
 
     @pytest.mark.parametrize("value, text", [(value, text) for value, _, text in CELLS])
     def test_csv_cell(self, value, text):
-        assert cli._csv_cell(value) == text
+        assert written_cell(value, "csv") == text
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_json_float_cell(self, x):
-        text = cli._json_cell(x)
-        assert text == (f"{x:.17g}" if x else "0") == cli._json_cell(np.float64(x))
+        text = written_cell(x, "json")
+        assert text == (f"{x:.17g}" if x else "0") == written_cell(np.float64(x), "json")
+        assert text == written_cell(x, "csv")
         assert json.loads(text) == x
-        assert cli._json_cell(np.array([x])) == f"[{text}]"
+        assert written_cell(np.array([x]), "json") == f"[{text}]"
+
+    @pytest.mark.parametrize("constant, json_text, csv_text", [
+        ("50%", '"50%"', "50%"),
+        ("%s %% %.17g", '"%s %% %.17g"', "%s %% %.17g"),
+        ('say "%d"', '"say \\"%d\\""', '"say ""%d"""'),
+        ("a,%", '"a,%"', '"a,%"'),
+    ])
+    def test_constant_is_written_literally(self, constant, json_text, csv_text):
+        assert written_cell(constant, "json") == json_text
+        assert written_cell(constant, "csv") == csv_text
+        # next to float slots, in a key and in the verdict words too
+        rows = ((constant, cli.Floats(()), cli.Verdict(constant, "ok")),)
+        block = cli.Block(np.array([[0.0, 1.0]]), rows, np.array([[0.25]]), np.array([[False]]))
+        report = cli.Report({}, ("point", "cell", constant, "verdict"), [block])
+        record = json.loads(cli._to_json(report))["records"][0]
+        assert record == {"point": [0, 1], "cell": constant, constant: 0.25, "verdict": constant}
+        _, row = csvmod.reader(io.StringIO(cli._to_csv(report)))
+        assert row == ["[0, 1]", constant, "0.25", constant]
 
 
 _REAL = st.one_of(

@@ -16,6 +16,7 @@ from igeo import (
     GaussHermite,
     MonteCarlo,
     ParamPoint,
+    SingularMetricError,
     chart_backward,
     chart_forward,
     chart_second_derivatives,
@@ -288,6 +289,41 @@ class TestMemoryBound:
         for name in ("connection", "xi metric"):
             assert peaks[name, 1_000_000] < 2 * 2**20
             assert peaks[name, 2_000_000] < 1.1 * peaks[name, 1_000_000]
+
+
+class CountingEngine:
+    """An engine that records the point of each ``expect`` call."""
+
+    def __init__(self, engine):
+        self.engine, self.calls = engine, []
+
+    def expect(self, f, p):
+        self.calls.append(p)
+        return self.engine.expect(f, p)
+
+
+class TestEngineBlockStops:
+    """An engine block stops at its first point whose metric fails the MetricAt check."""
+
+    @pytest.mark.parametrize("fn", [fisher_metric_theta, conn_expectation_theta])
+    @pytest.mark.parametrize("bad", [0, 3, 1999])
+    def test_expect_calls(self, fn, bad):
+        # x = mu + sigma z rounds to mu at mu = 1e200, so every offset is 0 and det = -1
+        mu = np.zeros(2000)
+        mu[bad] = 1e200
+        engine = CountingEngine(MonteCarlo(1000, 3))
+        message = "metric at theta point (1e+200, 1.0) is not positive definite (det = -1.0)"
+        with pytest.raises(SingularMetricError, match=re.escape(message)):
+            fn(ParamPoint.theta(mu, np.ones(2000)), engine)
+        assert len(engine.calls) == bad + 1
+
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI])
+    def test_passing_block_calls_once_per_point(self, chart):
+        c1, c2 = np.linspace(-1, 1, 5), np.full(5, 4.0)
+        engine = CountingEngine(GaussHermite(16))
+        m = fisher_metric(ParamPoint(chart, c1, c2), engine)
+        assert len(engine.calls) == 5
+        assert np.array_equal(m.g, fisher_metric(ParamPoint(chart, c1, c2), GaussHermite(16)).g)
 
 
 class TestFisherMetric:
