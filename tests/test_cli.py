@@ -368,10 +368,18 @@ class TestBlockwiseGrids:
                                          if json.loads(line)["point"] == [c1, c2]]
 
     def test_block_size_does_not_change_output(self, monkeypatch):
-        argv = ("curvature", "--chart", "xi", "--grid=-1:1:5,2:4:5", "--format", "text")
-        whole = call(*argv)
-        monkeypatch.setattr(cli, "BLOCK_POINTS", 3)
-        assert call(*argv) == whole
+        # text heads a point only where it differs from the one before, across
+        # blocks too; 0.0 == -0.0, so (0, 1) and (-0, 1) share one header
+        for argv, block, headers in [
+            (("curvature", "--chart", "xi", "--grid=-1:1:5,2:4:5"), 3, 25),
+            (("metric", "--grid=0.5:0.5:3,1:1:1"), 2, 1),
+            (("metric", "--grid=0:-0:2,1:1:1"), 1, 1),
+        ]:
+            monkeypatch.setattr(cli, "BLOCK_POINTS", 4096)
+            whole = call(*argv, "--format", "text")
+            assert whole[1].count("\npoint (") == headers
+            monkeypatch.setattr(cli, "BLOCK_POINTS", block)
+            assert call(*argv, "--format", "text") == whole
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failing_point_in_a_later_block(self, monkeypatch):
@@ -562,7 +570,9 @@ class TestFuzz:
 # 3x3 grid, for the Monte Carlo natural-chart connection and dual-chart metric
 # on a 2x2 grid at a sample count that is not a multiple of 8, for the audit
 # (JSON, CSV and text) and the metric (JSON and CSV) on a grid whose first
-# coordinate ends on -0.0, and for the selftest in every format; a change that
+# coordinate ends on -0.0, for the metric as text on grids whose points repeat,
+# also as +0.0 and -0.0 (one point header each), and for the selftest in every
+# format; a change that
 # restructures the CLI, the library or the engines must keep every byte
 PINNED = {
     "metric --chart theta --point=0.5,1.5 --format json":
@@ -759,6 +769,10 @@ PINNED = {
         "fa52a3445bb85a46ab18b2d4258377347f1028081b7faa3fa727a86e16f74f41",
     "metric --chart theta --grid=1:-0:2,1:2:2 --format csv":
         "7312e60041525610ed06e45a1ce9f9b2e3948962c346694db3380566b79e5978",
+    "metric --grid=0.5:0.5:3,1:1:1 --format text":
+        "ca4fcb7a9b0ec0fe5f5c799cd476dcf59fcd6a2c92232a7716bcff1ded56e673",
+    "metric --grid=0:-0:2,1:1:1 --format text":
+        "a445273c08782b92c4d4f2115232d9898071ba58e37b589da2625badb690fb91",
     "selftest --format text":
         "19a2767129cfa94b3d558fa2a5b07f28505e48bc077059255b8d515d1ca7282e",
     "selftest --format csv":
