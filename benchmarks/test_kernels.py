@@ -6,9 +6,10 @@
 
 Times ``evaluate_metric``, ``levi_civita`` and ``riemann_levi_civita`` of the
 closed-form Fisher metric field at one point and on a 40x40 grid evaluated as
-one block, in both charts.  The writer cases time the JSON and CSV writers
-alone on the columns of a request computed beforehand: the audit of a 20x20
-grid as JSON and as CSV, and the dual-chart curvature of a 40x40 grid as JSON.
+one block, in both charts.  The writer cases time the JSON, CSV and text
+writers alone on the columns of a request computed beforehand: the audit of a
+20x20 grid as JSON, as CSV and as text, and the dual-chart curvature of a 40x40
+grid as JSON and as text.
 The directory lies outside ``testpaths``, so the test suite does not collect
 it; the ``-k point`` cases also run on a tree whose kernels take single points
 only.
@@ -30,8 +31,11 @@ KERNELS = {
 WRITER_REQUESTS = {
     "audit_grid20x20_json": ("audit", "--grid=-1:1:20,0.5:2:20", "--format=json"),
     "audit_grid20x20_csv": ("audit", "--grid=-1:1:20,0.5:2:20", "--format=csv"),
+    "audit_grid20x20_text": ("audit", "--grid=-1:1:20,0.5:2:20", "--format=text"),
     "curvature_xi_grid40x40_json": ("curvature", "--chart=xi", "--grid=-1:1:40,2.5:4:40",
                                     "--format=json"),
+    "curvature_xi_grid40x40_text": ("curvature", "--chart=xi", "--grid=-1:1:40,2.5:4:40",
+                                    "--format=text"),
 }
 
 

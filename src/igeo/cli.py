@@ -82,7 +82,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# records as columns, and their writers (floats with 17 significant digits)
+# records as columns, and their writers (floats with 17 significant digits, 12 in text)
 # ---------------------------------------------------------------------------
 
 QUANTITY_KEYS = ("point", "quantity", "value", "provenance")
@@ -147,6 +147,11 @@ def _csv_str(v: str) -> str:
     return '"' + v.replace('"', '""') + '"' if ("," in v or '"' in v) else v
 
 
+def _lit(v: str, width: int = 0) -> str:
+    """v left-aligned in width, as literal text of a %-template."""
+    return v.ljust(width).replace("%", "%%")
+
+
 def _nested(shape: tuple[int, ...]) -> str:
     """A %.17g slot for each float of an array of this shape, nested as JSON lists."""
     if not shape:
@@ -154,11 +159,61 @@ def _nested(shape: tuple[int, ...]) -> str:
     return "[" + ", ".join([_nested(shape[1:])] * shape[0]) + "]"
 
 
-@functools.cache
-def _spans(rows: tuple[tuple, ...]) -> tuple[tuple[int, int], ...]:
-    """Each row's (start, stop) in a point's floats."""
-    stops = itertools.accumulate(sum(c.size for c in row if isinstance(c, Floats)) for row in rows)
-    return tuple(itertools.pairwise(itertools.chain([0], stops)))
+def _text_lines(shape: tuple[int, ...]) -> list[str]:
+    """A value of this shape as text lines: a %.12g slot per float, %15.12g in a
+    matrix row, and an indented [i] block per index above rank 2."""
+    if len(shape) < 2:
+        return ["[" + "  ".join(["%.12g"] * shape[0]) + "]" if shape else "%.12g"]
+    if len(shape) == 2:
+        return ["[" + "  ".join(["%15.12g"] * shape[1]) + "]"] * shape[0]
+    lines = []
+    for i in range(shape[0]):
+        first, *rest = _text_lines(shape[1:])
+        lines += [f"[{i + 1}] {first}", *("  " + line for line in rest)]
+    return lines
+
+
+def _record(keys: tuple[str, ...], row: tuple, fmt: str) -> tuple[str, tuple[str, ...]]:
+    """A row as a JSON or CSV record: its %-template and the keys of its slots, in order.
+    Keys and constants are escaped here once, with % doubled."""
+    esc, null = (_json_str, "null") if fmt == "json" else (_csv_str, "")
+    cells = ["%s" if fmt == "json" else '"%s"']
+    for c in row:
+        if isinstance(c, Floats):
+            slots = _nested(c.shape)
+            cells.append(slots if fmt == "json" or not c.shape else f'"{slots}"')
+        elif isinstance(c, Verdict):
+            cells.append("%s")
+        else:
+            cells.append(null if c is None else _lit(esc(c)))
+    if fmt == "csv":
+        return ",".join(cells) + "\n", keys
+    return "    {" + ", ".join(f"{_lit(esc(k))}: {c}" for k, c in zip(keys, cells)) + "},\n", keys
+
+
+def _quantity_text(quantity, value, provenance):
+    lines = _text_lines(value.shape)
+    value = f" {lines[0]}" if len(lines) == 1 else "".join(f"\n    {line}" for line in lines)
+    return f"  {_lit(quantity)}:{value}\n", ("value",)
+
+
+def _audit_text(quantity, paper, oracle, abs_gap, rel_gap, verdict, oracle_label, note):
+    note = _lit(f"   # {note}") if note else ""
+    return (f"  {_lit(quantity, 22)} paper=%-+24.16g {_lit(f'oracle[{oracle_label}]', 34)}"
+            f"=%-+24.16g gap=%-12.4g %s{note}\n"), ("paper", "oracle", "abs_gap", "verdict")
+
+
+def _selftest_text(quantity, value, bound, verdict, provenance):
+    return (f"  {_lit(quantity, 46)} residual=%-12.4g bound=%-10.4g %s\n",
+            ("value", "bound", "verdict"))
+
+
+# report keys -> the text layout of its rows, which leaves out provenance and rel_gap
+_TEXT_LAYOUTS = {QUANTITY_KEYS: _quantity_text, AUDIT_KEYS: _audit_text,
+                 SELFTEST_KEYS: _selftest_text}
+# format -> a row's record: its %-template and the keys of its slots, in order
+_RECORDS = {"json": _record, "csv": _record,
+            "text": lambda keys, row, fmt: _TEXT_LAYOUTS[keys](*row)}
 
 
 @functools.cache
@@ -166,34 +221,27 @@ def _template(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
     """The records of one point in fmt as one %-template, the picker that orders a
     point's arguments [point, *floats, *verdicts] for it, and the verdict words.
 
-    Keys and constants are escaped here once, with % doubled; the point is a %s
-    slot, each float a %.17g slot and each verdict a %s slot.
+    The point is a %s slot in each JSON and CSV record, and once ahead of a
+    point's text rows; each row's record places the slots of the keys it writes.
     """
-    esc, null = (_json_str, "null") if fmt == "json" else (_csv_str, "")
-    keys = [esc(k).replace("%", "%%") for k in keys]
-    order, words, records = [], (), []
-    verdict = 1 + _spans(rows)[-1][1]  # verdicts come after the floats
-    for row, (at, _) in zip(rows, _spans(rows)):
-        cells = ["%s" if fmt == "json" else '"%s"']
-        order.append(0)
-        for c in row:
+    esc = {"json": _json_str, "csv": _csv_str, "text": str}[fmt]
+    heads = fmt == "text"
+    template, order, words = ["%s"] * heads, [0] * heads, ()
+    at, verdict = 1, 1 + sum(c.size for row in rows for c in row if isinstance(c, Floats))
+    for row in rows:
+        slots = {"point": [0]}  # key -> the places of its arguments
+        for key, c in zip(keys[1:], row):
             if isinstance(c, Floats):
-                slots = _nested(c.shape)
-                cells.append(slots if fmt == "json" or not c.shape else f'"{slots}"')
-                order.extend(range(1 + at, 1 + at + c.size))
+                slots[key] = range(at, at + c.size)
                 at += c.size
             elif isinstance(c, Verdict):
-                cells.append("%s")
-                words = (esc(c.fail), esc(c.ok))
-                order.append(verdict)
+                slots[key] = [verdict]
                 verdict += 1
-            else:
-                cells.append(null if c is None else esc(c).replace("%", "%%"))
-        if fmt == "json":
-            records.append("    {" + ", ".join(f"{k}: {c}" for k, c in zip(keys, cells)) + "},\n")
-        else:
-            records.append(",".join(cells) + "\n")
-    return "".join(records), operator.itemgetter(*order), words
+                words = (esc(c.fail), esc(c.ok))
+        record, written = _RECORDS[fmt](keys, row, fmt)
+        template.append(record)
+        order.extend(i for key in written for i in slots.get(key, ()))
+    return "".join(template), operator.itemgetter(*order), words
 
 
 def _coords(p: ParamPoint) -> np.ndarray:
@@ -203,14 +251,20 @@ def _coords(p: ParamPoint) -> np.ndarray:
 
 def _write_records(out: list[str], keys: tuple[str, ...], blocks: list[Block], fmt: str) -> None:
     """Append each point's records in fmt to out, one %-format per point."""
+    last = None
     for block in blocks:
         template, pick, words = _template(keys, block.rows, fmt)
-        # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0
         oks = itertools.repeat(()) if block.ok is None else block.ok.tolist()
-        for (c1, c2), floats, ok in zip((block.coords + 0.0).tolist(),
-                                        (block.floats + 0.0).tolist(), oks):
-            out.append(template % pick(["[%.17g, %.17g]" % (c1, c2), *floats,
-                                        *map(words.__getitem__, ok)]))
+        if fmt == "text":  # keeps the sign of a zero; heads a point only where it changes
+            points, floats = [], block.floats.tolist()
+            for point in block.coords.tolist():
+                points.append("" if point == last else "point (%.12g, %.12g)\n" % tuple(point))
+                last = point
+        else:  # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0
+            points = ["[%.17g, %.17g]" % (c1, c2) for c1, c2 in (block.coords + 0.0).tolist()]
+            floats = (block.floats + 0.0).tolist()
+        for point, values, ok in zip(points, floats, oks):
+            out.append(template % pick([point, *values, *map(words.__getitem__, ok)]))
 
 
 def _to_json(report: Report) -> str:
@@ -231,67 +285,11 @@ def _to_csv(report: Report) -> str:
     return "".join(out)
 
 
-def _render_value(values: list[float], shape: tuple[int, ...], indent="  ") -> list[str]:
-    if not shape:
-        return [format(values[0], ".12g")]
-    if len(shape) == 1:
-        return ["[" + "  ".join(format(x, ".12g") for x in values) + "]"]
-    if len(shape) == 2:
-        n = shape[1]
-        return ["[" + "  ".join(f"{x:>15.12g}" for x in values[i:i + n]) + "]"
-                for i in range(0, len(values), n)]
-    out = []
-    size = len(values) // shape[0]
-    for i in range(shape[0]):
-        block = _render_value(values[i * size:(i + 1) * size], shape[1:], indent)
-        out.append(f"[{i + 1}] " + block[0])
-        out.extend(indent + b for b in block[1:])
-    return out
-
-
-def _quantity_lines(row: tuple, values: list[float], ok) -> list[str]:
-    quantity, floats, _ = row
-    val = _render_value(values, floats.shape)
-    if len(val) == 1:
-        return [f"  {quantity}: {val[0]}"]
-    return [f"  {quantity}:"] + ["    " + v for v in val]
-
-
-def _audit_lines(row: tuple, values: list[float], ok) -> list[str]:
-    quantity, _, _, _, _, verdict, oracle_label, note = row
-    paper, oracle, abs_gap, _ = values
-    note = f"   # {note}" if note else ""
-    label = f"oracle[{oracle_label}]"
-    return [f"  {quantity:<22} paper={paper:<+24.16g} {label:<34}={oracle:<+24.16g} "
-            f"gap={abs_gap:<12.4g} {verdict[ok]}{note}"]
-
-
-def _selftest_lines(row: tuple, values: list[float], ok) -> list[str]:
-    quantity, _, _, verdict, _ = row
-    value, bound = values
-    return [f"  {quantity:<46} residual={value:<12.4g} bound={bound:<10.4g} {verdict[ok]}"]
-
-
-_TEXT_LINES = {QUANTITY_KEYS: _quantity_lines, AUDIT_KEYS: _audit_lines,
-               SELFTEST_KEYS: _selftest_lines}
-
-
 def _to_text(report: Report) -> str:
-    lines = ["# " + "  ".join(f"{k}={v}" for k, v in report.meta.items())]
-    record_lines = _TEXT_LINES[report.keys]
-    last_point = None
-    for block in report.blocks:
-        spans = _spans(block.rows)
-        oks = itertools.repeat([None] * len(block.rows)) if block.ok is None else block.ok.tolist()
-        for point, floats, ok in zip(block.coords.tolist(), block.floats.tolist(), oks):
-            if point != last_point:
-                last_point = point
-                lines.append(f"point ({point[0]:.12g}, {point[1]:.12g})")
-            for row, (a, b), row_ok in zip(block.rows, spans, ok):
-                lines.extend(record_lines(row, floats[a:b], row_ok))
-    for n in report.notes:
-        lines.append(f"note: {n}")
-    return "\n".join(lines) + "\n"
+    out = ["# " + "  ".join(f"{k}={v}" for k, v in report.meta.items()) + "\n"]
+    _write_records(out, report.keys, report.blocks, "text")
+    out.extend(f"note: {n}\n" for n in report.notes)
+    return "".join(out)
 
 
 _WRITERS = {"json": _to_json, "csv": _to_csv, "text": _to_text}

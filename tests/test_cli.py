@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igeo import MonteCarlo, cli
@@ -416,12 +416,16 @@ class TestParserReuse:
 
 
 def written_cell(value, fmt: str) -> str:
-    """The text the record writer gives ``value`` in fmt (json or csv).
+    """The text the record writer gives ``value`` in fmt (json, csv or text).
 
     A tuple is written as the point of a record; a str or None as a constant
     cell after the point; a float or an array as a Floats cell, its floats taken
-    from the block the way a command's values are.
+    from the block the way a command's values are.  Text writes a point as the
+    header of its rows, a constant as an audit row's note, and a Floats cell as a
+    quantity's value, given here without its indent.
     """
+    if fmt == "text":
+        return written_text(value)
     coords, rows, floats = np.array([[0.0, 1.0]]), ((),), np.zeros((1, 0))
     if isinstance(value, tuple):
         coords = np.array([value])
@@ -439,37 +443,72 @@ def written_cell(value, fmt: str) -> str:
     return record if isinstance(value, tuple) else record[len('"[0, 1]",'):]
 
 
+def written_text(value) -> str:
+    """written_cell(value, "text")."""
+    if value is None or isinstance(value, str):
+        row = ("q", *[cli.Floats(())] * 4, cli.Verdict("no", "yes"), "label", value)
+        block = cli.Block(np.array([[0.0, 1.0]]), (row,), np.zeros((1, 4)), np.array([[True]]))
+        line = cli._to_text(cli.Report({}, cli.AUDIT_KEYS, [block])).splitlines()[2]
+        return line.partition(" yes")[2].removeprefix("   # ")
+    is_point = isinstance(value, tuple)
+    point, value = (value, 0.0) if is_point else ((0.0, 1.0), value)
+    rows = (("q", cli.Floats(np.shape(value)), "oracle"),)
+    block = cli.Block(np.array([point]), rows, np.reshape(value, (1, -1)))
+    _, header, first, *rest = cli._to_text(cli.Report({}, cli.QUANTITY_KEYS, [block])).splitlines()
+    if is_point:
+        return header
+    if not rest:
+        assert first.startswith("  q: ")
+        return first[len("  q: "):]
+    assert first == "  q:" and all(line.startswith("    ") for line in rest)
+    return "\n".join(line[4:] for line in rest)
+
+
+def mrow(a: str, b: str) -> str:
+    """A matrix row as text: two cells right-aligned in 15 columns."""
+    return f"[{a:>15}  {b:>15}]"
+
+
 class TestSerialisation:
-    """Exact strings of the JSON and CSV record writers, for each kind of cell a record holds."""
+    """Exact strings of the JSON, CSV and text record writers, for each kind of cell a record
+    holds."""
 
     CELLS = [
-        ('say "hi" \\ bye', '"say \\"hi\\" \\\\ bye"', '"say ""hi"" \\ bye"'),
-        ("a,b", '"a,b"', '"a,b"'),
-        ("plain", '"plain"', "plain"),
-        (None, "null", ""),
-        (0.1, "0.10000000000000001", "0.10000000000000001"),
-        (-0.0, "0", "0"),
-        (0.0, "0", "0"),
-        (1.0, "1", "1"),
-        (5e-324, "4.9406564584124654e-324", "4.9406564584124654e-324"),
-        (np.float64(-0.0), "0", "0"),
-        (np.float64(0.1), "0.10000000000000001", "0.10000000000000001"),
-        ((0.5, -0.0), "[0.5, 0]", '"[0.5, 0]"'),
-        (np.array([0.5, -0.0]), "[0.5, 0]", '"[0.5, 0]"'),
+        ('say "hi" \\ bye', '"say \\"hi\\" \\\\ bye"', '"say ""hi"" \\ bye"', 'say "hi" \\ bye'),
+        ("a,b", '"a,b"', '"a,b"', "a,b"),
+        ("plain", '"plain"', "plain", "plain"),
+        (None, "null", "", ""),
+        (0.1, "0.10000000000000001", "0.10000000000000001", "0.1"),
+        (-0.0, "0", "0", "-0"),
+        (0.0, "0", "0", "0"),
+        (1.0, "1", "1", "1"),
+        (5e-324, "4.9406564584124654e-324", "4.9406564584124654e-324", "4.94065645841e-324"),
+        (np.float64(-0.0), "0", "0", "-0"),
+        (np.float64(0.1), "0.10000000000000001", "0.10000000000000001", "0.1"),
+        ((0.5, -0.0), "[0.5, 0]", '"[0.5, 0]"', "point (0.5, -0)"),
+        (np.array([0.5, -0.0]), "[0.5, 0]", '"[0.5, 0]"', "[0.5  -0]"),
         (np.array([[1.0, -0.0], [0.1, -2.5]]), "[[1, 0], [0.10000000000000001, -2.5]]",
-         '"[[1, 0], [0.10000000000000001, -2.5]]"'),
+         '"[[1, 0], [0.10000000000000001, -2.5]]"', mrow("1", "-0") + "\n" + mrow("0.1", "-2.5")),
         (np.arange(16.0).reshape(2, 2, 2, 2),
          "[[[[0, 1], [2, 3]], [[4, 5], [6, 7]]], [[[8, 9], [10, 11]], [[12, 13], [14, 15]]]]",
-         '"[[[[0, 1], [2, 3]], [[4, 5], [6, 7]]], [[[8, 9], [10, 11]], [[12, 13], [14, 15]]]]"'),
+         '"[[[[0, 1], [2, 3]], [[4, 5], [6, 7]]], [[[8, 9], [10, 11]], [[12, 13], [14, 15]]]]"',
+         "\n".join([f"[1] [1] {mrow('0', '1')}", f"    {mrow('2', '3')}",
+                    f"  [2] {mrow('4', '5')}", f"    {mrow('6', '7')}",
+                    f"[2] [1] {mrow('8', '9')}", f"    {mrow('10', '11')}",
+                    f"  [2] {mrow('12', '13')}", f"    {mrow('14', '15')}"])),
     ]
 
-    @pytest.mark.parametrize("value, text", [(value, text) for value, text, _ in CELLS])
+    @pytest.mark.parametrize("value, text", [(value, text) for value, text, _, _ in CELLS])
     def test_json_cell(self, value, text):
         assert written_cell(value, "json") == text
 
-    @pytest.mark.parametrize("value, text", [(value, text) for value, _, text in CELLS])
+    @pytest.mark.parametrize("value, text", [(value, text) for value, _, text, _ in CELLS])
     def test_csv_cell(self, value, text):
         assert written_cell(value, "csv") == text
+
+    @pytest.mark.parametrize("value, text", [(value, text) for value, _, _, text in CELLS])
+    def test_text_cell(self, value, text):
+        assert written_cell(value, "text") == text
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_json_float_cell(self, x):
@@ -496,6 +535,37 @@ class TestSerialisation:
         assert record == {"point": [0, 1], "cell": constant, constant: 0.25, "verdict": constant}
         _, row = csvmod.reader(io.StringIO(cli._to_csv(report)))
         assert row == ["[0, 1]", constant, "0.25", constant]
+
+    # the audit and selftest text lines against str.format specs, a formatter
+    # independent of the writer's %-templates; names pad and keep a literal %
+    _NAMES = st.text("ab_.,()=%- ", max_size=50)
+
+    @given(_NAMES, st.lists(st.floats(), min_size=4, max_size=4), st.booleans(), _NAMES,
+           st.one_of(st.none(), _NAMES))
+    @example("K", [-0.0, 0.0, 5e-324, -2.2250738585072014e-308], False, "native_levi_civita",
+             None)
+    @example("R.1212", [float("nan"), float("-inf"), float("inf"), float("nan")], True,
+             "tensor_law", "a note")
+    def test_audit_text_line(self, quantity, floats, ok, label, note):
+        paper, oracle, abs_gap, _ = floats
+        verdict = cli.Verdict(cli.MISMATCH, cli.MATCH)
+        row = (quantity, *[cli.Floats(())] * 4, verdict, label, note)
+        block = cli.Block(np.array([[0.0, 1.0]]), (row,), np.array([floats]), np.array([[ok]]))
+        _, _, line = cli._to_text(cli.Report({}, cli.AUDIT_KEYS, [block])).split("\n", 2)
+        tail = f"   # {note}" if note else ""
+        assert line == (f"  {quantity:<22} paper={paper:<+24.16g} {f'oracle[{label}]':<34}"
+                        f"={oracle:<+24.16g} gap={abs_gap:<12.4g} {verdict[ok]}{tail}\n")
+
+    @given(_NAMES, st.floats(), st.floats(), st.booleans())
+    @example("selftest.x", -0.0, 5e-324, True)
+    @example("selftest.y", float("nan"), float("-inf"), False)
+    def test_selftest_text_line(self, quantity, value, bound, ok):
+        row = (quantity, cli.Floats(()), cli.Floats(()), cli.Verdict("FAIL", "PASS"), "oracle")
+        block = cli.Block(np.array([[0.0, 1.0]]), (row,), np.array([[value, bound]]),
+                          np.array([[ok]]))
+        _, _, line = cli._to_text(cli.Report({}, cli.SELFTEST_KEYS, [block])).split("\n", 2)
+        assert line == (f"  {quantity:<46} residual={value:<12.4g} bound={bound:<10.4g} "
+                        f"{'PASS' if ok else 'FAIL'}\n")
 
 
 _REAL = st.one_of(
