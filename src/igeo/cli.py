@@ -193,8 +193,8 @@ def _record(keys: tuple[str, ...], row: tuple, fmt: str) -> tuple[str, tuple[str
 
 def _quantity_text(quantity, value, provenance):
     lines = _text_lines(value.shape)
-    value = f" {lines[0]}" if len(lines) == 1 else "".join(f"\n    {line}" for line in lines)
-    return f"  {_lit(quantity)}:{value}\n", ("value",)
+    text = f" {lines[0]}" if len(lines) == 1 else "".join(f"\n    {line}" for line in lines)
+    return f"  {_lit(quantity)}:{text}\n", ("value",)
 
 
 def _audit_text(quantity, paper, oracle, abs_gap, rel_gap, verdict, oracle_label, note):

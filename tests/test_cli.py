@@ -370,12 +370,13 @@ class TestBlockwiseGrids:
     def test_block_size_does_not_change_output(self, monkeypatch):
         # text heads a point only where it differs from the one before, across
         # blocks too; 0.0 == -0.0, so (0, 1) and (-0, 1) share one header
+        default = cli.BLOCK_POINTS
         for argv, block, headers in [
             (("curvature", "--chart", "xi", "--grid=-1:1:5,2:4:5"), 3, 25),
             (("metric", "--grid=0.5:0.5:3,1:1:1"), 2, 1),
             (("metric", "--grid=0:-0:2,1:1:1"), 1, 1),
         ]:
-            monkeypatch.setattr(cli, "BLOCK_POINTS", 4096)
+            monkeypatch.setattr(cli, "BLOCK_POINTS", default)
             whole = call(*argv, "--format", "text")
             assert whole[1].count("\npoint (") == headers
             monkeypatch.setattr(cli, "BLOCK_POINTS", block)
