@@ -6,7 +6,10 @@
 
 Times ``evaluate_metric``, ``levi_civita`` and ``riemann_levi_civita`` of the
 closed-form Fisher metric field at one point and on a 40x40 grid evaluated as
-one block, in both charts.  The writer cases time the JSON, CSV and text
+one block, in both charts.  The engine cases time ``fisher_metric`` and
+``expectation_connection`` (``conn_expectation_theta`` in the natural chart) by
+``GaussHermite(64)`` on the same 40x40 block, in both charts.  The writer cases
+time the JSON, CSV and text
 writers alone on the columns of a request computed beforehand: the audit of a
 20x20 grid as JSON, as CSV and as text, and the dual-chart curvature of a 40x40
 grid as JSON and as text.
@@ -18,13 +21,18 @@ only.
 import numpy as np
 import pytest
 
-from igeo import Chart, ParamPoint, cli, evaluate_metric, fisher_metric_field, levi_civita, \
-    riemann_levi_civita
+from igeo import Chart, GaussHermite, ParamPoint, cli, evaluate_metric, expectation_connection, \
+    fisher_metric, fisher_metric_field, levi_civita, riemann_levi_civita
 
 KERNELS = {
     "evaluate_metric": evaluate_metric,
     "levi_civita": levi_civita,
     "riemann_levi_civita": riemann_levi_civita,
+}
+
+ENGINE_QUANTITIES = {
+    "fisher_metric": fisher_metric,
+    "expectation_connection": expectation_connection,
 }
 
 # the requests whose columns the writer cases write
@@ -59,6 +67,13 @@ def where_grid40x40(chart: Chart) -> ParamPoint:
 def test_kernel(benchmark, kernel, chart, where):
     benchmark.group = f"{kernel} {where.__name__[6:]}"
     benchmark(KERNELS[kernel], fisher_metric_field(chart), where(chart))
+
+
+@pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+@pytest.mark.parametrize("quantity", sorted(ENGINE_QUANTITIES))
+def test_gauss_hermite(benchmark, quantity, chart):
+    benchmark.group = f"{quantity} gauss_hermite:64 grid40x40"
+    benchmark(ENGINE_QUANTITIES[quantity], where_grid40x40(chart), GaussHermite(64))
 
 
 @pytest.mark.parametrize("name", sorted(WRITER_REQUESTS))

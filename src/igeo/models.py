@@ -41,6 +41,9 @@ MAX_MC_SAMPLES = 10_000_000
 # Monte Carlo leaf: each temporary of 8,192 doubles (64 KB) stays in L2 and below
 # glibc's 128 KB mmap threshold, so it is not page-faulted afresh on every operation
 MC_LEAF = 1 << 13
+# Gauss-Hermite block: at most 65,536 values (512 KB) per integrand array, so a
+# 4,096-point block at 300 nodes is integrated in cuts of 218 points
+GH_BLOCK_VALUES = 1 << 16
 
 
 def _require_theta(p: ParamPoint) -> tuple[float, float]:
@@ -181,12 +184,27 @@ class GaussHermite:
 
     def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
         """E[f(x)]: a float for one integrand array f(x), an array of floats
-        for an iterable of them."""
+        for an iterable of them.
+
+        At a block point, f takes x of shape block + (nodes,) and each float
+        becomes an array over the block, the integrands on the last axis.
+        """
         mu, s = _require_theta(p)
         t, w = _hermgauss(self.nodes)
-        x = mu + math.sqrt(2.0) * s * t
-        # one dot per integrand: a stacked matrix-vector product rounds differently
-        return _each(f(x), lambda v: float(np.asarray(v, dtype=float) @ w / math.sqrt(math.pi)))
+        if not isinstance(mu, np.ndarray):  # a point: a block's array calls cost more per call
+            x = mu + math.sqrt(2.0) * s * t
+            # one dot per integrand: a stacked matrix-vector product rounds differently
+            return _each(f(x), lambda v: float(np.asarray(v, dtype=float) @ w / math.sqrt(math.pi)))
+        x = mu[..., None] + (math.sqrt(2.0) * s)[..., None] * t
+
+        def rows(v):
+            # a stack of (1, nodes) @ (nodes, 1) products: numpy takes each by the one
+            # dot that row @ w takes at a point, so each mean keeps its bits
+            v = np.asarray(v, dtype=float)
+            return (v[..., None, :] @ w[:, None])[..., 0, 0] / math.sqrt(math.pi)
+
+        means = _each(f(x), rows)
+        return means if means.ndim == mu.ndim else np.moveaxis(means, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -248,18 +266,27 @@ def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint,
     """E[integrands(x - mu, mu, sigma)] at the theta coordinates of a point, block
     axes first; ``metric(means)`` picks the metric entries (g11, g12, g22).
 
-    An engine integrates one point per call: each point of a block goes to
-    ``engine.expect`` alone, in order, with its float coordinates.  A block stops
-    at its first point whose metric fails the MetricAt check, with that error.
+    A GaussHermite engine integrates a block in one ``expect`` call per cut of at
+    most GH_BLOCK_VALUES // nodes points, and the caller's metric check names its
+    first failing point.  Any other engine integrates one point per call, in
+    order, with its float coordinates, and a block stops at its first point
+    whose metric fails the MetricAt check, with that error.
     """
     th = p if p.chart is Chart.THETA else chart_backward(p)
 
     def at(q: ParamPoint):
-        return engine.expect(lambda x: integrands(x - q.c1, q.c1, q.c2), q)
+        mu, s = (q.c1[..., None], q.c2[..., None]) if isinstance(q.c1, np.ndarray) else (q.c1, q.c2)
+        return engine.expect(lambda x: integrands(x - mu, mu, s), q)
 
     if not np.ndim(p.c1):
         return at(th)
-    block, out = np.shape(p.c1), []
+    block = np.shape(p.c1)
+    if type(engine) is GaussHermite:  # exactly: a wrapped engine is passed single points
+        c1, c2 = (np.ravel(c) for c in np.broadcast_arrays(th.c1, th.c2))
+        cut = max(1, GH_BLOCK_VALUES // engine.nodes)
+        return np.concatenate([at(ParamPoint.theta(c1[i:i + cut], c2[i:i + cut]))
+                               for i in range(0, c1.size, cut)]).reshape(block + (-1,))
+    out = []
     for i in np.ndindex(block):
         out.append(at(th.at(i)))
         g11, g12, g22 = metric(out[-1]).tolist()
@@ -299,17 +326,18 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
         lower = ad.batch_array([0.0, 0.0, g121, 0.0, g121, 0.0, 0.0, g222], (2, 2, 2))
         g_inv = fisher_metric_theta(p).g_inv
     else:
-        def integrands(z, _, s):  # the products in (i, j, k) order, one alive at a time; then h
-            h = h11, h12, h22 = _hessian_parts(z, s)
-            hess, score = ((h11, h12), (h12, h22)), _score_parts(z, s)
-            yield from (hess[i][j] * score[k] for i in range(2) for j in range(2) for k in range(2))
+        def integrands(z, _, s):  # the distinct products h * score[k], one alive at a time; then h
+            h = _hessian_parts(z, s)
+            score = _score_parts(z, s)
+            yield from (hij * sk for hij in h for sk in score)
             yield from h
 
         def metric(means):
-            return -means[..., 8:]
+            return -means[..., 6:]
 
         means = _engine_means(engine, integrands, p, metric)
-        lower = means[..., :8].reshape(means.shape[:-1] + (2, 2, 2))
+        # (i, j, k) -> the mean of h_ij * score[k]; h21 is h12
+        lower = means[..., [0, 1, 2, 3, 2, 3, 4, 5]].reshape(means.shape[:-1] + (2, 2, 2))
         g_inv = _metric_from_means(p, metric(means)).g_inv
     return ConnAt(point=p, lower=lower, mixed=_raise_index(g_inv, lower))
 

@@ -176,3 +176,30 @@ def hessian_riemann(g_inv, third):
     Hessian metric's Levi-Civita connection, in this package's index convention."""
     return -0.25 * (np.einsum("...pq,...jkp,...imq->...ijkm", g_inv, third, third)
                     - np.einsum("...pq,...ikp,...jmq->...ijkm", g_inv, third, third))
+
+
+# -- derivatives of the Gaussian log-likelihood, for the engine tests --------------
+# l(x) = -log(sqrt(2 pi) sigma) - (x - mu)^2 / (2 sigma^2), differentiated by hand,
+# at one point (float mu and sigma).  Each formula takes its float operations in
+# the order the package's kernels take them, so an engine that integrates it must
+# give the kernels' bits: the engine tests ask for equality, not for a tolerance.
+
+def gaussian_hessian(x, mu, s):
+    """((d2l/dmu2, d2l/dmu dsigma), (d2l/dsigma dmu, d2l/dsigma2)) at the samples x."""
+    z = x - mu
+    h11 = np.full_like(z, -1.0 / (s * s))
+    h12 = -2.0 * z / s**3
+    return (h11, h12), (h12, 1.0 / (s * s) - 3.0 * z * z / s**4)
+
+
+def gaussian_score(x, mu, s):
+    """(dl/dmu, dl/dsigma) at the samples x."""
+    z = x - mu
+    return z / (s * s), -1.0 / s + z * z / s**3
+
+
+def gaussian_score_xi(x, mu, s):
+    """(dl/dxi1, dl/dxi2) by the chain rule through sigma = sqrt(xi2 - xi1^2):
+    d(mu, sigma)/dxi1 = (1, -mu/sigma) and d(mu, sigma)/dxi2 = (0, 1/(2 sigma))."""
+    d_mu, d_s = gaussian_score(x, mu, s)
+    return d_mu - (mu / s) * d_s, d_s / (2.0 * s)

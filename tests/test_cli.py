@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from igeo import MonteCarlo, cli
+from igeo import MonteCarlo, cli, models
 from igeo.cli import main
 
 CMD = [sys.executable, "-m", "igeo.cli"]
@@ -630,6 +630,65 @@ class TestFuzz:
         assert "Traceback" not in err
         if code == 0:
             json.loads(out)  # no inf or nan slipped into the numbers
+
+
+class PerPoint:
+    """An engine seen through a wrapper: models integrates a block one point per call."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def expect(self, f, p):
+        return self.engine.expect(f, p)
+
+
+# grid ends near the edges of double precision, and ordinary ones
+_EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e-300, 1e-160, 1e-150, 1e-100, 1e100,
+                     1e154, 1e200, -1e200, 1.7e308]),
+    st.floats(-4, 4),
+    st.floats(0.5, 4),
+)
+_EDGE_AXIS = st.builds(lambda a, b, n: f"{a!r}:{b!r}:{n}", _EDGE, _EDGE, st.integers(1, 3))
+
+
+class TestGaussHermiteBlocks:
+    """A Gauss-Hermite grid, integrated one call per block, writes and fails as it
+    does through a wrapped engine, which takes one call per point."""
+
+    @given(
+        command=st.sampled_from([("metric",), ("christoffel", "--connection", "expectation"),
+                                 ("torsion", "--connection", "expectation")]),
+        chart=st.sampled_from(["theta", "xi"]),
+        grid=st.tuples(_EDGE_AXIS, _EDGE_AXIS).map(",".join),
+        nodes=st.sampled_from([1, 2, 8, 64, 300]),
+        fmt=st.sampled_from(["json", "csv", "text"]),
+        block_points=st.sampled_from([1, 2, 4096]),
+        values=st.sampled_from([1, 64, 1 << 16]),
+    )
+    @example(command=("christoffel", "--connection", "expectation"), chart="xi",
+             grid="0.0:0.0:1,1.0:1e-150:2", nodes=8, fmt="json", block_points=4096,
+             values=1 << 16)
+    @example(command=("metric",), chart="theta", grid="-1.0:1e200:3,1e-100:2.5:3", nodes=64,
+             fmt="text", block_points=4096, values=1 << 16)
+    @settings(max_examples=150, deadline=None)
+    def test_same_exit_code_stdout_and_stderr(self, command, chart, grid, nodes, fmt,
+                                              block_points, values):
+        argv = [*command, "--chart", chart, "--engine", f"gauss_hermite:{nodes}",
+                f"--grid={grid}", "--format", fmt]
+        parse = cli._parse_engine
+
+        def per_point(spec):
+            engine, desc = parse(spec)
+            return PerPoint(engine), desc
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "BLOCK_POINTS", block_points)
+            mp.setattr(models, "GH_BLOCK_VALUES", values)
+            by_block = call(*argv)
+            mp.setattr(cli, "_parse_engine", per_point)
+            assert call(*argv) == by_block
+        assert "Traceback" not in by_block[2]
 
 
 # sha256 of stdout for closed-form runs at two points per chart, for the

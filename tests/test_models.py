@@ -34,12 +34,17 @@ from igeo import (
     score_xi_pullback,
 )
 from igeo.autodiff import gradient, lift
+from igeo import models
+from igeo.geometry import _raise_index
 from igeo.models import (
     LOG_SQRT_2PI,
     MAX_GH_NODES,
     MAX_MC_SAMPLES,
     MC_LEAF,
     _hermgauss,
+    _hessian_parts,
+    _metric_from_means,
+    _score_parts,
     _standard_normals,
 )
 
@@ -171,43 +176,64 @@ class TestEngines:
         assert abs(total - 1.0) < 1e-12
 
 
-# per-entry loops, one engine call per matrix entry: the reference for the one-pass kernels
+# per-entry loops, one engine call per matrix entry: the reference for the one-pass
+# kernels; the integrands are the oracles' hand-written derivatives, so a slip in the
+# package's own derivatives fails here
 _PAIRS = ((0, 0), (0, 1), (1, 1))
 _TRIPLES = tuple((i, j, k) for i in range(2) for j in range(2) for k in range(2))
 _ENGINES = (GH, GaussHermite(7), MonteCarlo(10_000, 1), MonteCarlo(10_000, 2),
             MonteCarlo(2_000, 3))
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _product(x, p, i, j, k):
+    """h_ij * score_k of the oracles at the samples x."""
+    return (oracles.gaussian_hessian(x, p.c1, p.c2)[i][j]
+            * oracles.gaussian_score(x, p.c1, p.c2)[k])
+
+
 class TestOnePassEngines:
     @pytest.mark.parametrize("engine", _ENGINES, ids=repr)
     def test_stacked_call_equals_per_entry_calls(self, engine, rng):
         for p in random_theta_points(rng, 4, sigma=(1.0, 2.5)):
-            def entry(x, i, j, k):
-                return loglik_hessian_theta(x, p)[i, j] * score_theta(x, p)[k]
-
-            per_entry = [engine.expect(lambda x, t=t: entry(x, *t), p) for t in _TRIPLES]
-            stacked = engine.expect(lambda x: (entry(x, *t) for t in _TRIPLES), p)
+            per_entry = [engine.expect(lambda x, t=t: _product(x, p, *t), p) for t in _TRIPLES]
+            stacked = engine.expect(lambda x: (_product(x, p, *t) for t in _TRIPLES), p)
             assert isinstance(per_entry[0], float) and stacked.shape == (8,)
             assert np.array_equal(stacked, per_entry)
 
     @pytest.mark.parametrize("engine", _ENGINES, ids=repr)
     def test_kernels_equal_per_entry_loops(self, engine, rng):
         for p in random_theta_points(rng, 3, sigma=(1.0, 2.5)):
-            h = [-engine.expect(lambda x, i=i, j=j: loglik_hessian_theta(x, p)[i, j], p)
+            h = [-engine.expect(lambda x, i=i, j=j: oracles.gaussian_hessian(x, *p.coords)[i][j], p)
                  for i, j in _PAIRS]
             assert np.array_equal(fisher_metric_theta(p, engine).g,
                                   [[h[0], h[1]], [h[1], h[2]]])
-            lower = [engine.expect(
-                lambda x, i=i, j=j, k=k: loglik_hessian_theta(x, p)[i, j] * score_theta(x, p)[k],
-                p) for i, j, k in _TRIPLES]
+            lower = [engine.expect(lambda x, t=t: _product(x, p, *t), p) for t in _TRIPLES]
             assert np.array_equal(conn_expectation_theta(p, engine).lower,
                                   np.reshape(lower, (2, 2, 2)))
             q = chart_forward(p)
             th = chart_backward(q)
             e = [engine.expect(
-                lambda x, a=a, b=b: score_xi_pullback(x, th)[a] * score_xi_pullback(x, th)[b],
+                lambda x, a=a, b=b: oracles.gaussian_score_xi(x, *th.coords)[a]
+                * oracles.gaussian_score_xi(x, *th.coords)[b],
                 th) for a, b in _PAIRS]
             assert np.array_equal(fisher_metric(q, engine).g, [[e[0], e[1]], [e[1], e[2]]])
+
+    @pytest.mark.parametrize("engine", [MonteCarlo(10**5, 7), GH], ids=repr)
+    def test_distinct_products_fill_every_entry(self, engine):
+        # the connection integrates h11, h12 and h22 times each score once; every
+        # (i, j, k) entry has the bits of its own product's mean, on a 2x2 block too
+        mu, s = np.meshgrid([-0.7, 1.3], [0.6, 2.2], indexing="ij")
+        block = ParamPoint.theta(mu.ravel(), s.ravel())
+        got = conn_expectation_theta(block, engine).lower
+        for i in range(4):
+            p = block.at(i)
+            want = engine.expect(lambda x: (_product(x, p, *t) for t in _TRIPLES), p)
+            assert np.array_equal(_bits(got[i]), _bits(want.reshape(2, 2, 2)))
+            assert np.array_equal(_bits(conn_expectation_theta(p, engine).lower), _bits(got[i]))
 
 
 class TestDrawCache:
@@ -233,10 +259,6 @@ class TestDrawCache:
         fresh = 0.5 + 1.5 * np.random.default_rng(15).standard_normal(1_000)
         for _ in range(2):
             assert MonteCarlo(1_000, 15).expect(lambda x: x**3, p) == float(np.mean(fresh**3))
-
-
-def _bits(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).view(np.uint64)
 
 
 class TestLeafSums:
@@ -290,6 +312,20 @@ class TestMemoryBound:
             assert peaks[name, 1_000_000] < 2 * 2**20
             assert peaks[name, 2_000_000] < 1.1 * peaks[name, 1_000_000]
 
+    def test_peak_of_a_gauss_hermite_block(self):
+        # a 4,096-point block at 300 nodes is integrated in cuts of GH_BLOCK_VALUES
+        # values per array; in one piece it would peak near 85 MB
+        mu, s = np.meshgrid(np.linspace(-1, 1, 64), np.linspace(0.5, 2, 64), indexing="ij")
+        block = ParamPoint.theta(mu.ravel(), s.ravel())
+        _hermgauss(300)  # the cached rule is not the call's
+        tracemalloc.start()
+        try:
+            conn_expectation_theta(block, GaussHermite(300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 class CountingEngine:
     """An engine that records the point of each ``expect`` call."""
@@ -324,6 +360,121 @@ class TestEngineBlockStops:
         m = fisher_metric(ParamPoint(chart, c1, c2), engine)
         assert len(engine.calls) == 5
         assert np.array_equal(m.g, fisher_metric(ParamPoint(chart, c1, c2), GaussHermite(16)).g)
+
+
+def _outcome(call):
+    """call() under the CLI's float traps: its result, or its error's type and message."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestGaussHermiteBlocks:
+    """An exact GaussHermite integrates a block in one call per cut, with the bits
+    of one call per point, which a wrapped engine still makes."""
+
+    @staticmethod
+    def block(chart: Chart, shape) -> ParamPoint:
+        rng = np.random.default_rng(23)
+        p = ParamPoint.theta(rng.uniform(-3, 3, shape), rng.uniform(0.3, 3, shape))
+        return p if chart is Chart.THETA else chart_forward(p)
+
+    @staticmethod
+    def arrays(result):
+        return (result.g, result.g_inv) if hasattr(result, "g") else (result.lower, result.mixed)
+
+    def assert_block_bits_equal_point_bits(self, monkeypatch, fn, p, nodes, cuts):
+        calls = []
+        expect = GaussHermite.expect
+
+        def counting(engine, f, q):
+            calls.append(np.size(q.c1))
+            return expect(engine, f, q)
+
+        monkeypatch.setattr(GaussHermite, "expect", counting)
+        got = _outcome(lambda: fn(p, GaussHermite(nodes)))
+        assert len(calls) == cuts and sum(calls) == np.size(p.c1)
+        per_point = CountingEngine(GaussHermite(nodes))
+        want = _outcome(lambda: fn(p, per_point))
+        if isinstance(want, tuple):  # one node puts x at mu, where no metric is definite
+            assert got == want and nodes == 1
+            return
+        assert len(per_point.calls) == np.size(p.c1)
+        for a, b in zip(self.arrays(got), self.arrays(want)):
+            assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+    @pytest.mark.parametrize("fn", [fisher_metric, expectation_connection])
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    @pytest.mark.parametrize("nodes", [1, 16, 64, 300])
+    def test_block_bits_equal_point_bits(self, monkeypatch, fn, chart, nodes):
+        # 600 values per array: 700 points are cut in 2 (1 node) to 350 (300 nodes)
+        monkeypatch.setattr(models, "GH_BLOCK_VALUES", 600)
+        cut = max(1, 600 // nodes)
+        self.assert_block_bits_equal_point_bits(
+            monkeypatch, fn, self.block(chart, (35, 20)), nodes, -(-700 // cut))
+
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    def test_default_cut(self, monkeypatch, chart):
+        # 65,536 // 300 = 218 points per call
+        self.assert_block_bits_equal_point_bits(
+            monkeypatch, expectation_connection, self.block(chart, 500), 300, 3)
+
+    @pytest.mark.parametrize("nodes", [1, 16, 64, 300])
+    def test_single_integrand_and_stacked(self, nodes):
+        p = self.block(Chart.THETA, (3, 4))
+        engine = GaussHermite(nodes)
+        one = engine.expect(lambda x: x**3, p)
+        stacked = engine.expect(lambda x: (x**3, np.exp(-x * x)), p)
+        assert one.shape == (3, 4) and stacked.shape == (3, 4, 2)
+        for i in np.ndindex(3, 4):
+            q = p.at(i)
+            assert _bits(one[i]) == _bits(engine.expect(lambda x: x**3, q))
+            assert np.array_equal(_bits(stacked[i]),
+                                  _bits(engine.expect(lambda x: (x**3, np.exp(-x * x)), q)))
+
+
+# extreme coordinates: float errors of every kind, and metrics that fail their check
+_EXTREME_MU = (0.0, 3.0, -2.5, 1e-150, 1e100, 1e154, 1e200, -1e300, 1.7e308)
+_EXTREME_SIGMA = (5e-324, 1e-300, 1e-160, 1e-152, 1e-100, 1e-50, 0.5, 1.0, 1e50, 1e100,
+                  1e154, 1e200, 1.7e308)
+
+
+def _eight_product_connection(p: ParamPoint, engine):
+    """The connection as it was defined: the means of every product h_ij * score_k in
+    (i, j, k) order, then of h11, h12 and h22."""
+    def integrands(x):
+        z = x - p.c1
+        h11, h12, h22 = _hessian_parts(z, p.c2)
+        hess, score = ((h11, h12), (h12, h22)), _score_parts(z, p.c2)
+        yield from (hess[i][j] * score[k] for i, j, k in _TRIPLES)
+        yield from (h11, h12, h22)
+
+    means = engine.expect(integrands, p)
+    lower = means[:8].reshape(2, 2, 2)
+    return lower, _raise_index(_metric_from_means(p, -means[8:]).g_inv, lower)
+
+
+class TestNineIntegrands:
+    """Dropping the two repeated products changes no value and no error."""
+
+    @pytest.mark.parametrize("engine", [MonteCarlo(1000, 3), MonteCarlo(3 * MC_LEAF + 5, 5),
+                                        GaussHermite(64)], ids=repr)
+    def test_extreme_points_fail_as_the_eight_products_do(self, engine):
+        failures = 0
+        for mu in _EXTREME_MU:
+            for s in _EXTREME_SIGMA:
+                p = ParamPoint.theta(mu, s)
+                got = _outcome(lambda: conn_expectation_theta(p, engine))
+                want = _outcome(lambda: _eight_product_connection(p, engine))
+                if isinstance(want[0], type):
+                    failures += 1
+                    assert got == want, p
+                else:
+                    assert np.array_equal(_bits(got.lower), _bits(want[0])), p
+                    assert np.array_equal(_bits(got.mixed), _bits(want[1])), p
+        assert 0 < failures < len(_EXTREME_MU) * len(_EXTREME_SIGMA)
 
 
 class TestFisherMetric:
