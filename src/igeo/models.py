@@ -275,7 +275,9 @@ def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint,
     th = p if p.chart is Chart.THETA else chart_backward(p)
 
     def at(q: ParamPoint):
-        mu, s = (q.c1[..., None], q.c2[..., None]) if isinstance(q.c1, np.ndarray) else (q.c1, q.c2)
+        mu, s = q.c1, q.c2
+        if isinstance(mu, np.ndarray):  # a cut of a block: one row of nodes per point
+            mu, s = mu[..., None], s[..., None]
         return engine.expect(lambda x: integrands(x - mu, mu, s), q)
 
     if not np.ndim(p.c1):
