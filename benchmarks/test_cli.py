@@ -11,12 +11,16 @@ connection of a 20x20 grid, the Monte Carlo natural-chart expectation
 connection and dual-chart metric of a 2x2 grid at 10^6 samples, and the audit
 of a 20x20 grid.  The audit of the
 20x20 grid as CSV and as text and the metric of a 40x40 grid as CSV time the
-CSV and text writers.  The directory lies outside ``testpaths``, so the test
-suite does not collect it.
+CSV and text writers.  The ``parse`` group times the argument parse alone: one
+round parses the single-point argv of each command and option mix that
+point-mix sends, each round at fresh points, through ``main``'s parse (memoised
+per argv shape) and through a plain ``parse_args``.  The directory lies outside
+``testpaths``, so the test suite does not collect it.
 """
 
 import contextlib
 import io
+import itertools
 
 import pytest
 
@@ -59,3 +63,35 @@ def request(argv):
 def test_request(benchmark, name):
     benchmark.group = "cli"
     assert benchmark(request, REQUESTS[name])
+
+
+_GH = "--engine=gauss_hermite:64"
+# the single-point argvs of point-mix, one per command and option mix; {} is the point
+PARSE_ARGVS = [
+    (command, f"--chart={chart}", *opts, "--point={}", "--format=json")
+    for command, variants in {
+        "metric": ((), (_GH,)),
+        "christoffel": (("--connection=levi_civita",), ("--connection=expectation",),
+                        ("--connection=expectation", _GH)),
+        "torsion": (("--connection=levi_civita",), ("--connection=expectation",),
+                    ("--connection=expectation", _GH)),
+        "curvature": ((),), "scalar": ((),), "transform": ((),),
+    }.items()
+    for opts in variants for chart in ("theta", "xi")
+] + [("audit", "--point={}", "--format=json")]
+
+
+@pytest.mark.parametrize("route", ["main", "parse_args"])
+def test_parse(benchmark, route):
+    benchmark.group = "parse"
+    parser = cli.build_parser()
+    parse = (lambda argv: cli._parse(parser, argv)) if route == "main" else parser.parse_args
+    points = (f"{k % 97 / 50 - 1!r},{1 + k % 89 / 40!r}" for k in itertools.count())
+
+    def one_round():
+        for argv in PARSE_ARGVS:
+            point = next(points)
+            parse(cli._join_values([t.replace("{}", point) for t in argv]))
+
+    benchmark(one_round)
+    assert parse(["metric", "--point=0.25,2"]).point == "0.25,2"

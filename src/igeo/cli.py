@@ -68,6 +68,7 @@ EXIT_DOMAIN = 2
 EXIT_AUDIT = 3
 EXIT_USAGE = 64
 MAX_GRID_POINTS = 1_000_000  # a larger --grid is a typo, not a computation
+PARSE_MEMO_SIZE = 256  # argv shapes whose parse main keeps; more evict the least recent
 BLOCK_POINTS = 4096  # grid points per kernel call; bounds the temporaries of a large grid
 
 
@@ -79,6 +80,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; the contract is 64
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops '--' as an option's value (--opt=--, or --point -- after
+        # _join_values) and stores [] for it; refuse it as it refuses --opt --
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +591,46 @@ def _join_values(argv: list[str]) -> list[str]:
     return out
 
 
+# argv shape -> its namespace, the least recently used first; see _parse
+_PARSE_MEMO: dict[tuple[str, ...], argparse.Namespace] = {}
+
+
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), memoised per argv shape; each call gets a fresh namespace.
+
+    argparse stores the V of an exact --point=V or --grid=V as given, so an
+    argv's shape has each such V (but '--', which argparse reads) replaced by a
+    placeholder for its position.  A new shape is first parsed as given, so
+    help and errors exit inside argparse and are never kept; only a parse that
+    returns keeps the shape's namespace.  A kept namespace is copied, and a
+    placeholder in its ``point`` or ``grid`` becomes that token's value.  An
+    argv holding a NUL, which no process's argv can, is parsed as given.
+    """
+    if "\0" in "".join(argv):
+        return parser.parse_args(argv)
+    shape, values = [], {}
+    for i, tok in enumerate(argv):
+        name, eq, value = tok.partition("=")
+        if eq and name in ("--point", "--grid") and value != "--":
+            values[f"\0{i}"] = value
+            tok = f"{name}=\0{i}"
+        shape.append(tok)
+    key = tuple(shape)
+    kept = _PARSE_MEMO.pop(key, None)
+    if kept is None:
+        args = parser.parse_args(argv)
+        kept = parser.parse_args(shape)
+        if len(_PARSE_MEMO) >= PARSE_MEMO_SIZE:
+            del _PARSE_MEMO[next(iter(_PARSE_MEMO))]
+    else:
+        args = argparse.Namespace(**vars(kept))
+        for dest in ("point", "grid"):
+            if getattr(args, dest, None) in values:
+                setattr(args, dest, values[getattr(args, dest)])
+    _PARSE_MEMO[key] = kept
+    return args
+
+
 def _report(args) -> tuple[Report, int]:
     """The report of a parsed request, and its exit code."""
     notes: tuple[str, ...] = ()
@@ -611,7 +659,7 @@ def _report(args) -> tuple[Report, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
+        args = _parse(parser, _join_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -402,18 +402,166 @@ class TestParserReuse:
          "--point", "0,1"),
         ("audit", "--point", "0,1", "--format", "json"),
         ("metric", "--chart", "xi", "--point=-1,2", "--format", "json"),
+        # the shape just kept, at another point: a memo hit
+        ("metric", "--chart", "xi", "--point=0.5,3", "--format", "json"),
+        # help and a usage error after a hit are argparse's own
+        ("metric", "--chart", "xi", "--point=0.5,3", "--format", "json", "--help"),
+        ("metric", "--chart", "xi", "--point=0.5,3", "--format", "yaml"),
+        # '--' as the value of a kept --point= shape is not masked, and is refused
+        ("metric", "--chart", "xi", "--point=--", "--format", "json"),
+        ("metric", "--chart", "xi", "--point", "--", "--format", "json"),
     ]
 
     def test_sequence_matches_fresh_processes(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # usage and help wrap at the terminal width
         got = [call(*argv) for argv in self.SEQUENCE]
-        assert [code for code, _, _ in got] == [64, 0, 3, 0, 0]
+        assert [code for code, _, _ in got] == [64, 0, 3, 0, 0, 0, 0, 64, 64, 64]
         for argv, result in zip(self.SEQUENCE, got):
             fresh = run(*argv, env_extra={"COLUMNS": "80"})
             assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+
+def parsed(parse, argv):
+    """parse(argv) as ("ok", its namespace's attributes), or ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(list(argv))
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+    return "ok", vars(args), out.getvalue(), err.getvalue()
+
+
+def fresh_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def memo_parse(argv):
+    return cli._parse(cli.build_parser(), argv)
+
+
+# values of --point and --grid: ordinary, empty, '--', leading '-', '=', spaces, NUL
+_VALUE = st.one_of(
+    st.sampled_from(["0,1", "-1,2", "0.5:1:2,1:2:2", "", "--", "-", "-x", "--point=1",
+                     "=", "a b", "-1 2", "\0", "0,1\0"]),
+    st.text(max_size=6),
+)
+# a token template: '{}' takes a point or grid value, which differs between the two parses
+_TOKEN = st.one_of(
+    st.sampled_from([
+        ("--point={}",), ("--grid={}",), ("--poi={}",), ("--gr={}",), ("--point", "{}"),
+        ("--grid", "{}"), ("--po={}",), ("--point=--",), ("--grid=--",), ("--",), ("--point",),
+        ("--help",), ("-h",), ("--strict",), ("--strict=x",), ("--chart=xi",),
+        ("--chart", "bogus"), ("--ch=theta",), ("--engine=gauss_hermite:8",),
+        ("--engine", "-3"), ("--connection=expectation",), ("--con=levi",),
+        ("--format=json",), ("--format", "csv"), ("--fo=text",), ("--format=--",),
+        ("--output=",), ("--output", "-o"), ("--tol-closed=0",), ("--tol-rel", "-1"),
+        ("--tol-derived=--",), ("--tol=1",), ("--bogus",), ("0,1",), ("-1,2",),
+    ]),
+    st.builds(lambda option, text: (option + text,),
+              st.sampled_from(["--point=", "--grid=", "--engine=", "--output=", "--"]),
+              st.text(max_size=4).filter(lambda text: "{}" not in text)),
+)
+_COMMAND = st.sampled_from(["metric", "christoffel", "torsion", "curvature", "scalar",
+                            "transform", "audit", "selftest", "bogus", "--help", "--point=0,1"])
+
+
+def fill(template, values):
+    """The template's tokens with each '{}' replaced by the next of values."""
+    values = iter(values)
+    return [t.replace("{}", next(values)) if "{}" in t else t for t in template]
+
+
+class TestParseMemo:
+    """main's parse, memoised per argv shape, gives what a fresh parse_args gives."""
+
+    @given(command=_COMMAND, tokens=st.lists(_TOKEN, max_size=6),
+           first=st.lists(_VALUE, min_size=8, max_size=8),
+           second=st.lists(_VALUE, min_size=8, max_size=8), reverse=st.booleans())
+    @example(command="metric", tokens=[("--point={}",), ("--poi={}",)],
+             first=["0,1", "0,2"] + [""] * 6, second=["0,3", "0,4"] + [""] * 6, reverse=False)
+    @example(command="metric", tokens=[("--poi={}",), ("--point={}",), ("--grid={}",)],
+             first=["0,1", "0,2", "a"] + [""] * 5, second=["0,3", "--", "b"] + [""] * 5,
+             reverse=True)
+    @example(command="audit", tokens=[("--point", "{}"), ("--point={}",), ("--tol-rel", "-1")],
+             first=["0,1", "-1,2"] + [""] * 6, second=["-x", "0,1"] + [""] * 6, reverse=False)
+    # a literal value that spells the placeholder of a masked token's position
+    @example(command="metric", tokens=[("--point={}",), ("--poi={}",)],
+             first=["0,1", "\0" "1"] + [""] * 6, second=["0,3", "\0" "1"] + [""] * 6,
+             reverse=False)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_fresh_parse(self, command, tokens, first, second, reverse):
+        cli._PARSE_MEMO.clear()
+        template = [command, *(t for token in tokens for t in token)]
+        argvs = [fill(template, values) for values in (first, second)]
+        for argv in reversed(argvs) if reverse else argvs:
+            argv = cli._join_values(argv)
+            assert parsed(memo_parse, argv) == parsed(fresh_parse, argv), argv
+
+    def test_one_key_per_shape(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSE_MEMO", {})
+        for c1 in range(5):
+            args = memo_parse(["metric", f"--point={c1},1", "--format=json"])
+            assert (args.point, args.grid) == (f"{c1},1", None)
+            args = memo_parse(["audit", f"--grid=0:{c1}:2,1:2:2"])
+            assert (args.point, args.grid) == (None, f"0:{c1}:2,1:2:2")
+        assert len(cli._PARSE_MEMO) == 2
+        # a hit's namespace is a copy: changing it changes no later parse
+        args.strict = True
+        assert memo_parse(["audit", "--grid=0:1:2,1:2:2"]).strict is False
+
+    def test_bound(self, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSE_MEMO", {})
+        for i in range(cli.PARSE_MEMO_SIZE + 40):  # an abbreviation is keyed literally
+            memo_parse(["metric", f"--poi={i},1"])
+        assert len(cli._PARSE_MEMO) == cli.PARSE_MEMO_SIZE
+        # the least recently used shape goes first
+        monkeypatch.setattr(cli, "PARSE_MEMO_SIZE", 3)
+        monkeypatch.setattr(cli, "_PARSE_MEMO", {})
+        for argv in (["metric", "--poi=1,1"], ["metric", "--poi=2,1"], ["metric", "--poi=1,1"],
+                     ["metric", "--poi=3,1"], ["metric", "--poi=4,1"]):
+            memo_parse(argv)
+        assert list(cli._PARSE_MEMO) == [("metric", f"--poi={i},1") for i in (1, 3, 4)]
+
+
+# every option of every command that takes a value
+VALUE_OPTIONS = {
+    "metric": ("--point", "--grid", "--chart", "--engine", "--format", "--output"),
+    "christoffel": ("--point", "--grid", "--chart", "--engine", "--connection", "--format",
+                    "--output"),
+    "torsion": ("--point", "--grid", "--chart", "--engine", "--connection", "--format",
+                "--output"),
+    "curvature": ("--point", "--grid", "--chart", "--engine", "--format", "--output"),
+    "scalar": ("--point", "--grid", "--chart", "--engine", "--format", "--output"),
+    "transform": ("--point", "--grid", "--chart", "--format", "--output"),
+    "audit": ("--point", "--grid", "--format", "--output", "--tol-closed", "--tol-derived",
+              "--tol-rel"),
+    "selftest": ("--format", "--output"),
+}
+
+
+class TestDashValue:
+    """'--' as an option's value is refused like a missing value: exit 64, naming the option."""
+
+    def test_every_value_option_is_listed(self):
+        commands = cli.build_parser()._subparsers._group_actions[0].choices
+        assert {name: tuple(o for a in sp._actions if a.nargs is None
+                            for o in a.option_strings)
+                for name, sp in commands.items()} == VALUE_OPTIONS
+
+    @pytest.mark.parametrize("form", ["=", " "])
+    @pytest.mark.parametrize("command, option", [(c, o) for c, opts in VALUE_OPTIONS.items()
+                                                 for o in opts])
+    def test_exits_64(self, command, option, form):
+        point = () if option in ("--point", "--grid") or command == "selftest" else ("--point=0,1",)
+        dash = [f"{option}=--"] if form == "=" else [option, "--"]
+        code, out, err = call(command, *point, *dash)
+        assert (code, out) == (64, "")
+        assert err.endswith(f"igeo {command}: error: argument {option}: expected one argument\n")
+        assert "Traceback" not in err
 
 
 def written_cell(value, fmt: str) -> str:
