@@ -8,7 +8,7 @@ chart against independent numerical oracles.
 
 __version__ = "0.1.0"
 
-from .autodiff import Dual2, gradient, hessian, lift
+from .autodiff import Dual2, lift
 from .core import (
     Chart,
     DEFAULT_TOLERANCES,
@@ -30,7 +30,6 @@ from .geometry import (
     torsion,
     transform_connection,
     transform_lower_tensor3,
-    transform_lower_tensor4,
     transform_metric,
 )
 from .models import (
@@ -41,17 +40,11 @@ from .models import (
     chart_forward,
     chart_second_derivatives,
     conn_expectation_theta,
-    density,
     expectation_connection,
     fisher_metric,
     fisher_metric_field,
     fisher_metric_theta,
     jacobian,
-    log_likelihood,
-    loglik_hessian_theta,
-    score_theta,
-    score_xi,
-    score_xi_pullback,
 )
 from .papertable import (
     AuditReport,
@@ -68,15 +61,13 @@ __all__ = [
     "__version__",
     "Chart", "ParamPoint", "Tolerances", "DEFAULT_TOLERANCES",
     "DomainError", "EngineError", "SingularMetricError",
-    "Dual2", "lift", "gradient", "hessian",
+    "Dual2", "lift",
     "MetricAt", "ConnAt", "TorsionAt", "RiemannAt",
     "evaluate_metric", "levi_civita", "torsion",
     "riemann_levi_civita", "sectional_curvature",
-    "transform_metric", "transform_lower_tensor3", "transform_lower_tensor4",
-    "transform_connection",
+    "transform_metric", "transform_lower_tensor3", "transform_connection",
     "ClosedForm", "GaussHermite", "MonteCarlo",
-    "log_likelihood", "density", "score_theta", "score_xi", "score_xi_pullback",
-    "loglik_hessian_theta", "fisher_metric_theta", "conn_expectation_theta",
+    "fisher_metric_theta", "conn_expectation_theta",
     "fisher_metric", "expectation_connection",
     "chart_forward", "chart_backward", "jacobian", "chart_second_derivatives",
     "fisher_metric_field",

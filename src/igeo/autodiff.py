@@ -137,10 +137,6 @@ class Dual2:
         s, c = _sin(self.val), _cos(self.val)
         return self._compose(s, c, -s)
 
-    def cos(self):
-        s, c = _sin(self.val), _cos(self.val)
-        return self._compose(c, -s, -c)
-
 
 def _elementary(scalar: Callable, array: Callable) -> Callable:
     """``scalar`` (math.*) on a plain number, ``array`` (np.*) on an array."""
@@ -185,10 +181,6 @@ def sin(x):
     return x.sin() if isinstance(x, Dual2) else _sin(x)
 
 
-def cos(x):
-    return x.cos() if isinstance(x, Dual2) else _cos(x)
-
-
 def batch_array(entries, shape: tuple[int, ...]) -> np.ndarray:
     """Entries in C order, floats or arrays of one block shape, as (*block, *shape).
 
@@ -216,14 +208,3 @@ def value(x):
         return x.val
     return x if isinstance(x, np.ndarray) else float(x)
 
-
-def gradient(f: Callable, point: ParamPoint) -> np.ndarray:
-    """Gradient (..., 2) of f(c1, c2) at the point, via a single Dual2 evaluation."""
-    a, b = lift(point)
-    return _coerce(f(a, b)).grad
-
-
-def hessian(f: Callable, point: ParamPoint) -> np.ndarray:
-    """Symmetric Hessian (..., 2, 2) of f(c1, c2) at the point, via Dual2."""
-    a, b = lift(point)
-    return _coerce(f(a, b)).hess

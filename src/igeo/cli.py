@@ -570,7 +570,7 @@ def _selftest() -> tuple[Block, bool]:
 
 def _emit(args, report: Report) -> None:
     text = _WRITERS[args.format](report)
-    if args.output:
+    if args.output is not None:  # an empty path is refused, not read as stdout
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -82,10 +82,6 @@ class ParamPoint:
         """The point as messages name it, e.g. ``theta point (0.0, 1e+200)``."""
         return f"{self.chart} point ({self.c1!r}, {self.c2!r})"
 
-    @property
-    def coords(self) -> tuple[float, float]:
-        return (self.c1, self.c2)
-
     def at(self, index) -> "ParamPoint":
         """The single point at ``index`` of a block."""
         c1, c2 = np.broadcast_arrays(self.c1, self.c2)

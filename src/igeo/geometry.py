@@ -5,7 +5,7 @@ are plain floats or :class:`~igeo.autodiff.Dual2` values, so the same closed
 form serves both direct evaluation and differentiation.  From such a field
 this module derives the Levi-Civita connection, torsion, the rank-4 curvature
 array, and the scalar curvature, and provides the transformation laws for
-metrics, (0,3)- and (0,4)-tensors, and connection coefficients.
+metrics, (0,3)-tensors, and connection coefficients.
 
 Index conventions (fixed throughout):
 
@@ -290,13 +290,6 @@ def transform_lower_tensor3(t, jac_inv) -> np.ndarray:
     """(0,3)-tensor law t'_abc = B_a^i B_b^j B_c^k t_ijk."""
     b = _basis_change(jac_inv)
     return np.einsum("...ai,...bj,...ck,...ijk->...abc", b, b, b, np.asarray(t, dtype=float))
-
-
-def transform_lower_tensor4(r, jac_inv) -> np.ndarray:
-    """(0,4)-tensor law r'_abcd = B_a^i B_b^j B_c^k B_d^m r_ijkm."""
-    b = _basis_change(jac_inv)
-    return np.einsum("...ai,...bj,...ck,...dm,...ijkm->...abcd", b, b, b, b,
-                     np.asarray(r, dtype=float))
 
 
 def transform_connection(

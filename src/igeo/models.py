@@ -1,6 +1,8 @@
-"""The Gaussian family: log-likelihood, scores, expectation engines, charts.
+"""The Gaussian family: derivative kernels, expectation engines, charts.
 
-The family and its engines are expressed in the natural chart (mu, sigma).
+The kernels give the scores and second partials of the log-likelihood
+l(x) = -log(sqrt(2 pi) sigma) - (x - mu)^2 / (2 sigma^2) at the offsets x - mu,
+and the engines integrate them.  Both are expressed in the natural chart (mu, sigma).
 The dual chart stores (mu, mu^2 + sigma^2); `chart_forward`/`chart_backward`
 convert explicitly.  `fisher_metric` and `expectation_connection` take a point
 of either chart and answer in that chart.
@@ -31,7 +33,6 @@ from .geometry import (
     transform_metric,
 )
 
-LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 DEFAULT_MC_SEED = 20260808
 # count limits: a larger request is a typo, not a computation.  numpy's
 # hermgauss divides by zero from 371 nodes on (numpy 2.4), and each Monte Carlo
@@ -59,20 +60,8 @@ def _require_xi(p: ParamPoint) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# the family and its derivatives
+# derivatives of the log-likelihood l
 # ---------------------------------------------------------------------------
-
-def log_likelihood(x, p: ParamPoint):
-    """l(x) = -log(sqrt(2 pi) sigma) - (x - mu)^2 / (2 sigma^2)."""
-    mu, s = _require_theta(p)
-    x = np.asarray(x, dtype=float)
-    out = -(LOG_SQRT_2PI + math.log(s)) - (x - mu) ** 2 / (2.0 * s * s)
-    return out if out.shape else float(out)
-
-
-def density(x, p: ParamPoint):
-    return np.exp(log_likelihood(x, p))
-
 
 def _score_parts(z: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
     """(d l/d mu, d l/d sigma) at the offsets z = x - mu."""
@@ -87,50 +76,10 @@ def _hessian_parts(z: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.
     return h11, h12, h22
 
 
-def score_theta(x, p: ParamPoint) -> np.ndarray:
-    """Natural-chart scores (d l/d mu, d l/d sigma); expectation is zero."""
-    mu, s = _require_theta(p)
-    return np.stack(_score_parts(np.asarray(x, dtype=float) - mu, s))
-
-
-def score_xi(x, p: ParamPoint) -> np.ndarray:
-    """Dual-chart score basis as published, written in (mu, sigma).
-
-    Components (x-mu)/sigma^2 and (x-mu)^2/(2 sigma^4) - mu (x-mu)/sigma^3
-    - 1/(2 sigma^2); they realise the published combination
-    d_xi2 = (-mu/sigma) d_1 + (1/(2 sigma)) d_2 of the natural scores.
-    Both components still have zero expectation.  Note this is NOT the
-    chain-rule pullback of the score covector (see score_xi_pullback); the
-    two agree only at mu = 0.
-    """
-    mu, s = _require_theta(p)
-    z = np.asarray(x, dtype=float) - mu
-    first = z / (s * s)
-    second = z * z / (2.0 * ad._pow(s, 4)) - mu * z / ad._pow(s, 3) - 1.0 / (2.0 * s * s)
-    return np.stack([first, second])
-
-
-def score_xi_pullback(x, p: ParamPoint) -> np.ndarray:
-    """Proper dual-chart scores d l / d xi_a, by the chain rule.
-
-    (d l/d xi_a) = (d theta_i / d xi_a) (d l/d theta_i); their outer-product
-    expectation reproduces the transformed Fisher metric exactly.
-    """
-    mu, s = _require_theta(p)
-    return np.stack(_pullback_parts(np.asarray(x, dtype=float) - mu, mu, s))
-
-
 def _pullback_parts(z: np.ndarray, mu: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """(d l/d xi_1, d l/d xi_2) at the offsets z = x - mu."""
     s1, s2 = _score_parts(z, s)
     return s1 - (mu / s) * s2, s2 / (2.0 * s)
-
-
-def loglik_hessian_theta(x, p: ParamPoint) -> np.ndarray:
-    """Second partials of l with respect to (mu, sigma); shape (2, 2) + x.shape."""
-    mu, s = _require_theta(p)
-    h11, h12, h22 = _hessian_parts(np.asarray(x, dtype=float) - mu, s)
-    return np.stack([np.stack([h11, h12]), np.stack([h12, h22])])
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +382,7 @@ def fisher_metric(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricAt:
 
     Natural chart: `fisher_metric_theta`.  Dual chart: the closed form
     evaluates `fisher_metric_field`; the other engines take the outer product
-    E[s_a s_b] of the chain-rule scores `score_xi_pullback`.
+    E[s_a s_b] of the chain-rule scores `_pullback_parts`.
     """
     if p.chart is Chart.THETA:
         return fisher_metric_theta(p, engine)

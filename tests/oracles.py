@@ -1,10 +1,13 @@
 """Independent oracles for the test suite.
 
-Everything here is plain numpy: 5-point stencils, and the dual potential's
-derivatives written out by hand.  None of it touches the package's
-forward-mode machinery, so derivative-based results always have a second,
+Everything here is plain numpy: 5-point stencils, the (0,4)-tensor law as one
+einsum, and the derivatives of the Gaussian log-likelihood and of the dual
+potential written out by hand.  None of it touches the package's forward-mode
+machinery or its kernels, so derivative-based results always have a second,
 unrelated computation path to compare against.
 """
+
+import math
 
 import numpy as np
 
@@ -171,6 +174,13 @@ def log_partition(t1, t2):
     return -t1 * t1 / (4.0 * t2) - 0.5 * np.log(-2.0 * t2) + 0.5 * np.log(2.0 * np.pi)
 
 
+def lower_tensor4_law(r, jac_inv):
+    """(0,4)-tensor law r'_abcd = J_ia J_jb J_kc J_md r_ijkm, with J = jac_inv holding
+    J[..., i, a] = d theta_i / d xi_a; block axes first."""
+    return np.einsum("...ia,...jb,...kc,...md,...ijkm->...abcd",
+                     jac_inv, jac_inv, jac_inv, jac_inv, r)
+
+
 def hessian_riemann(g_inv, third):
     """r[i, j, k, m] = -1/4 g^pq (phi_jkp phi_imq - phi_ikp phi_jmq), the curvature of a
     Hessian metric's Levi-Civita connection, in this package's index convention."""
@@ -179,10 +189,13 @@ def hessian_riemann(g_inv, third):
 
 
 # -- derivatives of the Gaussian log-likelihood, for the engine tests --------------
-# l(x) = -log(sqrt(2 pi) sigma) - (x - mu)^2 / (2 sigma^2), differentiated by hand,
+# l(x) = -(LOG_SQRT_2PI + log sigma) - (x - mu)^2 / (2 sigma^2), differentiated by hand,
 # at one point (float mu and sigma).  Each formula takes its float operations in
 # the order the package's kernels take them, so an engine that integrates it must
 # give the kernels' bits: the engine tests ask for equality, not for a tolerance.
+
+LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
 
 def gaussian_hessian(x, mu, s):
     """((d2l/dmu2, d2l/dmu dsigma), (d2l/dsigma dmu, d2l/dsigma2)) at the samples x."""
@@ -203,3 +216,17 @@ def gaussian_score_xi(x, mu, s):
     d(mu, sigma)/dxi1 = (1, -mu/sigma) and d(mu, sigma)/dxi2 = (0, 1/(2 sigma))."""
     d_mu, d_s = gaussian_score(x, mu, s)
     return d_mu - (mu / s) * d_s, d_s / (2.0 * s)
+
+
+# -- the published dual-chart score basis, which the package does not compute ---------
+
+def published_score_xi(x, mu, s):
+    """The dual-chart score basis as published, written in (mu, sigma):
+    (x - mu)/sigma^2 and (x - mu)^2/(2 sigma^4) - mu (x - mu)/sigma^3 - 1/(2 sigma^2).
+
+    It realises the published combination d_xi2 = (-mu/sigma) d_1 + (1/(2 sigma)) d_2
+    of the natural scores, and both components have zero expectation.  It is not the
+    chain-rule pullback ``gaussian_score_xi``: the two agree only at mu = 0.
+    """
+    z = x - mu
+    return z / (s * s), z * z / (2.0 * s**4) - mu * z / s**3 - 1.0 / (2.0 * s * s)

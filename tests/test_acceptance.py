@@ -27,21 +27,19 @@ from igeo import (
     fisher_metric_theta,
     jacobian,
     levi_civita,
-    loglik_hessian_theta,
     paper_christoffel_xi,
     paper_metric_xi,
     paper_riemann_xi,
     riemann_levi_civita,
-    score_theta,
-    score_xi,
     torsion,
     transform_connection,
-    transform_lower_tensor4,
     transform_metric,
 )
 from igeo.autodiff import sin
+from igeo.models import _pullback_parts, _score_parts
 from igeo.papertable import MATCH, MISMATCH
 
+import oracles
 from conftest import random_theta_points
 
 GH = GaussHermite(64)
@@ -74,7 +72,7 @@ def test_criterion_1_fisher_metric_reproduction(rng):
 
 def test_criterion_2_dual_chart_metric(rng):
     for p in random_theta_points(rng, 10):
-        mu, s = p.coords
+        mu, s = p.c1, p.c2
         q = chart_forward(p)
         table = paper_metric_xi(p)
         m = transform_metric(fisher_metric_theta(p), jacobian(p)[1], q)
@@ -151,15 +149,21 @@ def test_criterion_3_table_replication():
 
 
 def test_criterion_4_score_identities(rng):
+    # the package's scores (its kernels), the published dual-chart basis (an oracle),
+    # and the package's -E[dd l] against the oracle's E[dl dl]
     for p in random_theta_points(rng, 10):
+        mu, s = p.c1, p.c2
         for comp in range(2):
-            assert abs(GH.expect(lambda x, c=comp: score_theta(x, p)[c], p)) < 1e-9
-            assert abs(GH.expect(lambda x, c=comp: score_xi(x, p)[c], p)) < 1e-9
+            assert abs(GH.expect(lambda x, c=comp: _score_parts(x - mu, s)[c], p)) < 1e-9
+            assert abs(GH.expect(lambda x, c=comp: _pullback_parts(x - mu, mu, s)[c], p)) < 1e-9
+            assert abs(GH.expect(lambda x, c=comp: oracles.published_score_xi(x, mu, s)[c],
+                                 p)) < 1e-9
+        minus_h = fisher_metric_theta(p, GH).g
         for i in range(2):
             for j in range(2):
-                lhs = -GH.expect(lambda x: loglik_hessian_theta(x, p)[i, j], p)
-                rhs = GH.expect(lambda x: score_theta(x, p)[i] * score_theta(x, p)[j], p)
-                assert abs(lhs - rhs) < 1e-9
+                rhs = GH.expect(lambda x: oracles.gaussian_score(x, mu, s)[i]
+                                * oracles.gaussian_score(x, mu, s)[j], p)
+                assert abs(minus_h[i, j] - rhs) < 1e-9
     _report(4, "score expectations < 1e-9 in both charts; information identity to 1e-9")
 
 
@@ -192,7 +196,7 @@ def test_criterion_5_geometry_oracle_suite(rng):
         native = levi_civita(XI_FIELD, q)
         scale = max(1.0, float(np.max(np.abs(native.mixed))))
         assert np.max(np.abs(pushed.mixed - native.mixed)) < 1e-8 * scale
-        pushed_r = transform_lower_tensor4(riemann_levi_civita(THETA_FIELD, p).r, jac_inv)
+        pushed_r = oracles.lower_tensor4_law(riemann_levi_civita(THETA_FIELD, p).r, jac_inv)
         native_r = riemann_levi_civita(XI_FIELD, q).r
         scale = max(1.0, float(np.max(np.abs(native_r))))
         assert np.max(np.abs(pushed_r - native_r)) < 1e-8 * scale

@@ -304,6 +304,9 @@ class TestTotalDomainChecks:
          "theta point (10000000000.0, 0.001) has no xi coordinates"),
         (("transform", "--grid", "0:1e10:3,1e-10:1e-10:1"), 2,
          "theta point (5000000000.0, 1e-10) has no xi coordinates"),
+        # an empty --output path is refused like an unwritable one, not read as stdout
+        (("metric", "--point=0,1", "--output="), 64, "cannot write --output ''"),
+        (("selftest", "--output="), 64, "cannot write --output ''"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warnings are not messages
     def test_input(self, argv, code, words):

@@ -1,4 +1,4 @@
-"""Gaussian family: likelihood, scores, engines, metric, connection, charts."""
+"""Gaussian family: derivative kernels, engines, metric, connection, charts."""
 
 import math
 import re
@@ -21,29 +21,23 @@ from igeo import (
     chart_forward,
     chart_second_derivatives,
     conn_expectation_theta,
-    density,
     expectation_connection,
     fisher_metric,
     fisher_metric_field,
     fisher_metric_theta,
     jacobian,
-    log_likelihood,
-    loglik_hessian_theta,
-    score_theta,
-    score_xi,
-    score_xi_pullback,
 )
-from igeo.autodiff import gradient, lift
+from igeo.autodiff import lift
 from igeo import models
 from igeo.geometry import _raise_index
 from igeo.models import (
-    LOG_SQRT_2PI,
     MAX_GH_NODES,
     MAX_MC_SAMPLES,
     MC_LEAF,
     _hermgauss,
     _hessian_parts,
     _metric_from_means,
+    _pullback_parts,
     _score_parts,
     _standard_normals,
 )
@@ -56,59 +50,47 @@ MC = MonteCarlo(1_000_000, 20260808)
 
 
 class TestLogLikelihood:
-    def test_standard_normal_at_zero(self):
-        assert log_likelihood(0.0, ParamPoint.theta(0, 1)) == pytest.approx(
-            -0.9189385, abs=1e-7
-        )
-
-    def test_unit_exponent(self):
-        got = log_likelihood(1.0, ParamPoint.theta(0, 1))
-        assert got == pytest.approx(-LOG_SQRT_2PI - 0.5, abs=1e-14)
-
-    def test_shifted_scaled(self):
-        # x=2, mu=1, sigma=2: -log(2 sqrt(2 pi)) - 1/8, cross-checked via density
-        got = log_likelihood(2.0, ParamPoint.theta(1, 2))
-        assert got == pytest.approx(-math.log(2 * math.sqrt(2 * math.pi)) - 0.125, abs=1e-14)
-        assert got == pytest.approx(math.log(density(2.0, ParamPoint.theta(1, 2))), abs=1e-12)
-
     def test_sigma_must_be_positive(self):
         with pytest.raises(DomainError):
             ParamPoint.theta(0.0, 0.0)
         with pytest.raises(DomainError):
             ParamPoint.theta(0.0, -1.0)
 
-    def test_density_normalises(self, rng):
-        # Gauss-Legendre over +-12 sigma, independent of the Hermite engine
-        nodes, weights = np.polynomial.legendre.leggauss(400)
-        for p in random_theta_points(rng, 5):
-            lo, hi = p.c1 - 12 * p.c2, p.c1 + 12 * p.c2
-            x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            total = 0.5 * (hi - lo) * float(weights @ density(x, p))
-            assert abs(total - 1.0) < 1e-10
-
 
 class TestScores:
+    """The package's score kernels at the offsets z = x - mu, and the published basis."""
+
     def test_theta_values(self):
-        assert np.allclose(score_theta(1.0, ParamPoint.theta(0, 1)), [1.0, 0.0], atol=0)
-        p = ParamPoint.theta(0.7, 1.3)
-        assert np.allclose(score_theta(0.7, p), [0.0, -1.0 / 1.3], atol=1e-15)
+        assert np.array_equal(_score_parts(1.0, 1.0), [1.0, 0.0])
+        assert np.allclose(_score_parts(0.0, 1.3), [0.0, -1.0 / 1.3], rtol=0, atol=1e-15)
 
     def test_xi_values(self):
-        p = ParamPoint.theta(0.7, 1.3)
-        assert np.allclose(score_xi(0.7, p), [0.0, -1.0 / (2 * 1.3**2)], atol=1e-15)
-        assert np.allclose(score_xi(1.0, ParamPoint.theta(0, 1)), [1.0, 0.0], atol=1e-15)
+        assert np.allclose(oracles.published_score_xi(0.7, 0.7, 1.3), [0.0, -1.0 / (2 * 1.3**2)],
+                           rtol=0, atol=1e-15)
+        assert np.allclose(oracles.published_score_xi(1.0, 0.0, 1.0), [1.0, 0.0],
+                           rtol=0, atol=1e-15)
 
     def test_xi_is_the_published_combination(self, rng):
         # second component realises (-mu/sigma) d1 + (1/(2 sigma)) d2
         for p in random_theta_points(rng, 5):
-            x = rng.normal(p.c1, p.c2, size=7)
-            s_th = score_theta(x, p)
-            s_xi = score_xi(x, p)
             mu, s = p.c1, p.c2
-            assert np.allclose(s_xi[0], s_th[0], atol=1e-14)
+            x = rng.normal(mu, s, size=7)
+            s_th = _score_parts(x - mu, s)
+            s_xi = oracles.published_score_xi(x, mu, s)
+            assert np.allclose(s_xi[0], s_th[0], rtol=0, atol=1e-14)
             assert np.allclose(
-                s_xi[1], (-mu / s) * s_th[0] + s_th[1] / (2 * s), atol=1e-13
+                s_xi[1], (-mu / s) * s_th[0] + s_th[1] / (2 * s), rtol=0, atol=1e-13
             )
+
+    def test_published_xi_is_the_pullback_only_at_zero_mean(self, rng):
+        # the two differ by terms in mu: they agree at mu = 0 and nowhere else
+        for p in random_theta_points(rng, 5, mu=(0.5, 3.0)):
+            mu, s = p.c1, p.c2
+            x = rng.normal(mu, s, size=7)
+            assert np.allclose(oracles.published_score_xi(x, 0.0, s), _pullback_parts(x, 0.0, s),
+                               rtol=1e-13, atol=1e-13)
+            gap = np.subtract(oracles.published_score_xi(x, mu, s), _pullback_parts(x - mu, mu, s))
+            assert np.max(np.abs(gap)) > 1e-3
 
     def test_pullback_matches_lifted_chain_rule(self, rng):
         # d l/d xi via Dual2 through the backward chart, for a handful of x
@@ -117,22 +99,25 @@ class TestScores:
             for x in rng.normal(p.c1, p.c2, size=5):
                 x1, x2 = lift(q)
                 sigma = (x2 - x1 * x1).sqrt()
-                l = -(sigma.log() + LOG_SQRT_2PI) - (x - x1) ** 2 / (2.0 * sigma * sigma)
-                assert np.allclose(l.grad, score_xi_pullback(x, p), rtol=1e-12)
+                l = -(sigma.log() + oracles.LOG_SQRT_2PI) - (x - x1) ** 2 / (2.0 * sigma * sigma)
+                assert np.allclose(l.grad, _pullback_parts(x - p.c1, p.c1, p.c2), rtol=1e-12)
 
     def test_zero_mean_by_quadrature(self, rng):
         for p in random_theta_points(rng, 10):
-            for comp in range(2):
-                for fn in (score_theta, score_xi, score_xi_pullback):
-                    val = GH.expect(lambda x, c=comp, f=fn: f(x, p)[c], p)
-                    assert abs(val) < 1e-9
+            mu, s = p.c1, p.c2
+            for fn in (lambda x: _score_parts(x - mu, s),
+                       lambda x: oracles.published_score_xi(x, mu, s),
+                       lambda x: _pullback_parts(x - mu, mu, s)):
+                for comp in range(2):
+                    assert abs(GH.expect(lambda x, c=comp: fn(x)[c], p)) < 1e-9
 
     def test_zero_mean_by_monte_carlo(self, rng):
         for p in random_theta_points(rng, 10, mu=(-1.5, 1.5), sigma=(1.0, 2.5)):
-            for comp in range(2):
-                for fn in (score_theta, score_xi):
-                    val = MC.expect(lambda x, c=comp, f=fn: f(x, p)[c], p)
-                    assert abs(val) < 5e-3
+            mu, s = p.c1, p.c2
+            for fn in (lambda x: _score_parts(x - mu, s),
+                       lambda x: oracles.published_score_xi(x, mu, s)):
+                for comp in range(2):
+                    assert abs(MC.expect(lambda x, c=comp: fn(x)[c], p)) < 5e-3
 
 
 class TestEngines:
@@ -207,7 +192,7 @@ class TestOnePassEngines:
     @pytest.mark.parametrize("engine", _ENGINES, ids=repr)
     def test_kernels_equal_per_entry_loops(self, engine, rng):
         for p in random_theta_points(rng, 3, sigma=(1.0, 2.5)):
-            h = [-engine.expect(lambda x, i=i, j=j: oracles.gaussian_hessian(x, *p.coords)[i][j], p)
+            h = [-engine.expect(lambda x, i=i, j=j: oracles.gaussian_hessian(x, p.c1, p.c2)[i][j], p)
                  for i, j in _PAIRS]
             assert np.array_equal(fisher_metric_theta(p, engine).g,
                                   [[h[0], h[1]], [h[1], h[2]]])
@@ -217,8 +202,8 @@ class TestOnePassEngines:
             q = chart_forward(p)
             th = chart_backward(q)
             e = [engine.expect(
-                lambda x, a=a, b=b: oracles.gaussian_score_xi(x, *th.coords)[a]
-                * oracles.gaussian_score_xi(x, *th.coords)[b],
+                lambda x, a=a, b=b: oracles.gaussian_score_xi(x, th.c1, th.c2)[a]
+                * oracles.gaussian_score_xi(x, th.c1, th.c2)[b],
                 th) for a, b in _PAIRS]
             assert np.array_equal(fisher_metric(q, engine).g, [[e[0], e[1]], [e[1], e[2]]])
 
@@ -499,15 +484,23 @@ class TestFisherMetric:
             assert np.max(np.abs(approx - exact) / scale) < 5e-3
 
     def test_information_identity(self, rng):
-        # -E[dd l] == E[dl dl], componentwise, under quadrature
+        # -E[dd l] == E[dl dl], componentwise, under quadrature: each side from the
+        # package's kernels against the other side from the oracles' derivatives
         for p in random_theta_points(rng, 10):
+            minus_h = fisher_metric_theta(p, GH).g
             for i in range(2):
                 for j in range(2):
-                    lhs = -GH.expect(lambda x: loglik_hessian_theta(x, p)[i, j], p)
-                    rhs = GH.expect(
-                        lambda x: score_theta(x, p)[i] * score_theta(x, p)[j], p
+                    oracle_ss = GH.expect(
+                        lambda x: oracles.gaussian_score(x, p.c1, p.c2)[i]
+                        * oracles.gaussian_score(x, p.c1, p.c2)[j], p
                     )
-                    assert abs(lhs - rhs) < 1e-9
+                    assert abs(minus_h[i, j] - oracle_ss) < 1e-9
+                    ss = GH.expect(lambda x: _score_parts(x - p.c1, p.c2)[i]
+                                   * _score_parts(x - p.c1, p.c2)[j], p)
+                    oracle_h = -GH.expect(
+                        lambda x: oracles.gaussian_hessian(x, p.c1, p.c2)[i][j], p
+                    )
+                    assert abs(ss - oracle_h) < 1e-9
 
     def test_pullback_outer_product_reproduces_dual_metric(self, rng):
         from igeo import transform_metric
@@ -519,8 +512,8 @@ class TestFisherMetric:
             for a in range(2):
                 for b in range(2):
                     got[a, b] = GH.expect(
-                        lambda x, a=a, b=b: score_xi_pullback(x, p)[a]
-                        * score_xi_pullback(x, p)[b],
+                        lambda x, a=a, b=b: oracles.gaussian_score_xi(x, p.c1, p.c2)[a]
+                        * oracles.gaussian_score_xi(x, p.c1, p.c2)[b],
                         p,
                     )
             assert np.max(np.abs(got - expected)) < 1e-10
@@ -558,11 +551,13 @@ class TestExpectationConnection:
 
 class TestCharts:
     def test_forward_examples(self):
-        assert chart_forward(ParamPoint.theta(0, 1)).coords == (0.0, 1.0)
-        assert chart_forward(ParamPoint.theta(1, 2)).coords == (1.0, 5.0)
+        for (mu, s), want in (((0, 1), (0.0, 1.0)), ((1, 2), (1.0, 5.0))):
+            q = chart_forward(ParamPoint.theta(mu, s))
+            assert (q.c1, q.c2) == want
 
     def test_backward_example(self):
-        assert chart_backward(ParamPoint.xi(1, 5)).coords == (1.0, 2.0)
+        p = chart_backward(ParamPoint.xi(1, 5))
+        assert (p.c1, p.c2) == (1.0, 2.0)
 
     def test_chart_guards(self):
         with pytest.raises(DomainError):
@@ -612,13 +607,13 @@ class TestCharts:
     def test_jacobian_agrees_with_forward_map_autodiff(self, rng):
         for p in random_theta_points(rng, 10):
             jac, _ = jacobian(p)
-            row0 = gradient(lambda a, b: a, p)
-            row1 = gradient(lambda a, b: a * a + b * b, p)
+            a, b = lift(p)
+            row0, row1 = a.grad, (a * a + b * b).grad
             assert np.max(np.abs(np.stack([row0, row1]) - jac)) < 1e-10
 
     def test_second_derivatives_analytic_and_fd(self, rng):
         for p in random_theta_points(rng, 5):
-            mu, s = p.coords
+            mu, s = p.c1, p.c2
             sd = chart_second_derivatives(p)
             expected = np.zeros((2, 2, 2))
             expected[1] = [
@@ -628,7 +623,7 @@ class TestCharts:
             assert np.max(np.abs(sd - expected)) < 1e-12
             q = chart_forward(p)
             # the default 1e-3 step gives 4e-5 relative error here; 1e-4 gives 4e-7
-            fd = oracles.hessian_fd(lambda a, b: math.sqrt(b - a * a), q.coords, h=1e-4)
+            fd = oracles.hessian_fd(lambda a, b: math.sqrt(b - a * a), (q.c1, q.c2), h=1e-4)
             assert np.max(np.abs(sd[1] - fd)) < 1e-5 * max(1.0, float(np.max(np.abs(fd))))
 
 
@@ -636,7 +631,7 @@ class TestDualChartMetricField:
     def test_pullback_field_matches_closed_form(self, rng):
         field = fisher_metric_field(Chart.XI)
         for p in random_theta_points(rng, 10):
-            mu, s = p.coords
+            mu, s = p.c1, p.c2
             q = chart_forward(p)
             got = np.array(field(q.c1, q.c2), dtype=float)
             s2 = s * s
