@@ -51,6 +51,7 @@ from .models import (
     expectation_connection,
     fisher_metric,
     fisher_metric_field,
+    integrates_blocks,
     jacobian,
     selftest_checks,
 )
@@ -401,8 +402,8 @@ def _require_closed_form(engine, what: str):
 # ---------------------------------------------------------------------------
 
 def _require_finite(p: ParamPoint, what: str, values) -> None:
-    # einsum ignores np.errstate, so an overflow can reach the output silently; a
-    # block that fails here runs again point by point, so the message names a point
+    # einsum ignores np.errstate, so an overflow can reach the output silently;
+    # _run reruns a block that fails here point by point, so the message names a point
     if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
         raise DomainError(f"{what} at {p} is not finite in double precision")
 
@@ -488,18 +489,22 @@ _COMMANDS = {
 }
 
 
-def _blocks(p: ParamPoint) -> list[ParamPoint]:
-    """A single point as it is; a grid in blocks of BLOCK_POINTS."""
+def _blocks(p: ParamPoint, engine) -> list[ParamPoint]:
+    """A single point as it is; a grid in blocks of BLOCK_POINTS under an engine
+    that integrates blocks, else point by point as float points, in order."""
     if np.ndim(p.c1) == 0:
         return [p]
+    if not integrates_blocks(engine):
+        return [p.at(i) for i in range(p.c1.size)]
     return [ParamPoint(p.chart, p.c1[i:i + BLOCK_POINTS], p.c2[i:i + BLOCK_POINTS])
             for i in range(0, p.c1.size, BLOCK_POINTS)]
 
 
 def _run(p: ParamPoint, fn, args, engine) -> list[Block]:
     """fn's Block at a point or block.  A float that overflows or divides by zero
-    at a point is a domain error; a block that raises runs again point by point,
-    so its first failing point raises its own message."""
+    at a point is a domain error; a block, which _blocks makes only for an engine
+    that integrates blocks, runs again point by point when it raises, so its first
+    failing point raises its own message."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return [fn(p, args, engine)]
@@ -644,7 +649,7 @@ def _report(args) -> tuple[Report, int]:
         point = _points(args, chart)
         if hasattr(args, "engine"):
             engine, engine_desc = _parse_engine(args.engine)
-        blocks = [b for block in _blocks(point)
+        blocks = [b for block in _blocks(point, engine)
                   for b in _run(block, _COMMANDS[args.command], args, engine)]
         code = EXIT_OK
         if args.command == "audit":

@@ -210,16 +210,18 @@ Engine = Union[ClosedForm, GaussHermite, MonteCarlo]
 # Fisher metric and expectation connection
 # ---------------------------------------------------------------------------
 
-def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint,
-                  metric: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """E[integrands(x - mu, mu, sigma)] at the theta coordinates of a point, block
-    axes first; ``metric(means)`` picks the metric entries (g11, g12, g22).
+def integrates_blocks(engine: Engine) -> bool:
+    """Whether the engine takes a block of points whole: the closed form, or exactly
+    a GaussHermite.  Any other engine, a wrapped one too, integrates one point per call."""
+    return isinstance(engine, ClosedForm) or type(engine) is GaussHermite
+
+
+def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint) -> np.ndarray:
+    """E[integrands(x - mu, mu, sigma)] at the theta coordinates of a point, block axes first.
 
     A GaussHermite engine integrates a block in one ``expect`` call per cut of at
-    most GH_BLOCK_VALUES // nodes points, and the caller's metric check names its
-    first failing point.  Any other engine integrates one point per call, in
-    order, with its float coordinates, and a block stops at its first point
-    whose metric fails the MetricAt check, with that error.
+    most GH_BLOCK_VALUES // nodes points.  Any other engine integrates one point
+    per call, in order, with its float coordinates.
     """
     th = p if p.chart is Chart.THETA else chart_backward(p)
 
@@ -232,18 +234,12 @@ def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint,
     if not np.ndim(p.c1):
         return at(th)
     block = np.shape(p.c1)
-    if type(engine) is GaussHermite:  # exactly: a wrapped engine is passed single points
+    if integrates_blocks(engine):
         c1, c2 = (np.ravel(c) for c in np.broadcast_arrays(th.c1, th.c2))
         cut = max(1, GH_BLOCK_VALUES // engine.nodes)
         return np.concatenate([at(ParamPoint.theta(c1[i:i + cut], c2[i:i + cut]))
                                for i in range(0, c1.size, cut)]).reshape(block + (-1,))
-    out = []
-    for i in np.ndindex(block):
-        out.append(at(th.at(i)))
-        g11, g12, g22 = metric(out[-1]).tolist()
-        if not (g11 > 0.0 and 0.0 < g11 * g22 - g12 * g12 < math.inf):  # NaN fails too
-            _metric_from_means(p.at(i), metric(out[-1]))  # raises what the block's check would
-    return np.array(out).reshape(block + (-1,))
+    return np.array([at(th.at(i)) for i in np.ndindex(block)]).reshape(block + (-1,))
 
 
 def _metric_from_means(p: ParamPoint, means: np.ndarray) -> MetricAt:
@@ -261,7 +257,7 @@ def fisher_metric_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricA
     _require_theta(p)
     if isinstance(engine, ClosedForm):
         return evaluate_metric(fisher_metric_field(Chart.THETA), p)
-    means = _engine_means(engine, lambda z, _, s: _hessian_parts(z, s), p, np.negative)
+    means = _engine_means(engine, lambda z, _, s: _hessian_parts(z, s), p)
     return _metric_from_means(p, np.negative(means))
 
 
@@ -283,13 +279,10 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
             yield from (hij * sk for hij in h for sk in score)
             yield from h
 
-        def metric(means):
-            return -means[..., 6:]
-
-        means = _engine_means(engine, integrands, p, metric)
+        means = _engine_means(engine, integrands, p)
         # (i, j, k) -> the mean of h_ij * score[k]; h21 is h12
         lower = means[..., [0, 1, 2, 3, 2, 3, 4, 5]].reshape(means.shape[:-1] + (2, 2, 2))
-        g_inv = _metric_from_means(p, metric(means)).g_inv
+        g_inv = _metric_from_means(p, -means[..., 6:]).g_inv
     return ConnAt(point=p, lower=lower, mixed=_raise_index(g_inv, lower))
 
 
@@ -393,7 +386,7 @@ def fisher_metric(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricAt:
         s1, s2 = _pullback_parts(z, mu, s)
         return (u * v for u, v in ((s1, s1), (s1, s2), (s2, s2)))
 
-    return _metric_from_means(p, _engine_means(engine, products, p, lambda means: means))
+    return _metric_from_means(p, _engine_means(engine, products, p))
 
 
 def expectation_connection(p: ParamPoint, engine: Engine = ClosedForm()) -> ConnAt:

@@ -307,7 +307,7 @@ class TestTotalDomainChecks:
         # an empty --output path is refused like an unwritable one, not read as stdout
         (("metric", "--point=0,1", "--output="), 64, "cannot write --output ''"),
         (("selftest", "--output="), 64, "cannot write --output ''"),
-    ])
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warnings are not messages
     def test_input(self, argv, code, words):
         got, out, err = call(*argv)
@@ -315,7 +315,9 @@ class TestTotalDomainChecks:
         assert words in err
         assert "Traceback" not in err and out == ""
 
-    def test_failing_engine_block_stops_at_its_point(self, monkeypatch):
+    @staticmethod
+    def expect_calls(monkeypatch) -> list:
+        """The (c1, c2) of each MonteCarlo.expect call from here on."""
         calls = []
         expect = MonteCarlo.expect
 
@@ -324,13 +326,28 @@ class TestTotalDomainChecks:
             return expect(engine, f, p)
 
         monkeypatch.setattr(MonteCarlo, "expect", counting)
+        return calls
+
+    def test_failing_engine_block_stops_at_its_point(self, monkeypatch):
+        calls = self.expect_calls(monkeypatch)
         code, out, err = call("metric", "--engine", "monte_carlo:1000:1",
                               "--grid=1e200:0:2000,1:1:1")
         assert (code, out) == (2, "")
         assert err == ("igeo: domain error: metric at theta point (1e+200, 1.0) is not "
                        "positive definite (det = -1.0)\n")
-        # the block stops at its first point, which then runs alone
-        assert calls == [(1e200, 1.0)] * 2
+        # a Monte Carlo grid runs point by point, so its first point fails alone
+        assert calls == [(1e200, 1.0)]
+
+    def test_failing_engine_grid_integrates_each_point_once(self, monkeypatch):
+        calls = self.expect_calls(monkeypatch)
+        code, out, err = call("metric", "--engine", "monte_carlo:1000:1",
+                              "--grid=0:1e200:2,1:1:1000")
+        assert (code, out) == (2, "")
+        assert err == ("igeo: domain error: metric at theta point (1e+200, 1.0) is not "
+                       "positive definite (det = -1.0)\n")
+        # the 1,000 points at mu = 0 pass, and the 1,001st fails; none runs twice
+        assert len(calls) == 1001 and calls[-1] == (1e200, 1.0)
+        assert len(set(calls)) == 2 and calls.count((0.0, 1.0)) == 1000
 
     def test_non_integer_env_seed_is_usage_error(self, monkeypatch):
         monkeypatch.setenv("IGEO_SEED", "abc")
@@ -339,7 +356,8 @@ class TestTotalDomainChecks:
 
 
 class TestBlockwiseGrids:
-    """Closed-form grids go through the kernels a block at a time, with per-point bits."""
+    """Grids give each point the bits of its point run: closed-form grids a block at
+    a time through the kernels, Monte Carlo grids point by point."""
 
     GRIDS = {"theta": "--grid=-1.5:2:4,0.3:2.5:3", "xi": "--grid=-1:1.5:4,2.5:5:3"}
 
@@ -349,7 +367,10 @@ class TestBlockwiseGrids:
         ("torsion", "--connection", "levi_civita"), ("curvature",), ("scalar",),
         ("transform",), ("christoffel", "--connection", "expectation"),
         ("torsion", "--connection", "expectation"),
-    ], ids=lambda c: c[0] + ("_expectation" if "expectation" in c else ""))
+        ("metric", "--engine", "monte_carlo:1000:3"),
+        ("christoffel", "--connection", "expectation", "--engine", "monte_carlo:1000:3"),
+    ], ids=lambda c: c[0] + ("_expectation" if "expectation" in c else "")
+       + ("_monte_carlo" if "--engine" in c else ""))
     def test_grid_record_equals_point_run(self, chart, command):
         self.assert_grid_records_equal_point_runs((*command, "--chart", chart), self.GRIDS[chart])
 
@@ -649,16 +670,17 @@ class TestSerialisation:
                     f"[2] [1] {mrow('8', '9')}", f"    {mrow('10', '11')}",
                     f"  [2] {mrow('12', '13')}", f"    {mrow('14', '15')}"])),
     ]
+    CELL_IDS = [" ".join(repr(value).split()) for value, *_ in CELLS]
 
-    @pytest.mark.parametrize("value, text", [(value, text) for value, text, _, _ in CELLS])
+    @pytest.mark.parametrize("value, text", [(value, text) for value, text, _, _ in CELLS], ids=CELL_IDS)
     def test_json_cell(self, value, text):
         assert written_cell(value, "json") == text
 
-    @pytest.mark.parametrize("value, text", [(value, text) for value, _, text, _ in CELLS])
+    @pytest.mark.parametrize("value, text", [(value, text) for value, _, text, _ in CELLS], ids=CELL_IDS)
     def test_csv_cell(self, value, text):
         assert written_cell(value, "csv") == text
 
-    @pytest.mark.parametrize("value, text", [(value, text) for value, _, _, text in CELLS])
+    @pytest.mark.parametrize("value, text", [(value, text) for value, _, _, text in CELLS], ids=CELL_IDS)
     def test_text_cell(self, value, text):
         assert written_cell(value, "text") == text
 

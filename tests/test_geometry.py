@@ -94,7 +94,7 @@ class TestLeviCivita:
         expected[0, 0, 1] = expected[0, 1, 0] = -1.0  # Gamma^1_12 = Gamma^1_21
         expected[1, 0, 0] = 0.5                        # Gamma^2_11
         expected[1, 1, 1] = -1.0                       # Gamma^2_22
-        assert np.allclose(conn.mixed, expected, atol=1e-14)
+        assert np.allclose(conn.mixed, expected, rtol=0, atol=1e-14)
         conn2 = levi_civita(THETA_FIELD, ParamPoint.theta(0, 2))
         assert conn2.mixed[1, 1, 1] == pytest.approx(-0.5, abs=1e-14)
 
@@ -234,10 +234,10 @@ class TestTransformMetric:
     def test_frozen_examples(self):
         p = ParamPoint.theta(0, 1)
         m = transform_metric(fisher_metric_theta(p), jacobian(p)[1], chart_forward(p))
-        assert np.allclose(m.g, [[1.0, 0.0], [0.0, 0.5]], atol=1e-15)
+        assert np.allclose(m.g, [[1.0, 0.0], [0.0, 0.5]], rtol=0, atol=1e-15)
         p = ParamPoint.theta(1, 1)
         m = transform_metric(fisher_metric_theta(p), jacobian(p)[1], chart_forward(p))
-        assert np.allclose(m.g, [[3.0, -1.0], [-1.0, 0.5]], atol=1e-14)
+        assert np.allclose(m.g, [[3.0, -1.0], [-1.0, 0.5]], rtol=0, atol=1e-14)
 
     def test_determinant_transformation_identity(self, rng):
         # det g(xi) = det g(theta) / (det J)^2; at sigma = 2 that is 1/128
@@ -309,7 +309,7 @@ class TestTransformConnection:
         expected = np.zeros((2, 2, 2))
         expected[1, 0, 0] = -2.0   # Gamma'^2_11 = 2 sigma . (-(sigma^2+mu^2)/sigma^3)
         expected[1, 1, 1] = -0.5   # Gamma'^2_22 = 2 sigma . (-1/(4 sigma^3))
-        assert np.allclose(out.mixed, expected, atol=1e-14)
+        assert np.allclose(out.mixed, expected, rtol=0, atol=1e-14)
 
     def test_two_path_connection_consistency(self, rng):
         # push the natural-chart Levi-Civita vs derive natively in the dual chart
@@ -336,7 +336,7 @@ class TestTransformConnection:
         expected[1, 0, 0] = -1.0
         expected[1, 0, 1] = expected[1, 1, 0] = 1.0
         expected[1, 1, 1] = -1.0
-        assert np.allclose(conn.mixed, expected, atol=1e-12)
+        assert np.allclose(conn.mixed, expected, rtol=0, atol=1e-12)
 
     def test_mixture_connection_vanishes_in_dual_chart(self, rng):
         # xi = (E[x], E[x^2]) are the expectation parameters, so the mixture
