@@ -129,10 +129,6 @@ class Dual2:
         r = _sqrt(self.val)
         return self._compose(r, 0.5 / r, -0.25 / (r * self.val))
 
-    def log(self):
-        u = self.val
-        return self._compose(_log(u), 1.0 / u, -1.0 / (u * u))
-
     def sin(self):
         s, c = _sin(self.val), _cos(self.val)
         return self._compose(s, c, -s)
@@ -154,7 +150,6 @@ def _float_pow(u: float, n) -> float:
 # float ** n calls libm pow, which can differ from the product np's ** takes for n = 2
 _pow = _elementary(_float_pow, np.float_power)
 _sqrt = _elementary(math.sqrt, np.sqrt)
-_log = _elementary(math.log, np.log)
 _sin = _elementary(math.sin, np.sin)
 _cos = _elementary(math.cos, np.cos)
 
@@ -171,10 +166,6 @@ def _coerce(x) -> Dual2 | None:
 
 def sqrt(x):
     return x.sqrt() if isinstance(x, Dual2) else _sqrt(x)
-
-
-def log(x):
-    return x.log() if isinstance(x, Dual2) else _log(x)
 
 
 def sin(x):

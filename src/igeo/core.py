@@ -39,10 +39,11 @@ def validate_coords(chart: Chart, c1, c2) -> None:
     """Raise DomainError unless (c1, c2) lies in the chart's domain.
 
     For a block of points (arrays of one shape) the first point outside the
-    domain raises, with the message it raises on its own.
+    domain raises, with the message it raises on its own; an empty block raises.
     """
-    if isinstance(c1, np.ndarray) or isinstance(c2, np.ndarray):
-        c1, c2 = np.broadcast_arrays(c1, c2)
+    if isinstance(c1, np.ndarray):
+        if not c1.size:
+            raise DomainError(f"{chart} chart requires at least one point, got an empty block")
         with np.errstate(over="ignore", invalid="ignore"):
             inside = np.isfinite(c1) & np.isfinite(c2) & (
                 c2 > 0.0 if chart is Chart.THETA else c2 - c1 * c1 > 0.0
@@ -68,7 +69,8 @@ class ParamPoint:
     """A point on the manifold, tagged with the chart its coordinates live in.
 
     ``c1`` and ``c2`` are floats, or arrays of one shape for a block of points
-    that the geometry kernels evaluate in one call, block axes first.
+    that the geometry kernels evaluate in one call, block axes first.  A float
+    given with an array is repeated over the block.
     """
 
     chart: Chart
@@ -76,6 +78,10 @@ class ParamPoint:
     c2: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.c1, np.ndarray) or isinstance(self.c2, np.ndarray):
+            c1, c2 = np.broadcast_arrays(self.c1, self.c2)
+            object.__setattr__(self, "c1", c1)
+            object.__setattr__(self, "c2", c2)
         validate_coords(self.chart, self.c1, self.c2)
 
     def __str__(self) -> str:
@@ -84,8 +90,7 @@ class ParamPoint:
 
     def at(self, index) -> "ParamPoint":
         """The single point at ``index`` of a block."""
-        c1, c2 = np.broadcast_arrays(self.c1, self.c2)
-        return ParamPoint(self.chart, float(c1[index]), float(c2[index]))
+        return ParamPoint(self.chart, float(self.c1[index]), float(self.c2[index]))
 
     @classmethod
     def theta(cls, mu, sigma) -> "ParamPoint":

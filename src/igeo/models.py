@@ -135,25 +135,20 @@ class GaussHermite:
         """E[f(x)]: a float for one integrand array f(x), an array of floats
         for an iterable of them.
 
-        At a block point, f takes x of shape block + (nodes,) and each float
+        f takes x of shape block + (nodes,), and each mean is one dot over the
+        last axis, so a point is the shape-() block.  At a block, each float
         becomes an array over the block, the integrands on the last axis.
         """
         mu, s = _require_theta(p)
         t, w = _hermgauss(self.nodes)
-        if not isinstance(mu, np.ndarray):  # a point: a block's array calls cost more per call
-            x = mu + math.sqrt(2.0) * s * t
-            # one dot per integrand: a stacked matrix-vector product rounds differently
-            return _each(f(x), lambda v: float(np.asarray(v, dtype=float) @ w / math.sqrt(math.pi)))
-        x = mu[..., None] + (math.sqrt(2.0) * s)[..., None] * t
-
-        def rows(v):
-            # a stack of (1, nodes) @ (nodes, 1) products: numpy takes each by the one
-            # dot that row @ w takes at a point, so each mean keeps its bits
-            v = np.asarray(v, dtype=float)
-            return (v[..., None, :] @ w[:, None])[..., 0, 0] / math.sqrt(math.pi)
-
-        means = _each(f(x), rows)
-        return means if means.ndim == mu.ndim else np.moveaxis(means, 0, -1)
+        # at a point sqrt(2) sigma is a float product, which does not trap, so a float
+        # error names the array operation that follows it
+        x = np.asarray(mu)[..., None] + np.asarray(math.sqrt(2.0) * s)[..., None] * t
+        # np.vecdot takes each row by the dot that a 1-D v @ w takes, so a point of a
+        # block keeps the bits of the point alone
+        means = _each(f(x), lambda v: np.vecdot(v, w) / math.sqrt(math.pi))
+        # the integrands' axis last; transpose costs far less per call than np.moveaxis
+        return means if means.ndim == np.ndim(mu) else means.transpose(*range(1, means.ndim), 0)
 
 
 @dataclass(frozen=True)
@@ -199,8 +194,7 @@ class MonteCarlo:
             # a float error is raised again over the whole draw, so that it names the
             # operation that fails first there: an overflowing sum is "reduce", not "add"
             sums = total(0, self.samples, leaf=self.samples)
-        mean = sums / self.samples
-        return float(mean) if np.ndim(mean) == 0 else mean
+        return sums / self.samples
 
 
 Engine = Union[ClosedForm, GaussHermite, MonteCarlo]
@@ -235,7 +229,7 @@ def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint) -> np.nda
         return at(th)
     block = np.shape(p.c1)
     if integrates_blocks(engine):
-        c1, c2 = (np.ravel(c) for c in np.broadcast_arrays(th.c1, th.c2))
+        c1, c2 = np.ravel(th.c1), np.ravel(th.c2)
         cut = max(1, GH_BLOCK_VALUES // engine.nodes)
         return np.concatenate([at(ParamPoint.theta(c1[i:i + cut], c2[i:i + cut]))
                                for i in range(0, c1.size, cut)]).reshape(block + (-1,))

@@ -1,15 +1,20 @@
 """Independent oracles for the test suite.
 
 Everything here is plain numpy: 5-point stencils, the (0,4)-tensor law as one
-einsum, and the derivatives of the Gaussian log-likelihood and of the dual
-potential written out by hand.  None of it touches the package's forward-mode
-machinery or its kernels, so derivative-based results always have a second,
-unrelated computation path to compare against.
+einsum, Gauss-Hermite quadrature by one 1-D dot per integrand, and the
+derivatives of the Gaussian log-likelihood and of the dual potential written
+out by hand.  None of it touches the package's kernels, and only ``log`` touches
+its forward-mode machinery: it hands ``Dual2`` the chain rule of log, for the
+tests that differentiate a log-likelihood.  So derivative-based results always
+have a second, unrelated computation path to compare against.
 """
 
+import functools
 import math
 
 import numpy as np
+
+from igeo import Dual2
 
 H1 = 1e-6   # first-derivative step (5-point stencil, ~1e-12 truncation)
 H2 = 1e-3   # second-derivative step (5-point stencil, ~1e-10 total error)
@@ -230,3 +235,42 @@ def published_score_xi(x, mu, s):
     """
     z = x - mu
     return z / (s * s), z * z / (2.0 * s**4) - mu * z / s**3 - 1.0 / (2.0 * s * s)
+
+
+# -- log, the one elementary function only the tests differentiate ------------------
+
+def log(u):
+    """log of a float (math.log), an array (np.log) or a Dual2, through the chain
+    rule with f' = 1/u and f'' = -1/u^2."""
+    if not isinstance(u, Dual2):
+        return np.log(u) if isinstance(u, np.ndarray) else math.log(u)
+    v = u.val
+    return u._compose(log(v), 1.0 / v, -1.0 / (v * v))
+
+
+# -- Gauss-Hermite at one point, by one 1-D dot per integrand --------------------------
+
+@functools.lru_cache(maxsize=None)
+def _hermgauss(nodes: int):
+    return np.polynomial.hermite.hermgauss(nodes)
+
+
+class GaussHermiteDot:
+    """E[f(x)] at one float point, x = mu + sqrt(2) sigma t: each mean is the 1-D dot
+    v @ w / sqrt(pi) of one integrand array v, a float.  It has an engine's ``expect``,
+    so the package integrates a block with it point by point, in order."""
+
+    def __init__(self, nodes: int):
+        self.nodes = nodes
+
+    def __repr__(self) -> str:
+        return f"GaussHermiteDot({self.nodes})"
+
+    def expect(self, f, p):
+        t, w = _hermgauss(self.nodes)
+        values = f(p.c1 + math.sqrt(2.0) * p.c2 * t)
+
+        def mean(v):
+            return float(np.asarray(v, dtype=float) @ w / math.sqrt(math.pi))
+
+        return mean(values) if isinstance(values, np.ndarray) else np.array([mean(v) for v in values])

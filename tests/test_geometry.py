@@ -397,7 +397,7 @@ class TestTransformConnection:
             def lifted(x):
                 x1, x2 = lift(q)
                 sigma = (x2 - x1 * x1).sqrt()
-                return -(sigma.log() + oracles.LOG_SQRT_2PI) - (x - x1) ** 2 / (2.0 * sigma * sigma)
+                return -(oracles.log(sigma) + oracles.LOG_SQRT_2PI) - (x - x1) ** 2 / (2.0 * sigma * sigma)
 
             native = np.empty((2, 2, 2))
             for a in range(2):
@@ -580,6 +580,43 @@ class TestBlocks:
         assert str(in_block.value) == str(alone.value)
         with pytest.raises(DomainError, match="finite"):
             ParamPoint.theta([0.0, np.nan], [1.0, 1.0])
+
+    @pytest.mark.parametrize("make, c1, c2", [
+        (ParamPoint.theta, np.linspace(-1, 1, 3), 2.0),
+        (ParamPoint.theta, 0.7, np.linspace(0.5, 2, 3)),
+        (ParamPoint.xi, np.linspace(-1, 1, 3), 4.0),
+        (ParamPoint.xi, 0.5, np.linspace(1, 3, 3)),
+    ], ids=["theta-array-float", "theta-float-array", "xi-array-float", "xi-float-array"])
+    def test_a_float_coordinate_is_repeated_over_the_block(self, make, c1, c2):
+        block = make(c1, c2)
+        assert np.shape(block.c1) == np.shape(block.c2) == (3,)
+        field = fisher_metric_field(block.chart)
+        gh = GaussHermite(16)
+
+        def arrays(p):
+            metric, riem, conn = fisher_metric(p), riemann_levi_civita(field, p), levi_civita(field, p)
+            econn, gh_metric, gh_conn = (expectation_connection(p), fisher_metric(p, gh),
+                                         expectation_connection(p, gh))
+            out = [metric.g, metric.g_inv, metric.det, conn.lower, conn.mixed, riem.r, riem.scalar,
+                   sectional_curvature(riem, metric), econn.lower, econn.mixed,
+                   gh_metric.g, gh_metric.g_inv, gh_conn.lower, gh_conn.mixed]
+            if p.chart is Chart.THETA:
+                r = audit(p)
+                out += [r.paper, r.oracle, r.abs_gap, r.rel_gap, r.match.astype(float)]
+            return out
+
+        in_block = arrays(block)
+        for n in range(3):
+            for got, alone in zip(in_block, arrays(block.at(n)), strict=True):
+                assert same_bits(got[n], alone)
+
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    @pytest.mark.parametrize("c1, c2", [(np.array([]), np.array([])), (np.zeros((0, 3)), 1.0),
+                                        (0.5, np.empty(0))], ids=["arrays", "2d-float", "float-array"])
+    def test_an_empty_block_is_refused(self, chart, c1, c2):
+        with pytest.raises(DomainError, match=f"^{chart} chart requires at least one point, "
+                                              "got an empty block$"):
+            ParamPoint(chart, c1, c2)
 
     def test_from_matrix_names_the_first_failing_point(self):
         block = ParamPoint(Chart.THETA, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))

@@ -99,7 +99,7 @@ class TestScores:
             for x in rng.normal(p.c1, p.c2, size=5):
                 x1, x2 = lift(q)
                 sigma = (x2 - x1 * x1).sqrt()
-                l = -(sigma.log() + oracles.LOG_SQRT_2PI) - (x - x1) ** 2 / (2.0 * sigma * sigma)
+                l = -(oracles.log(sigma) + oracles.LOG_SQRT_2PI) - (x - x1) ** 2 / (2.0 * sigma * sigma)
                 assert np.allclose(l.grad, _pullback_parts(x - p.c1, p.c1, p.c2), rtol=1e-12)
 
     def test_zero_mean_by_quadrature(self, rng):
@@ -358,8 +358,15 @@ def _outcome(call):
 
 
 class TestGaussHermiteBlocks:
-    """An exact GaussHermite integrates a block in one call per cut, with the bits
-    of one call per point, which a wrapped engine still makes."""
+    """An exact GaussHermite integrates a block in one call per cut, and a point as
+    the shape-() block, with the bits of the 1-D dot ``oracles.GaussHermiteDot``
+    takes at each point alone."""
+
+    # the last two return non-contiguous views, with the same stride along the nodes at
+    # a point and in a block: the nodes reversed, and a stride of two doubles.  (A row's
+    # dot depends on its stride, so a Fortran-ordered block would not keep point bits.)
+    INTEGRANDS = (lambda x: x**3, lambda x: np.exp(-x * x),
+                  lambda x: (x**3)[..., ::-1], lambda x: np.stack((x, x * x), -1)[..., 1])
 
     @staticmethod
     def block(chart: Chart, shape) -> ParamPoint:
@@ -382,7 +389,7 @@ class TestGaussHermiteBlocks:
         monkeypatch.setattr(GaussHermite, "expect", counting)
         got = _outcome(lambda: fn(p, GaussHermite(nodes)))
         assert len(calls) == cuts and sum(calls) == np.size(p.c1)
-        per_point = CountingEngine(GaussHermite(nodes))
+        per_point = CountingEngine(oracles.GaussHermiteDot(nodes))
         want = _outcome(lambda: fn(p, per_point))
         if isinstance(want, tuple):  # one node puts x at mu, where no metric is definite
             assert got == want and nodes == 1
@@ -393,7 +400,7 @@ class TestGaussHermiteBlocks:
 
     @pytest.mark.parametrize("fn", [fisher_metric, expectation_connection])
     @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
-    @pytest.mark.parametrize("nodes", [1, 16, 64, 300])
+    @pytest.mark.parametrize("nodes", [1, 8, 16, 64, 300])
     def test_block_bits_equal_point_bits(self, monkeypatch, fn, chart, nodes):
         # 600 values per array: 700 points are cut in 2 (1 node) to 350 (300 nodes)
         monkeypatch.setattr(models, "GH_BLOCK_VALUES", 600)
@@ -407,18 +414,40 @@ class TestGaussHermiteBlocks:
         self.assert_block_bits_equal_point_bits(
             monkeypatch, expectation_connection, self.block(chart, 500), 300, 3)
 
-    @pytest.mark.parametrize("nodes", [1, 16, 64, 300])
+    @pytest.mark.parametrize("fn", [fisher_metric, expectation_connection])
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    @pytest.mark.parametrize("nodes", [1, 8, 64, 300])
+    def test_point_bits_equal_the_dot(self, fn, chart, nodes):
+        block = self.block(chart, 40)
+        for i in range(40):
+            p = block.at(i)
+            got = _outcome(lambda: fn(p, GaussHermite(nodes)))
+            want = _outcome(lambda: fn(p, oracles.GaussHermiteDot(nodes)))
+            if isinstance(want, tuple):  # one node puts x at mu, where no metric is definite
+                assert got == want and nodes == 1
+                continue
+            for a, b in zip(self.arrays(got), self.arrays(want)):
+                assert a.shape == b.shape and np.array_equal(_bits(a), _bits(b)), p
+
+    @pytest.mark.parametrize("nodes", [1, 8, 16, 64, 300])
     def test_single_integrand_and_stacked(self, nodes):
         p = self.block(Chart.THETA, (3, 4))
-        engine = GaussHermite(nodes)
-        one = engine.expect(lambda x: x**3, p)
-        stacked = engine.expect(lambda x: (x**3, np.exp(-x * x)), p)
-        assert one.shape == (3, 4) and stacked.shape == (3, 4, 2)
+        engine, dot = GaussHermite(nodes), oracles.GaussHermiteDot(nodes)
+
+        def stacked(x):
+            return (f(x) for f in self.INTEGRANDS)
+
+        ones = [engine.expect(f, p) for f in self.INTEGRANDS]
+        all_at_once = engine.expect(stacked, p)
+        assert all(one.shape == (3, 4) for one in ones) and all_at_once.shape == (3, 4, 4)
         for i in np.ndindex(3, 4):
             q = p.at(i)
-            assert _bits(one[i]) == _bits(engine.expect(lambda x: x**3, q))
-            assert np.array_equal(_bits(stacked[i]),
-                                  _bits(engine.expect(lambda x: (x**3, np.exp(-x * x)), q)))
+            for one, f in zip(ones, self.INTEGRANDS):
+                alone = engine.expect(f, q)
+                assert isinstance(alone, float)
+                assert _bits(one[i]) == _bits(alone) == _bits(dot.expect(f, q))
+            assert np.array_equal(_bits(all_at_once[i]), _bits(engine.expect(stacked, q)))
+            assert np.array_equal(_bits(all_at_once[i]), _bits(dot.expect(stacked, q)))
 
 
 # extreme coordinates: float errors of every kind, and metrics that fail their check

@@ -17,11 +17,14 @@ from igeo import (  # noqa: E402
     DEFAULT_TOLERANCES,
     Chart,
     ParamPoint,
+    audit,
+    chart_forward,
     evaluate_metric,
     fisher_metric_field,
     levi_civita,
     riemann_levi_civita,
 )
+from igeo.papertable import ROWS  # noqa: E402
 
 X = sp.symbols("x1 x2", real=True)
 # (x1, sigma^2) at rational points; x2 = x1^2 + sigma^2
@@ -76,3 +79,35 @@ def test_batched_kernels_match_exact_values(exact):
         for name, value in got.items():
             want = at(exact[name], c1[n], c2[n])
             assert np.max(np.abs(value[n] - want)) <= TOL, (name, POINTS[n])
+
+
+# the audit's native oracle recomputes sigma^2 as x2 - x1^2 at the xi point, which
+# cancels: it loses about log10(kappa) digits, kappa = x2 / sigma^2 = (mu^2 + sigma^2) / sigma^2.
+# Each rung bounds the largest relative error over the exactly nonzero entries, about ten
+# times what the oracle gives there (1.2e-15, 2.1e-13, 1.0e-6, 1.4e2 and 2.3e9).  From
+# kappa ~ 1e4 on it is above the audit's 1e-8 gates, so verdicts there describe the oracle's
+# rounding; the exactly zero entries grow too, to about 3.6e14 at (100, 0.01).
+KAPPA_LADDER = (  # (theta point, kappa, bound)
+    ((0.7, 1.3), 1.3, 1e-14),
+    ((-1.7, 0.6), 9.0, 1e-12),
+    ((10.0, 0.1), 1e4, 1e-5),
+    ((100.0, 0.01), 1e8, 1e3),
+    ((1e4, 0.01), 1e12, 1e10),
+)
+NATIVE = [i for i, (qid, label, _, _) in enumerate(ROWS)
+          if label == "native_levi_civita" and not qid.startswith("T_")]
+
+
+@pytest.mark.parametrize("theta, kappa, bound", KAPPA_LADDER,
+                         ids=[f"kappa={k:g}" for _, k, _ in KAPPA_LADDER])
+def test_native_oracle_error_along_the_kappa_ladder(exact, theta, kappa, bound):
+    p = ParamPoint.theta(*theta)
+    q = chart_forward(p)  # the exact values are taken at this double point
+    assert q.c2 / (q.c2 - q.c1 * q.c1) == pytest.approx(kappa, rel=0.01)
+    assert len(NATIVE) == 25  # mixed (8), R (16) and K
+    got = audit(p).oracle[NATIVE]
+    want = np.concatenate([at(exact["mixed"], q.c1, q.c2).ravel(),
+                           at(exact["r"], q.c1, q.c2).ravel(), [at(exact["scalar"], q.c1, q.c2)]])
+    nonzero = want != 0.0
+    assert nonzero.sum() == 12
+    assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= bound
