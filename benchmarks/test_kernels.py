@@ -6,7 +6,10 @@
 
 Times ``evaluate_metric``, ``levi_civita`` and ``riemann_levi_civita`` of the
 closed-form Fisher metric field at one point and on a 40x40 grid evaluated as
-one block, in both charts.  The engine cases time ``fisher_metric`` and
+one block, in both charts.  At the point alone it also times two of their parts:
+``MetricAt.from_matrix`` on the Fisher metric there, in both charts, and the
+dual-chart ``fisher_metric_field`` on the lifted point, the ``Dual2`` evaluation
+that gives the metric jet.  The engine cases time ``fisher_metric`` and
 ``expectation_connection`` (``conn_expectation_theta`` in the natural chart) by
 ``GaussHermite(64)`` on the same 40x40 block, in both charts.  The writer cases
 time the JSON, CSV and text
@@ -21,8 +24,9 @@ only.
 import numpy as np
 import pytest
 
-from igeo import Chart, GaussHermite, ParamPoint, cli, evaluate_metric, expectation_connection, \
-    fisher_metric, fisher_metric_field, levi_civita, riemann_levi_civita
+from igeo import Chart, GaussHermite, MetricAt, ParamPoint, cli, evaluate_metric, \
+    expectation_connection, fisher_metric, fisher_metric_field, levi_civita, riemann_levi_civita
+from igeo.autodiff import lift
 
 KERNELS = {
     "evaluate_metric": evaluate_metric,
@@ -67,6 +71,19 @@ def where_grid40x40(chart: Chart) -> ParamPoint:
 def test_kernel(benchmark, kernel, chart, where):
     benchmark.group = f"{kernel} {where.__name__[6:]}"
     benchmark(KERNELS[kernel], fisher_metric_field(chart), where(chart))
+
+
+@pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+def test_from_matrix(benchmark, chart):
+    p = where_point(chart)
+    g = np.array(fisher_metric(p).g)
+    benchmark.group = "from_matrix point"
+    benchmark(MetricAt.from_matrix, p, g)
+
+
+def test_xi_field_on_lift(benchmark):
+    benchmark.group = "fisher_metric_field point"
+    benchmark(fisher_metric_field(Chart.XI), *lift(where_point(Chart.XI)))
 
 
 @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)

@@ -69,8 +69,9 @@ class ParamPoint:
     """A point on the manifold, tagged with the chart its coordinates live in.
 
     ``c1`` and ``c2`` are floats, or arrays of one shape for a block of points
-    that the geometry kernels evaluate in one call, block axes first.  A float
-    given with an array is repeated over the block.
+    that the geometry kernels evaluate in one call, block axes first.  A number
+    becomes a float and a sequence a float array; a float given with an array is
+    repeated over the block.
     """
 
     chart: Chart
@@ -78,11 +79,15 @@ class ParamPoint:
     c2: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.c1, np.ndarray) or isinstance(self.c2, np.ndarray):
-            c1, c2 = np.broadcast_arrays(self.c1, self.c2)
+        c1, c2 = self.c1, self.c2
+        if type(c1) is not float or type(c2) is not float:  # two floats are kept as they are
+            c1, c2 = (float(c) if isinstance(c, (float, int, np.number)) else np.asarray(c, float)
+                      for c in (c1, c2))
+            if isinstance(c1, np.ndarray) or isinstance(c2, np.ndarray):
+                c1, c2 = np.broadcast_arrays(c1, c2)
             object.__setattr__(self, "c1", c1)
             object.__setattr__(self, "c2", c2)
-        validate_coords(self.chart, self.c1, self.c2)
+        validate_coords(self.chart, c1, c2)
 
     def __str__(self) -> str:
         """The point as messages name it, e.g. ``theta point (0.0, 1e+200)``."""
@@ -94,16 +99,11 @@ class ParamPoint:
 
     @classmethod
     def theta(cls, mu, sigma) -> "ParamPoint":
-        return cls(Chart.THETA, _coord(mu), _coord(sigma))
+        return cls(Chart.THETA, mu, sigma)
 
     @classmethod
     def xi(cls, x1, x2) -> "ParamPoint":
-        return cls(Chart.XI, _coord(x1), _coord(x2))
-
-
-def _coord(x):
-    """A float, or a float array for a block."""
-    return float(x) if isinstance(x, (float, int, np.number)) else np.asarray(x, dtype=float)
+        return cls(Chart.XI, x1, x2)
 
 
 @dataclass(frozen=True)

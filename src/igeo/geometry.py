@@ -69,13 +69,15 @@ class MetricAt:
         g = np.array(g, dtype=float)
         if g.shape[-2:] != (2, 2):
             raise SingularMetricError(f"metric at {point} is not a finite 2x2 matrix")
-        finite = np.isfinite(g)
-        if not finite.all():
-            _, p = _first(point, ~finite.all(axis=(-2, -1)))
-            raise SingularMetricError(f"metric at {p} is not a finite 2x2 matrix")
         # [()] makes the entries of one matrix numpy scalars, whose errors name scalar ops
         g00, g01, g10, g11 = g[..., 0, 0][()], g[..., 0, 1][()], g[..., 1, 0][()], g[..., 1, 1][()]
-        if not (g01 == g10).all():  # equal entries pass at any scale
+        finite = np.isfinite(g)
+        # one count (a fraction of .all()'s cost on a few values) passes finite entries with
+        # g01 == g10, and no float op can raise before it; anything else takes the checks in order
+        if np.count_nonzero(finite & (g01 == g10)[..., None, None]) < finite.size:
+            if not finite.all():
+                _, p = _first(point, ~finite.all(axis=(-2, -1)))
+                raise SingularMetricError(f"metric at {p} is not a finite 2x2 matrix")
             scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
             bad = np.abs(g01 - g10) > 1e-12 * scale
             if bad.any():
@@ -84,7 +86,7 @@ class MetricAt:
         g[..., 1, 0] = g01
         det = g00 * g11 - g01 * g01
         pd = (g00 > 0.0) & (det > 0.0)
-        if not pd.all():
+        if np.count_nonzero(pd) < pd.size:
             at, p = _first(point, ~pd)
             raise SingularMetricError(f"metric at {p} is not positive definite (det = {det[at]})")
         # [[g11, -g01], [-g01, g00]] / det
@@ -185,7 +187,8 @@ def _lower(dg: np.ndarray) -> np.ndarray:
 
     Applied to d2g (leading axis l) it gives d_l Gamma_ijk.
     """
-    return 0.5 * (dg + dg.swapaxes(-3, -2) - np.moveaxis(dg, -3, -1))
+    # the two swaps make np.moveaxis(dg, -3, -1)'s view at a fraction of its cost
+    return 0.5 * (dg + dg.swapaxes(-3, -2) - dg.swapaxes(-3, -2).swapaxes(-2, -1))
 
 
 def _sum2(t0, t1):
@@ -247,14 +250,14 @@ def _levi_civita_and_riemann(metric_field: MetricField,
     dmixed = (_raise_index(dginv, lower[..., None, :, :, :])
               + _raise_index(ginv[..., None, :, :], _lower(d2g)))
     # r[i, j, k, m] = sum_s (dmixed[i, s, j, k] - dmixed[j, s, i, k]) g[s, m]
-    #               + sum_s (lower[i, s, m] mixed[s, j, k] - lower[j, s, m] mixed[s, i, k])
-    curl, prod = [], []
-    for s in (0, 1):
-        d = dmixed[..., :, s, :, :]
-        curl.append((d - d.swapaxes(-3, -2))[..., None] * g[..., None, None, None, s, :])
-        p = lower[..., :, None, None, s, :] * mixed[..., None, s, :, :, None]
-        prod.append(p - p.swapaxes(-4, -3))
-    r = _sum2(*curl) + _sum2(*prod)
+    #               + sum_s (lower[i, s, m] mixed[s, j, k] - lower[j, s, m] mixed[s, i, k]),
+    # each term formed for both s at once on axis -5 of (..., s, i, j, k, m)
+    d = (dmixed - dmixed.swapaxes(-4, -2)).swapaxes(-4, -3)  # d[..., s, i, j, k]
+    curl = d[..., None] * g[..., :, None, None, None, :]
+    p = lower.swapaxes(-3, -2)[..., :, :, None, None, :] * mixed[..., :, None, :, :, None]
+    prod = p - p.swapaxes(-4, -3)
+    r = _sum2(curl[..., 0, :, :, :, :], curl[..., 1, :, :, :, :]) \
+        + _sum2(prod[..., 0, :, :, :, :], prod[..., 1, :, :, :, :])
     # 0.5 r[i, j, k, m] g^im g^jk, summed in (i, j, k, m) order as one running total
     terms = r * ginv[..., :, None, None, :] * ginv[..., None, :, :, None]
     total = np.add.accumulate(terms.reshape(terms.shape[:-4] + (16,)), axis=-1)[..., -1]

@@ -137,15 +137,17 @@ class GaussHermite:
 
         f takes x of shape block + (nodes,), and each mean is one dot over the
         last axis, so a point is the shape-() block.  At a block, each float
-        becomes an array over the block, the integrands on the last axis.
+        becomes an array over the block, the integrands on the last axis.  A
+        block point keeps its bits alone when its integrand rows have the same
+        stride in the block as at the point, as C-contiguous integrands do.
         """
         mu, s = _require_theta(p)
         t, w = _hermgauss(self.nodes)
         # at a point sqrt(2) sigma is a float product, which does not trap, so a float
         # error names the array operation that follows it
         x = np.asarray(mu)[..., None] + np.asarray(math.sqrt(2.0) * s)[..., None] * t
-        # np.vecdot takes each row by the dot that a 1-D v @ w takes, so a point of a
-        # block keeps the bits of the point alone
+        # np.vecdot takes each row by the dot that a 1-D v @ w takes, so a contiguous
+        # row of a block keeps the bits of the point alone
         means = _each(f(x), lambda v: np.vecdot(v, w) / math.sqrt(math.pi))
         # the integrands' axis last; transpose costs far less per call than np.moveaxis
         return means if means.ndim == np.ndim(mu) else means.transpose(*range(1, means.ndim), 0)
@@ -344,18 +346,13 @@ def fisher_metric_field(chart: Chart) -> MetricField:
     def xi_field(x1, x2):
         s2 = x2 - x1 * x1
         sigma = ad.sqrt(s2)
-        bbar = (
-            (1.0, -x1 / sigma),              # d theta_i / d xi_1
-            (0.0, 1.0 / (2.0 * sigma)),      # d theta_i / d xi_2
-        )
-        gth = ((1.0 / s2, 0.0), (0.0, 2.0 / s2))
-        return [
-            [
-                sum(bbar[a][i] * bbar[b][j] * gth[i][j] for i in (0, 1) for j in (0, 1))
-                for b in (0, 1)
-            ]
-            for a in (0, 1)
-        ]
+        # g_ab = sum_ij B_ai B_bj g_theta_ij, B_ai = d theta_i / d xi_a = ((1.0, b01), (0.0, b11))
+        # and g_theta = diag(g00, g11), without the terms that are zero by construction:
+        # 0.0 + is sum()'s zero start, and the unit factors stay, so each entry keeps the bits
+        # of the full sum.  [1][0] repeats [0][1], whose place _field_entries reads it in.
+        b01, b11, g00, g11 = -x1 / sigma, 1.0 / (2.0 * sigma), 1.0 / s2, 2.0 / s2
+        e01 = 0.0 + b01 * b11 * g11
+        return [[0.0 + 1.0 * 1.0 * g00 + b01 * b01 * g11, e01], [e01, 0.0 + b11 * b11 * g11]]
 
     return xi_field
 

@@ -7,6 +7,13 @@ out by hand.  None of it touches the package's kernels, and only ``log`` touches
 its forward-mode machinery: it hands ``Dual2`` the chain rule of log, for the
 tests that differentiate a log-likelihood.  So derivative-based results always
 have a second, unrelated computation path to compare against.
+
+The last section is of another kind: the earlier forms of the kernels that were
+rewritten to make fewer calls at a point (the dual-chart metric field as the full
+pullback sum, index lowering by ``np.moveaxis``, the curvature summed over s in
+a loop, the metric checks one reduction each).  They take each float operation
+in the order the package takes it, so the tests ask the package for their bits.
+The dual-chart field is differentiated by ``Dual2``, as the package's is.
 """
 
 import functools
@@ -14,7 +21,8 @@ import math
 
 import numpy as np
 
-from igeo import Dual2
+from igeo import Dual2, SingularMetricError
+from igeo.autodiff import sqrt
 
 H1 = 1e-6   # first-derivative step (5-point stencil, ~1e-12 truncation)
 H2 = 1e-3   # second-derivative step (5-point stencil, ~1e-10 total error)
@@ -274,3 +282,88 @@ class GaussHermiteDot:
             return float(np.asarray(v, dtype=float) @ w / math.sqrt(math.pi))
 
         return mean(values) if isinstance(values, np.ndarray) else np.array([mean(v) for v in values])
+
+
+# -- earlier forms of the rewritten kernels, for the bit-for-bit gates -----------------
+
+def xi_field_full_sum(x1, x2):
+    """The dual-chart Fisher field as the full pullback sum_ij B_ai B_bj g_theta_ij,
+    zero terms and the unread [1][0] entry included; floats, arrays or Dual2."""
+    s2 = x2 - x1 * x1
+    sigma = sqrt(s2)
+    bbar = ((1.0, -x1 / sigma), (0.0, 1.0 / (2.0 * sigma)))
+    gth = ((1.0 / s2, 0.0), (0.0, 2.0 / s2))
+    return [[sum(bbar[a][i] * bbar[b][j] * gth[i][j] for i in (0, 1) for j in (0, 1))
+             for b in (0, 1)] for a in (0, 1)]
+
+
+def _at_first(point, bad):
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    return at, point if bad.ndim == 0 else point.at(at)
+
+
+def metric_checked_in_order(point, g):
+    """(g, g_inv, det) of MetricAt.from_matrix with one reduction per check, in order:
+    finite, symmetric within 1e-12 of scale, positive definite."""
+    g = np.array(g, dtype=float)
+    finite = np.isfinite(g)
+    if not finite.all():
+        _, p = _at_first(point, ~finite.all(axis=(-2, -1)))
+        raise SingularMetricError(f"metric at {p} is not a finite 2x2 matrix")
+    g00, g01, g10, g11 = g[..., 0, 0][()], g[..., 0, 1][()], g[..., 1, 0][()], g[..., 1, 1][()]
+    if not (g01 == g10).all():
+        scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+        bad = np.abs(g01 - g10) > 1e-12 * scale
+        if bad.any():
+            at, p = _at_first(point, bad)
+            raise SingularMetricError(f"metric at {p} is not symmetric: {g[at]}")
+    g[..., 1, 0] = g01
+    det = g00 * g11 - g01 * g01
+    pd = (g00 > 0.0) & (det > 0.0)
+    if not pd.all():
+        at, p = _at_first(point, ~pd)
+        raise SingularMetricError(f"metric at {p} is not positive definite (det = {det[at]})")
+    g_inv = g[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]]) / det[..., None, None]
+    return g, g_inv, g[..., 0, 0] * g[..., 1, 1] - np.float_power(g[..., 0, 1], 2)
+
+
+def lower_by_moveaxis(dg):
+    """Gamma_ijk = (d_i g_jk + d_j g_ik - d_k g_ij) / 2 over the last three axes."""
+    return 0.5 * (dg + dg.swapaxes(-3, -2) - np.moveaxis(dg, -3, -1))
+
+
+def _stacked(entries, shape):
+    columns = np.broadcast_arrays(*(np.asarray(e, dtype=float) for e in entries))
+    return np.stack(columns, axis=-1).reshape(columns[0].shape + shape)
+
+
+def _raised(ginv, lower):
+    a, t = ginv[..., :, None, None, :], lower[..., None, :, :, :]
+    return 0.0 + a[..., 0] * t[..., 0] + a[..., 1] * t[..., 1]
+
+
+def levi_civita_and_riemann_by_loop(field, point):
+    """(lower, mixed, r, scalar) of the Levi-Civita connection of ``field`` at a point
+    or block, with the curvature's sums over s taken in a loop over s = 0, 1."""
+    m = field(Dual2(point.c1, g1=1.0), Dual2(point.c2, g2=1.0))
+    ij = [e if isinstance(e, Dual2) else Dual2(float(e)) for e in (m[0][0], m[0][1], m[0][1], m[1][1])]
+    g = _stacked([e.val for e in ij], (2, 2))
+    dg = _stacked([e.g1 for e in ij] + [e.g2 for e in ij], (2, 2, 2))
+    d2g = _stacked([e.h11 for e in ij] + [e.h12 for e in ij] * 2 + [e.h22 for e in ij],
+                   (2, 2, 2, 2))
+    g, ginv, _ = metric_checked_in_order(point, g)
+    lower = lower_by_moveaxis(dg)
+    mixed = _raised(ginv, lower)
+    dginv = -ginv[..., None, :, :] @ dg @ ginv[..., None, :, :]
+    dmixed = (_raised(dginv, lower[..., None, :, :, :])
+              + _raised(ginv[..., None, :, :], lower_by_moveaxis(d2g)))
+    curl, prod = [], []
+    for s in (0, 1):
+        d = dmixed[..., :, s, :, :]
+        curl.append((d - d.swapaxes(-3, -2))[..., None] * g[..., None, None, None, s, :])
+        p = lower[..., :, None, None, s, :] * mixed[..., None, s, :, :, None]
+        prod.append(p - p.swapaxes(-4, -3))
+    r = (0.0 + curl[0] + curl[1]) + (0.0 + prod[0] + prod[1])
+    terms = r * ginv[..., :, None, None, :] * ginv[..., None, :, :, None]
+    total = np.add.accumulate(terms.reshape(terms.shape[:-4] + (16,)), axis=-1)[..., -1]
+    return lower, mixed, r, 0.5 * (0.0 + total)

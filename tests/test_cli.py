@@ -307,6 +307,13 @@ class TestTotalDomainChecks:
         # an empty --output path is refused like an unwritable one, not read as stdout
         (("metric", "--point=0,1", "--output="), 64, "cannot write --output ''"),
         (("selftest", "--output="), 64, "cannot write --output ''"),
+        # the dual-chart field's derivatives overflow, though its values are finite
+        (("curvature", "--chart", "xi", "--point", "0,1e-105"), 2,
+         "igeo: domain error: xi point (0.0, 1e-105) is outside the double-precision range "
+         "of the formulas: overflow encountered in scalar multiply\n"),
+        (("scalar", "--chart", "xi", "--point=-1e-150,1e-100"), 2,
+         "igeo: domain error: xi point (-1e-150, 1e-100) is outside the double-precision range "
+         "of the formulas: invalid value encountered in subtract\n"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warnings are not messages
     def test_input(self, argv, code, words):

@@ -612,11 +612,32 @@ class TestBlocks:
 
     @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
     @pytest.mark.parametrize("c1, c2", [(np.array([]), np.array([])), (np.zeros((0, 3)), 1.0),
-                                        (0.5, np.empty(0))], ids=["arrays", "2d-float", "float-array"])
+                                        (0.5, np.empty(0)), (0.5, [])],
+                             ids=["arrays", "2d-float", "float-array", "float-list"])
     def test_an_empty_block_is_refused(self, chart, c1, c2):
         with pytest.raises(DomainError, match=f"^{chart} chart requires at least one point, "
                                               "got an empty block$"):
             ParamPoint(chart, c1, c2)
+
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    @pytest.mark.parametrize("c1, c2", [([0.1, 0.2], [1.0, 2.0]), ((0.1,), 1.0), (0.1, (1.0, 2.0))],
+                             ids=["lists", "tuple-float", "float-tuple"])
+    def test_a_sequence_coordinate_is_a_block(self, chart, c1, c2):
+        block = ParamPoint(chart, c1, c2)
+        c1, c2 = np.broadcast_arrays(np.asarray(c1, dtype=float), np.asarray(c2, dtype=float))
+        assert same_bits(block.c1, c1) and same_bits(block.c2, c2)
+        field = fisher_metric_field(chart)
+        riem = riemann_levi_civita(field, block)
+        for n in range(c1.size):
+            assert same_bits(riem.r[n], riemann_levi_civita(field, block.at(n)).r)
+
+    @pytest.mark.parametrize("c1, c2", [(np.float64(0.5), 2), (1, np.float32(2.0)), (0.5, 2.0)],
+                             ids=["float64-int", "int-float32", "floats"])
+    def test_a_number_coordinate_is_a_float(self, c1, c2):
+        p = ParamPoint(Chart.THETA, c1, c2)
+        assert type(p.c1) is float and type(p.c2) is float
+        assert (p.c1, p.c2) == (float(c1), float(c2))
+        assert str(p) == f"theta point ({float(c1)!r}, {float(c2)!r})"
 
     def test_from_matrix_names_the_first_failing_point(self):
         block = ParamPoint(Chart.THETA, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
@@ -636,3 +657,146 @@ class TestBlocks:
         assert m.g.shape == (3, 2, 2) and not m.g.flags.writeable
         assert np.array_equal(m.g[2], [[1 / 16, 0.0], [0.0, 2 / 16]])
         assert np.array_equal(m.det, [2.0, 2 / 2**4, 2 / 4**4])
+
+
+def same_bits_where_finite(got, ref) -> bool:
+    """same_bits wherever ``ref`` is finite, and not finite wherever ``ref`` is not.
+
+    A derivative that overflows is NaN in a full pullback sum, which multiplies it by
+    a structural zero, and +-inf in a sum without those terms.
+    """
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    finite = np.isfinite(ref)
+    return (got.shape == ref.shape and same_bits(got[finite], ref[finite])
+            and not np.isfinite(got[~finite]).any())
+
+
+def extreme_points(rng, chart, n):
+    """n points of the chart with |c1| and sigma (xi: c2 - c1^2) from 1e-300 to 1e300,
+    their exponents drawn as 300 u^3 for u uniform in [-1, 1]."""
+    points = []
+    while len(points) < n:
+        c1 = float(rng.choice([-1.0, 1.0]) * 10.0 ** (300.0 * rng.uniform(-1.0, 1.0) ** 3))
+        spread = float(10.0 ** (300.0 * rng.uniform(-1.0, 1.0) ** 3))
+        try:
+            points.append(ParamPoint(chart, c1, spread if chart is Chart.THETA else c1 * c1 + spread))
+        except DomainError:  # c1^2 overflows
+            pass
+    return points
+
+
+def as_block(points) -> ParamPoint:
+    return ParamPoint(points[0].chart, np.array([p.c1 for p in points]),
+                      np.array([p.c2 for p in points]))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (SingularMetricError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def failed(result) -> bool:
+    return isinstance(result[0], type)
+
+
+def assert_same_outcome(got, ref, same=same_bits):
+    """The same error as ``ref``, or arrays with ``ref``'s bits, array by array."""
+    if failed(ref):
+        assert got == ref
+    else:
+        assert all(same(a, b) for a, b in zip(got, ref, strict=True))
+
+
+class TestRewrittenKernelBits:
+    """The dual-chart field, index lowering, curvature assembly and metric checks give
+    the bits of their earlier forms in ``oracles``, at points and on 60-point blocks,
+    at scales from 1e-300 to 1e300."""
+
+    def test_xi_field_values_and_derivatives(self, rng):
+        points = extreme_points(rng, Chart.XI, 600)
+        overflowed = 0
+        with np.errstate(all="ignore"):
+            for p in points + [as_block(points[i:i + 60]) for i in range(0, 600, 60)]:
+                for args in ((p.c1, p.c2), lift(p)):
+                    got, ref = outcome(XI_FIELD, *args), outcome(oracles.xi_field_full_sum, *args)
+                    if failed(ref):  # a float division by zero at a point
+                        assert got == ref
+                        continue
+                    for i, j in ((0, 0), (0, 1), (1, 1)):
+                        a, b = got[i][j], ref[i][j]
+                        if isinstance(b, Dual2):
+                            a, b = ([e.val, e.g1, e.g2, e.h11, e.h12, e.h22] for e in (a, b))
+                        assert same_bits_where_finite(a, b), (p, args, i, j)
+                        overflowed += not np.isfinite(b).all()
+        assert overflowed  # the overflow rule was exercised
+
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    def test_levi_civita_and_riemann(self, rng, chart):
+        field = fisher_metric_field(chart)
+
+        def package(p):
+            conn, riem = levi_civita(field, p), riemann_levi_civita(field, p)
+            return conn.lower, conn.mixed, riem.r, riem.scalar
+
+        def loop(p):
+            return oracles.levi_civita_and_riemann_by_loop(field, p)
+
+        points = extreme_points(rng, chart, 240)
+        with np.errstate(all="ignore"):
+            passing = [p for p in points if not failed(outcome(loop, p))]
+            # 60-point blocks of all the points, which stop at their first failing point,
+            # and of the points that pass
+            blocks = [as_block(ps[i:i + 60]) for ps in (points, passing)
+                      for i in range(0, len(ps) - 59, 60)]
+            for p in points + blocks:
+                assert_same_outcome(outcome(package, p), outcome(loop, p), same_bits_where_finite)
+        assert len(passing) >= 120
+
+    @staticmethod
+    def matrices(rng, n):
+        """A few chosen 2x2 matrices, then n at scales 1e-300 to 1e300: symmetric, off by
+        a relative 1e-13 or by much more, with signed zeros off the diagonal, or not finite."""
+        out = [
+            [[1e200, 1e200], [2e200, 1e200]],       # not symmetric, and det overflows
+            [[np.inf, 1e200], [1e200, 1e200]],       # not finite, and det would be NaN
+            [[1.0, 0.5], [0.5 + 1e-13, 1.0]],        # symmetric within the gate: g10 := g01
+            [[1.0, -0.0], [0.0, 2.0]],               # equal, but the zero signs differ
+            [[1.0, 0.0], [-0.0, 2.0]],
+            [[1e-200, 0.0], [0.0, 1e-200]],          # det underflows to 0
+            [[1e200, 0.0], [0.0, 1e200]],            # det overflows
+            [[-1.0, 0.0], [0.0, 1.0]],
+        ]
+        for k in range(n):
+            g00, g01, g11 = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-300.0, 300.0, 3)
+            g00, g11 = abs(g00) if k % 5 else g00, abs(g11)
+            g01 = (0.0, -0.0, g01 * 1e-150, g01)[k % 4]
+            g10 = (g01, g01, g01 * (1.0 + 1e-13), g01 * 1.5, g01)[k % 5]
+            if k % 23 == 0:
+                g11 = (np.inf, np.nan)[k % 2]
+            out.append([[g00, g01], [g10, g11]])
+        return np.array(out)
+
+    @pytest.mark.parametrize("errors", ["raise", "ignore"])
+    def test_from_matrix(self, rng, errors):
+        g = self.matrices(rng, 600)
+        where = ParamPoint(Chart.THETA, np.linspace(0.0, 1.0, len(g)), 1.0)
+
+        def package(p, m):
+            metric = MetricAt.from_matrix(p, m)
+            return metric.g, metric.g_inv, metric.det
+
+        with np.errstate(over=errors, divide=errors, invalid=errors):
+            each = [(where.at(n), g[n]) for n in range(len(g))]
+            ok = np.array([not failed(outcome(oracles.metric_checked_in_order, *pg)) for pg in each])
+            # 60-point blocks of all the matrices, which stop at their first failing point,
+            # and of the matrices that pass
+            blocks = [(ParamPoint(Chart.THETA, c1[i:i + 60], 1.0), m[i:i + 60])
+                      for c1, m in ((where.c1, g), (where.c1[ok], g[ok]))
+                      for i in range(0, len(m) - 59, 60)]
+            for pg in each + blocks:
+                assert_same_outcome(outcome(package, *pg),
+                                    outcome(oracles.metric_checked_in_order, *pg))
+        assert ok.sum() >= 120
