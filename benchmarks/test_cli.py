@@ -4,7 +4,10 @@
 
 Times ``igeo.cli.main(argv)`` with stdout and stderr captured in memory: one
 request costs parsing, the computation and the serialisation of its records.
-The cases are a single-point metric and audit, and, written as JSON, the
+The single-point cases time each command's fixed cost as point-mix sends it:
+the metric, the audit, the dual-chart curvature, the scalar, ``transform``, the
+Levi-Civita torsion, and the dual-chart expectation connection in closed form
+and by Gauss-Hermite at 64 nodes.  The grid cases are, written as JSON, the
 dual-chart curvature, ``transform`` and the dual-chart closed-form expectation
 connection of a 40x40 grid, the Gauss-Hermite dual-chart expectation
 connection of a 20x20 grid, the Monte Carlo natural-chart expectation
@@ -29,6 +32,17 @@ from igeo import cli
 REQUESTS = {
     "metric_point": ("metric", "--point=0.3,1.2", "--format", "json"),
     "audit_point": ("audit", "--point=0.3,1.2", "--format", "json"),
+    "curvature_xi_point": ("curvature", "--chart=xi", "--point=0.3,1.53", "--format", "json"),
+    "scalar_point": ("scalar", "--point=0.3,1.2", "--format", "json"),
+    "transform_point": ("transform", "--point=0.3,1.2", "--format", "json"),
+    "torsion_levi_civita_point": ("torsion", "--connection=levi_civita", "--point=0.3,1.2",
+                                  "--format", "json"),
+    "christoffel_expectation_xi_point": ("christoffel", "--chart=xi", "--connection=expectation",
+                                         "--point=0.3,1.53", "--format", "json"),
+    "christoffel_expectation_xi_gh64_point": ("christoffel", "--chart=xi",
+                                              "--connection=expectation",
+                                              "--engine=gauss_hermite:64", "--point=0.3,1.53",
+                                              "--format", "json"),
     "curvature_xi_grid40x40": ("curvature", "--chart=xi", "--grid=-1:1:40,2.5:4:40",
                                "--format", "json"),
     "audit_grid20x20": ("audit", "--grid=-1:1:20,0.5:2:20", "--format", "json"),

@@ -404,20 +404,35 @@ def _require_closed_form(engine, what: str):
 def _require_finite(p: ParamPoint, what: str, values) -> None:
     # einsum ignores np.errstate, so an overflow can reach the output silently;
     # _run reruns a block that fails here point by point, so the message names a point
-    if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
+    if not (math.isfinite(values) if isinstance(values, float)
+            else np.count_nonzero(np.isfinite(values)) == values.size):
         raise DomainError(f"{what} at {p} is not finite in double precision")
 
 
+@functools.cache
+def _quantity_rows(quantities: tuple[str, ...], shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The row pattern of a point's (quantity, value) records, values of these shapes."""
+    return tuple((quantity, Floats(shape), "oracle") for quantity, shape in zip(quantities, shapes))
+
+
 def _quantity_block(fn):
-    """A command of (quantity, value) pairs, values with block axes first, as a Block."""
+    """A command of (quantity, value) pairs, values with block axes first, as a Block.
+
+    Every value is an ndarray or a numpy scalar.  One finiteness check covers
+    the Block's floats; only where it fails are the values checked one by one,
+    so the message names the first quantity that is not finite.
+    """
     def block(p: ParamPoint, args, engine) -> Block:
         pairs = fn(p, args, engine)
-        for quantity, value in pairs:
-            _require_finite(p, quantity, value)
-        n, axes = np.size(p.c1), np.ndim(p.c1)
-        rows = tuple((quantity, Floats(np.shape(v)[axes:]), "oracle") for quantity, v in pairs)
-        return Block(_coords(p), rows,
-                     np.concatenate([np.reshape(v, (n, -1)) for _, v in pairs], axis=1))
+        coords = _coords(p)
+        n, axes = len(coords), 0 if type(p.c1) is float else p.c1.ndim
+        floats = np.concatenate([v.reshape(n, -1) for _, v in pairs], axis=1)
+        if np.count_nonzero(np.isfinite(floats)) < floats.size:
+            for quantity, value in pairs:
+                _require_finite(p, quantity, value)
+        rows = _quantity_rows(tuple([quantity for quantity, _ in pairs]),
+                              tuple([v.shape[axes:] for _, v in pairs]))
+        return Block(coords, rows, floats)
     return block
 
 
@@ -472,9 +487,11 @@ def _audit(p, args, engine) -> Block:
     r = run_audit(p, Tolerances(args.tol_closed, args.tol_derived, args.tol_rel))
     # a finite |paper - oracle| makes both sides and the relative gap finite
     _require_finite(p, "an audit gap", r.abs_gap)
-    n = np.size(p.c1)
-    floats = np.stack([r.paper, r.oracle, r.abs_gap, r.rel_gap], axis=-1).reshape(n, -1)
-    return Block(_coords(p), _AUDIT_ROWS, floats, r.match.reshape(n, -1))
+    coords = _coords(p)
+    n = len(coords)
+    floats = np.concatenate([a[..., None] for a in (r.paper, r.oracle, r.abs_gap, r.rel_gap)],
+                            axis=-1).reshape(n, -1)
+    return Block(coords, _AUDIT_ROWS, floats, r.match.reshape(n, -1))
 
 
 # command -> the Block of a point, or of a block of points

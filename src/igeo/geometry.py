@@ -44,10 +44,31 @@ MetricField = Callable[[object, object], object]  # (c1, c2) -> 2x2 of float/Dua
 _COFACTOR_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # g^-1 det = g reversed, times these
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
+class _Result:
+    """The arrays a result object names in ``_FROZEN`` are read-only.
+
+    The constructor copies them, so an object never aliases an array its caller
+    passed in.  The kernels build through ``_adopt`` instead.
+    """
+
+    _FROZEN: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in self._FROZEN:
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _adopt(cls, **fields):
+        """The object over float arrays a kernel has just made and no one else
+        holds: they are made read-only in place, not copied."""
+        obj = object.__new__(cls)
+        for name, value in fields.items():
+            if name in cls._FROZEN:
+                value.setflags(write=False)
+            object.__setattr__(obj, name, value)
+        return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +92,13 @@ class MetricAt:
             raise SingularMetricError(f"metric at {point} is not a finite 2x2 matrix")
         # [()] makes the entries of one matrix numpy scalars, whose errors name scalar ops
         g00, g01, g10, g11 = g[..., 0, 0][()], g[..., 0, 1][()], g[..., 1, 0][()], g[..., 1, 1][()]
-        finite = np.isfinite(g)
-        # one count (a fraction of .all()'s cost on a few values) passes finite entries with
-        # g01 == g10, and no float op can raise before it; anything else takes the checks in order
-        if np.count_nonzero(finite & (g01 == g10)[..., None, None]) < finite.size:
+        # one count (a fraction of .all()'s cost on a few values) passes finite g00, g01 and
+        # g11 with g10 == g01, and no float op can raise before it; anything else takes the
+        # checks in order
+        ok = np.isfinite(g)
+        ok[..., 1, 0] = g01 == g10
+        if np.count_nonzero(ok) < ok.size:
+            finite = np.isfinite(g)
             if not finite.all():
                 _, p = _first(point, ~finite.all(axis=(-2, -1)))
                 raise SingularMetricError(f"metric at {p} is not a finite 2x2 matrix")
@@ -90,7 +114,8 @@ class MetricAt:
             at, p = _first(point, ~pd)
             raise SingularMetricError(f"metric at {p} is not positive definite (det = {det[at]})")
         # [[g11, -g01], [-g01, g00]] / det
-        g_inv = g[..., ::-1, ::-1] * _COFACTOR_SIGNS / det[..., None, None]
+        g_inv = g[..., ::-1, ::-1] * _COFACTOR_SIGNS
+        g_inv /= det[..., None, None]
         g.setflags(write=False)
         g_inv.setflags(write=False)
         return cls(point=point, g=g, g_inv=g_inv)
@@ -109,7 +134,7 @@ def _first(point: ParamPoint, bad: np.ndarray) -> tuple[tuple, ParamPoint]:
 
 
 @dataclass(frozen=True, eq=False)
-class ConnAt:
+class ConnAt(_Result):
     """Connection coefficients at a point, in both storages.
 
     ``lower[i, j, k]`` and ``mixed[k, i, j]`` are related by
@@ -119,33 +144,26 @@ class ConnAt:
     point: ParamPoint
     lower: np.ndarray
     mixed: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower", _frozen(self.lower))
-        object.__setattr__(self, "mixed", _frozen(self.mixed))
+    _FROZEN = ("lower", "mixed")
 
 
 @dataclass(frozen=True, eq=False)
-class TorsionAt:
+class TorsionAt(_Result):
     """Torsion components T_ijk = Gamma_ijk - Gamma_jik."""
 
     point: ParamPoint
     t: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _frozen(self.t))
+    _FROZEN = ("t",)
 
 
 @dataclass(frozen=True, eq=False)
-class RiemannAt:
+class RiemannAt(_Result):
     """All-lower curvature array plus the normalised scalar curvature."""
 
     point: ParamPoint
     r: np.ndarray
     scalar: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", _frozen(self.r))
+    _FROZEN = ("r",)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +243,13 @@ def levi_civita(metric_field: MetricField, point: ParamPoint) -> ConnAt:
     Raises SingularMetricError when the metric is not invertible.
     """
     _, _, _, lower, mixed = _lc_jet(metric_field, point)
-    return ConnAt(point=point, lower=lower, mixed=mixed)
+    return ConnAt._adopt(point=point, lower=lower, mixed=mixed)
 
 
 def torsion(conn: ConnAt) -> TorsionAt:
     """T_ijk = Gamma_ijk - Gamma_jik; exactly zero for any symmetric connection."""
     lower = np.asarray(conn.lower)
-    return TorsionAt(point=conn.point, t=lower - lower.swapaxes(-3, -2))
+    return TorsionAt._adopt(point=conn.point, t=lower - lower.swapaxes(-3, -2))
 
 
 def riemann_levi_civita(metric_field: MetricField, point: ParamPoint) -> RiemannAt:
@@ -261,8 +279,8 @@ def _levi_civita_and_riemann(metric_field: MetricField,
     # 0.5 r[i, j, k, m] g^im g^jk, summed in (i, j, k, m) order as one running total
     terms = r * ginv[..., :, None, None, :] * ginv[..., None, :, :, None]
     total = np.add.accumulate(terms.reshape(terms.shape[:-4] + (16,)), axis=-1)[..., -1]
-    return (ConnAt(point=point, lower=lower, mixed=mixed),
-            RiemannAt(point=point, r=r, scalar=0.5 * (0.0 + total)))
+    return (ConnAt._adopt(point=point, lower=lower, mixed=mixed),
+            RiemannAt._adopt(point=point, r=r, scalar=0.5 * (0.0 + total)))
 
 
 def sectional_curvature(riem: RiemannAt, metric: MetricAt):
@@ -318,5 +336,11 @@ def transform_connection(
     mixed = np.einsum("...ai,...bj,...gk,...kij->...gab", b, b, jac, conn.mixed)
     mixed += np.einsum("...gm,...mab->...gab", jac, sd)
     lower = transform_lower_tensor3(conn.lower, jac_inv)
-    lower += np.einsum("...mab,...ck,...mk->...abc", sd, b, metric.g)
-    return ConnAt(point=to_point, lower=lower, mixed=mixed)
+    lower += _connection_shift_lower(sd, jac_inv, metric)
+    return ConnAt._adopt(point=to_point, lower=lower, mixed=mixed)
+
+
+def _connection_shift_lower(second_derivs: np.ndarray, jac_inv, metric: MetricAt) -> np.ndarray:
+    """The inhomogeneous term of the all-lower connection law, which the (0,3)-tensor
+    law leaves out: second_derivs[m, a, b] B_c^k g_mk, g the source metric."""
+    return np.einsum("...mab,...ck,...mk->...abc", second_derivs, _basis_change(jac_inv), metric.g)

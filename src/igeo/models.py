@@ -279,7 +279,7 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
         # (i, j, k) -> the mean of h_ij * score[k]; h21 is h12
         lower = means[..., [0, 1, 2, 3, 2, 3, 4, 5]].reshape(means.shape[:-1] + (2, 2, 2))
         g_inv = _metric_from_means(p, -means[..., 6:]).g_inv
-    return ConnAt(point=p, lower=lower, mixed=_raise_index(g_inv, lower))
+    return ConnAt._adopt(point=p, lower=lower, mixed=_raise_index(g_inv, lower))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,12 @@ def chart_second_derivatives(p: ParamPoint) -> np.ndarray:
 
     theta_1 is linear in xi, so only the sigma row is nonzero.
     """
-    x1, x2 = ad.lift(chart_forward(p))
+    return _second_derivatives_xi(chart_forward(p))
+
+
+def _second_derivatives_xi(q: ParamPoint) -> np.ndarray:
+    """chart_second_derivatives at the theta point whose xi image is q."""
+    x1, x2 = ad.lift(q)
     sigma = ad.sqrt(x2 - x1 * x1)
     return ad.batch_array([0.0] * 4 + [sigma.h11, sigma.h12, sigma.h12, sigma.h22], (2, 2, 2))
 

@@ -26,16 +26,16 @@ import numpy as np
 from .autodiff import _pow, batch_array
 from .core import Chart, DEFAULT_TOLERANCES, ParamPoint, Tolerances
 from .geometry import (
+    _connection_shift_lower,
     _levi_civita_and_riemann,
     torsion,
-    transform_connection,
     transform_lower_tensor3,
     transform_metric,
 )
 from .models import (
     _require_theta,
+    _second_derivatives_xi,
     chart_forward,
-    chart_second_derivatives,
     conn_expectation_theta,
     fisher_metric_field,
     fisher_metric_theta,
@@ -206,7 +206,9 @@ class AuditRows(Sequence):
     def __len__(self) -> int:
         return self._report.match.size
 
-    def __getitem__(self, i: int) -> AuditRow:
+    def __getitem__(self, i: int | slice) -> AuditRow | tuple[AuditRow, ...]:
+        if isinstance(i, slice):  # a tuple of rows, as a slice of a tuple
+            return tuple(self[k] for k in range(len(self))[i])
         i = range(len(self))[i]  # a tuple's IndexError and negative indices
         r = self._report
         qid, label, _, note = ROWS[i % len(ROWS)]
@@ -246,6 +248,7 @@ ROWS = (
     + [("T_xi.max_abs", "native_levi_civita", False, _TORSION_NOTE)]
 )
 _DERIVED = np.array([derived for _, _, derived, _ in ROWS])
+_PAPER_IDS = tuple(qid for qid, *_ in ROWS[:-1])  # the rows but the torsion's, which is computed
 
 
 def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
@@ -263,29 +266,29 @@ def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
     """
     e = paper_table(p)
     q = chart_forward(p)
-    jac, jac_inv = jacobian(p)
+    _, jac_inv = jacobian(p)
     metric_th = fisher_metric_theta(p)
     metric_or = transform_metric(metric_th, jac_inv, q)
 
-    econn = conn_expectation_theta(p)
-    lower_tensor = transform_lower_tensor3(econn.lower, jac_inv)
-    lower_conn = transform_connection(
-        econn, jac, jac_inv, chart_second_derivatives(p), metric_th, q
-    ).lower
+    # the connection law's lower coefficients are the tensor law's plus its
+    # inhomogeneous term, as transform_connection adds them
+    lower_tensor = transform_lower_tensor3(conn_expectation_theta(p).lower, jac_inv)
+    lower_conn = lower_tensor + _connection_shift_lower(_second_derivatives_xi(q), jac_inv,
+                                                        metric_th)
 
     lc_xi, riem_xi = _levi_civita_and_riemann(fisher_metric_field(Chart.XI), q)
 
     # torsion of the published lower coefficients, via T_ijk = G_ijk - G_jik
     paper_lower = batch_array([e[qid] for qid in _LOWER_IDS], (2, 2, 2))
     t_paper = paper_lower - paper_lower.swapaxes(-3, -2)
-    paper = batch_array([e[qid] for qid, *_ in ROWS[:-1]]
-                        + [np.max(np.abs(t_paper), axis=(-3, -2, -1))], (len(ROWS),))
+    paper = batch_array([e[qid] for qid in _PAPER_IDS]
+                        + [np.abs(t_paper).max(axis=(-3, -2, -1))], (len(ROWS),))
     # each oracle's components in C order, the two laws side by side
     block = np.shape(p.c1)
-    oracle = np.concatenate([np.reshape(a, block + (-1,)) for a in (
-        metric_or.g, metric_or.det, metric_or.g_inv, np.stack([lower_tensor, lower_conn], -1),
-        lc_xi.mixed, riem_xi.r, riem_xi.scalar,
-        np.max(np.abs(torsion(lc_xi).t), axis=(-3, -2, -1)),
+    laws = np.concatenate([lower_tensor[..., None], lower_conn[..., None]], axis=-1)
+    oracle = np.concatenate([a.reshape(block + (-1,)) for a in (
+        metric_or.g, metric_or.det, metric_or.g_inv, laws, lc_xi.mixed, riem_xi.r,
+        riem_xi.scalar, np.abs(torsion(lc_xi).t).max(axis=(-3, -2, -1)),
     )], axis=-1)
 
     gap = np.abs(paper - oracle)

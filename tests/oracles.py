@@ -11,8 +11,10 @@ have a second, unrelated computation path to compare against.
 The last section is of another kind: the earlier forms of the kernels that were
 rewritten to make fewer calls at a point (the dual-chart metric field as the full
 pullback sum, index lowering by ``np.moveaxis``, the curvature summed over s in
-a loop, the metric checks one reduction each).  They take each float operation
-in the order the package takes it, so the tests ask the package for their bits.
+a loop, the metric checks one reduction each), and the audit composed from
+``transform_connection`` and ``chart_second_derivatives``.  They take each float
+operation in the order the package takes it, so the tests ask the package for
+their bits.
 The dual-chart field is differentiated by ``Dual2``, as the package's is.
 """
 
@@ -21,8 +23,12 @@ import math
 
 import numpy as np
 
-from igeo import Dual2, SingularMetricError
+from igeo import (Chart, Dual2, SingularMetricError, chart_forward, chart_second_derivatives,
+                  conn_expectation_theta, fisher_metric_field, fisher_metric_theta, jacobian,
+                  torsion, transform_connection, transform_lower_tensor3, transform_metric)
+from igeo import papertable as pt
 from igeo.autodiff import sqrt
+from igeo.geometry import _levi_civita_and_riemann
 
 H1 = 1e-6   # first-derivative step (5-point stencil, ~1e-12 truncation)
 H2 = 1e-3   # second-derivative step (5-point stencil, ~1e-10 total error)
@@ -367,3 +373,36 @@ def levi_civita_and_riemann_by_loop(field, point):
     terms = r * ginv[..., :, None, None, :] * ginv[..., None, :, :, None]
     total = np.add.accumulate(terms.reshape(terms.shape[:-4] + (16,)), axis=-1)[..., -1]
     return lower, mixed, r, 0.5 * (0.0 + total)
+
+
+def audit_columns_by_parts(p, tol):
+    """(paper, oracle, abs_gap, rel_gap, match) of ``audit`` composed as it once was: the
+    connection law's lower coefficients from ``transform_connection``, whose mixed half
+    is discarded, and the second derivatives from the theta point."""
+    e = pt.paper_table(p)
+    q = chart_forward(p)
+    jac, jac_inv = jacobian(p)
+    metric_th = fisher_metric_theta(p)
+    metric_or = transform_metric(metric_th, jac_inv, q)
+    econn = conn_expectation_theta(p)
+    lower_tensor = transform_lower_tensor3(econn.lower, jac_inv)
+    lower_conn = transform_connection(
+        econn, jac, jac_inv, chart_second_derivatives(p), metric_th, q
+    ).lower
+    lc_xi, riem_xi = _levi_civita_and_riemann(fisher_metric_field(Chart.XI), q)
+    paper_lower = _stacked([e[qid] for qid in pt._LOWER_IDS], (2, 2, 2))
+    t_paper = paper_lower - paper_lower.swapaxes(-3, -2)
+    paper = _stacked([e[qid] for qid, *_ in pt.ROWS[:-1]]
+                     + [np.max(np.abs(t_paper), axis=(-3, -2, -1))], (len(pt.ROWS),))
+    block = np.shape(p.c1)
+    oracle = np.concatenate([np.reshape(a, block + (-1,)) for a in (
+        metric_or.g, metric_or.det, metric_or.g_inv, np.stack([lower_tensor, lower_conn], -1),
+        lc_xi.mixed, riem_xi.r, riem_xi.scalar,
+        np.max(np.abs(torsion(lc_xi).t), axis=(-3, -2, -1)),
+    )], axis=-1)
+    gap = np.abs(paper - oracle)
+    abs_paper, abs_oracle = np.abs(paper), np.abs(oracle)
+    denom = np.where(abs_oracle > abs_paper, abs_oracle, abs_paper)
+    rel = np.divide(gap, denom, out=np.zeros_like(gap), where=denom > 0.0)
+    gate = np.where([derived for _, _, derived, _ in pt.ROWS], tol.derived_abs, tol.closed_form_abs)
+    return paper, oracle, gap, rel, (gap <= gate) | (rel <= tol.rel)

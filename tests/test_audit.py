@@ -1,17 +1,24 @@
 """Audit behaviour: verdicts, gaps, determinism, documented discrepancies."""
 
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from igeo import (Chart, ParamPoint, Tolerances, audit, chart_forward, fisher_metric_field,
-                  levi_civita, riemann_levi_civita, torsion)
+from igeo import (DEFAULT_TOLERANCES, Chart, ParamPoint, Tolerances, audit, chart_forward,
+                  fisher_metric_field, levi_civita, riemann_levi_civita, torsion,
+                  transform_connection, transform_lower_tensor3)
 from igeo import papertable
 from igeo.papertable import MATCH, MISMATCH
 
+import oracles
+from conftest import as_block, assert_same_outcome, extreme_points, failed, outcome
+
 P01 = ParamPoint.theta(0, 1)
 P11 = ParamPoint.theta(1, 1)
+BLOCK = ParamPoint.theta([-0.7, 0.0, 1.0, 2.5], [0.6, 1.0, 1.0, 3.0])
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +169,72 @@ class TestDualChartJet:
             assert row.oracle == float(riem.r[i, j, k, m])
         assert report.row("K").oracle == float(riem.scalar)
         assert report.row("T_xi.max_abs").oracle == float(np.max(np.abs(torsion(conn).t)))
+
+
+class TestRowsSequence:
+    """``AuditReport.rows`` reads like the tuple of rows it once was."""
+
+    @pytest.mark.parametrize("p", [P11, BLOCK], ids=["point", "block"])
+    @pytest.mark.parametrize("i, j, step", [(0, 5, None), (3, None, None), (None, -2, None),
+                                            (-60, -1, 7), (None, None, -1), (50, 10, -3),
+                                            (10, 3, None), (0, 1000, 2)])
+    def test_slices(self, p, i, j, step):
+        rows = audit(p).rows
+        got = rows[i:j:step]
+        assert type(got) is tuple and got == tuple(rows)[i:j:step]
+
+    def test_index_as_a_tuple(self):
+        rows = audit(P11).rows
+        assert rows[-1] == tuple(rows)[-1]
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+
+
+def count_calls(monkeypatch, *functions) -> collections.Counter:
+    """Calls to each function from here on, by name: every ``igeo`` module attribute
+    that is the function is replaced by a counting wrapper, as perfbench's tracer does."""
+    calls = collections.Counter()
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "igeo" or name.startswith("igeo."))]
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            for name, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+class TestAuditInputs:
+    """The audit computes each input once, and its columns keep the bits of the
+    composition through ``transform_connection`` (``oracles.audit_columns_by_parts``)."""
+
+    @pytest.mark.parametrize("p", [P11, BLOCK], ids=["point", "block"])
+    def test_each_input_once(self, monkeypatch, p):
+        calls = count_calls(monkeypatch, chart_forward, transform_lower_tensor3,
+                            transform_connection)
+        audit(p)
+        assert calls == {"chart_forward": 1, "transform_lower_tensor3": 1}
+
+    @pytest.mark.parametrize("errors", ["raise", "ignore"])
+    def test_columns_bit_for_bit(self, rng, errors):
+        def package(p):
+            r = audit(p)
+            return r.paper, r.oracle, r.abs_gap, r.rel_gap, r.match
+
+        def parts(p):
+            return oracles.audit_columns_by_parts(p, DEFAULT_TOLERANCES)
+
+        points = extreme_points(rng, Chart.THETA, 600)
+        with np.errstate(over=errors, divide=errors, invalid=errors):
+            passing = [p for p in points if not failed(outcome(parts, p))]
+            # 60-point blocks of all the points, which stop at their first failing point,
+            # and of the points that pass
+            blocks = [as_block(ps[i:i + 60]) for ps in (points, passing)
+                      for i in range(0, len(ps) - 59, 60)]
+            for p in points + blocks:
+                assert_same_outcome(outcome(package, p), outcome(parts, p))
+        assert len(passing) >= 120 and len(passing) < len(points)

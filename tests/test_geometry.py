@@ -16,7 +16,9 @@ from igeo import (
     MetricAt,
     MonteCarlo,
     ParamPoint,
+    RiemannAt,
     SingularMetricError,
+    TorsionAt,
     audit,
     chart_backward,
     chart_forward,
@@ -39,7 +41,8 @@ from igeo import (
 from igeo.autodiff import Dual2, batch_array, lift, sin
 
 import oracles
-from conftest import random_theta_points
+from conftest import (as_block, assert_same_outcome, extreme_points, failed, outcome,
+                      random_theta_points, same_bits)
 
 THETA_FIELD = fisher_metric_field(Chart.THETA)
 XI_FIELD = fisher_metric_field(Chart.XI)
@@ -486,12 +489,6 @@ class TestDualPotential:
         self.close(lhs, t1 * q.c1 + t2 * q.c2, self.TOL.closed_form_abs)
 
 
-def same_bits(a, b) -> bool:
-    """Equal doubles, zero signs included."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 class TestBlocks:
     """A block point runs the same kernels as a single point, bit for bit."""
 
@@ -659,6 +656,57 @@ class TestBlocks:
         assert np.array_equal(m.det, [2.0, 2 / 2**4, 2 / 4**4])
 
 
+class TestResultOwnership:
+    """A result object's arrays are read-only, and none is an array its caller passed in."""
+
+    POINTS = [ParamPoint.theta(0.3, 1.2), ParamPoint.theta([0.3, -1.0, 2.0], [1.2, 0.5, 3.0])]
+
+    @staticmethod
+    def results(p):
+        """(object, names of its arrays) for each kernel result at the theta point p."""
+        q = chart_forward(p)
+        conn = levi_civita(XI_FIELD, q)
+        return [
+            (conn, ("lower", "mixed")),
+            (levi_civita(THETA_FIELD, p), ("lower", "mixed")),
+            (conn_expectation_theta(p), ("lower", "mixed")),
+            (conn_expectation_theta(p, GaussHermite(8)), ("lower", "mixed")),
+            (expectation_connection(q), ("lower", "mixed")),
+            (expectation_connection(q, GaussHermite(8)), ("lower", "mixed")),
+            (torsion(conn), ("t",)),
+            (riemann_levi_civita(XI_FIELD, q), ("r",)),
+            (riemann_levi_civita(THETA_FIELD, p), ("r",)),
+        ]
+
+    @pytest.mark.parametrize("p", POINTS, ids=["point", "block"])
+    def test_kernel_arrays_are_read_only(self, p):
+        for obj, names in self.results(p):
+            for name in names:
+                a = getattr(obj, name)
+                assert isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+
+    @pytest.mark.parametrize("cls, arrays", [
+        (ConnAt, {"lower": (2, 2, 2), "mixed": (2, 2, 2)}),
+        (TorsionAt, {"t": (2, 2, 2)}),
+        (RiemannAt, {"r": (2, 2, 2, 2), "scalar": None}),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_constructor_copies_caller_arrays(self, rng, cls, arrays):
+        given = {name: rng.standard_normal(shape) if shape else -0.5
+                 for name, shape in arrays.items()}
+        before = {name: np.copy(v) for name, v in given.items()}
+        obj = cls(point=self.POINTS[0], **given)
+        for name, shape in arrays.items():
+            if shape is None:
+                continue
+            mine, held = given[name], getattr(obj, name)
+            assert mine.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(mine, held)
+            mine[...] = np.nan  # the caller writes to its array afterwards
+            assert same_bits(held, before[name])
+
+
 def same_bits_where_finite(got, ref) -> bool:
     """same_bits wherever ``ref`` is finite, and not finite wherever ``ref`` is not.
 
@@ -669,45 +717,6 @@ def same_bits_where_finite(got, ref) -> bool:
     finite = np.isfinite(ref)
     return (got.shape == ref.shape and same_bits(got[finite], ref[finite])
             and not np.isfinite(got[~finite]).any())
-
-
-def extreme_points(rng, chart, n):
-    """n points of the chart with |c1| and sigma (xi: c2 - c1^2) from 1e-300 to 1e300,
-    their exponents drawn as 300 u^3 for u uniform in [-1, 1]."""
-    points = []
-    while len(points) < n:
-        c1 = float(rng.choice([-1.0, 1.0]) * 10.0 ** (300.0 * rng.uniform(-1.0, 1.0) ** 3))
-        spread = float(10.0 ** (300.0 * rng.uniform(-1.0, 1.0) ** 3))
-        try:
-            points.append(ParamPoint(chart, c1, spread if chart is Chart.THETA else c1 * c1 + spread))
-        except DomainError:  # c1^2 overflows
-            pass
-    return points
-
-
-def as_block(points) -> ParamPoint:
-    return ParamPoint(points[0].chart, np.array([p.c1 for p in points]),
-                      np.array([p.c2 for p in points]))
-
-
-def outcome(fn, *args):
-    """fn(*args), or the type and message of the error it raises."""
-    try:
-        return fn(*args)
-    except (SingularMetricError, ArithmeticError) as exc:
-        return type(exc), str(exc)
-
-
-def failed(result) -> bool:
-    return isinstance(result[0], type)
-
-
-def assert_same_outcome(got, ref, same=same_bits):
-    """The same error as ``ref``, or arrays with ``ref``'s bits, array by array."""
-    if failed(ref):
-        assert got == ref
-    else:
-        assert all(same(a, b) for a, b in zip(got, ref, strict=True))
 
 
 class TestRewrittenKernelBits:
