@@ -11,9 +11,10 @@ one block, in both charts.  At the point alone it also times two of their parts:
 dual-chart ``fisher_metric_field`` on the lifted point, the ``Dual2`` evaluation
 that gives the metric jet.  The engine cases time ``fisher_metric`` and
 ``expectation_connection`` (``conn_expectation_theta`` in the natural chart) by
-``GaussHermite(64)`` on the same 40x40 block, in both charts.  The writer cases
-time the JSON, CSV and text
-writers alone on the columns of a request computed beforehand: the audit of a
+``GaussHermite(64)`` on the same 40x40 block, in both charts, and at the point
+alone by ``gauss_hermite:64`` and ``monte_carlo:1000``, in both charts: a point
+takes the engines' block path as its one-point case.  The writer cases time the
+JSON, CSV and text writers alone on the columns of a request computed beforehand: the audit of a
 20x20 grid as JSON, as CSV and as text, and the dual-chart curvature of a 40x40
 grid as JSON and as text.
 The directory lies outside ``testpaths``, so the test suite does not collect
@@ -24,7 +25,7 @@ only.
 import numpy as np
 import pytest
 
-from igeo import Chart, GaussHermite, MetricAt, ParamPoint, cli, evaluate_metric, \
+from igeo import Chart, GaussHermite, MetricAt, MonteCarlo, ParamPoint, cli, evaluate_metric, \
     expectation_connection, fisher_metric, fisher_metric_field, levi_civita, riemann_levi_civita
 from igeo.autodiff import lift
 
@@ -37,6 +38,12 @@ KERNELS = {
 ENGINE_QUANTITIES = {
     "fisher_metric": fisher_metric,
     "expectation_connection": expectation_connection,
+}
+
+# the CLI's --engine spec -> the engine it names
+ENGINES = {
+    "gauss_hermite:64": GaussHermite(64),
+    "monte_carlo:1000": MonteCarlo(1000),
 }
 
 # the requests whose columns the writer cases write
@@ -91,6 +98,14 @@ def test_xi_field_on_lift(benchmark):
 def test_gauss_hermite(benchmark, quantity, chart):
     benchmark.group = f"{quantity} gauss_hermite:64 grid40x40"
     benchmark(ENGINE_QUANTITIES[quantity], where_grid40x40(chart), GaussHermite(64))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+@pytest.mark.parametrize("quantity", sorted(ENGINE_QUANTITIES))
+def test_engine_point(benchmark, quantity, chart, engine):
+    benchmark.group = f"{quantity} {engine} point"
+    benchmark(ENGINE_QUANTITIES[quantity], where_point(chart), ENGINES[engine])
 
 
 @pytest.mark.parametrize("name", sorted(WRITER_REQUESTS))

@@ -42,7 +42,6 @@ from .geometry import (
     transform_metric,
 )
 from .models import (
-    DEFAULT_MC_SEED,
     ClosedForm,
     GaussHermite,
     MonteCarlo,
@@ -373,7 +372,8 @@ def _parse_engine(spec: str):
     try:
         nums = [int(f) for f in fields]
         if name == "monte_carlo" and len(nums) < 2:
-            nums = (nums or [1_000_000]) + [int(os.environ.get("IGEO_SEED", DEFAULT_MC_SEED))]
+            seed = int(os.environ.get("IGEO_SEED", MonteCarlo.seed))
+            nums = (nums or [MonteCarlo.samples]) + [seed]
     except ValueError as exc:
         raise UsageError(
             f"bad --engine spec {spec!r}: nodes, samples and seed (also IGEO_SEED) are integers"
@@ -381,7 +381,7 @@ def _parse_engine(spec: str):
     if name == "closed_form" and not nums:
         return ClosedForm(), "closed_form"
     if name == "gauss_hermite" and len(nums) <= 1:
-        nodes = nums[0] if nums else 64
+        nodes = nums[0] if nums else GaussHermite.nodes
         return GaussHermite(nodes), f"gauss_hermite:{nodes}"
     if name == "monte_carlo" and len(nums) == 2:
         samples, seed = nums
@@ -404,8 +404,7 @@ def _require_closed_form(engine, what: str):
 def _require_finite(p: ParamPoint, what: str, values) -> None:
     # einsum ignores np.errstate, so an overflow can reach the output silently;
     # _run reruns a block that fails here point by point, so the message names a point
-    if not (math.isfinite(values) if isinstance(values, float)
-            else np.count_nonzero(np.isfinite(values)) == values.size):
+    if np.count_nonzero(np.isfinite(values)) < values.size:
         raise DomainError(f"{what} at {p} is not finite in double precision")
 
 
@@ -506,28 +505,17 @@ _COMMANDS = {
 }
 
 
-def _blocks(p: ParamPoint, engine) -> list[ParamPoint]:
-    """A single point as it is; a grid in blocks of BLOCK_POINTS under an engine
-    that integrates blocks, else point by point as float points, in order."""
-    if np.ndim(p.c1) == 0:
-        return [p]
-    if not integrates_blocks(engine):
-        return [p.at(i) for i in range(p.c1.size)]
-    return [ParamPoint(p.chart, p.c1[i:i + BLOCK_POINTS], p.c2[i:i + BLOCK_POINTS])
-            for i in range(0, p.c1.size, BLOCK_POINTS)]
-
-
 def _run(p: ParamPoint, fn, args, engine) -> list[Block]:
     """fn's Block at a point or block.  A float that overflows or divides by zero
-    at a point is a domain error; a block, which _blocks makes only for an engine
+    at a point is a domain error; a block, which _report makes only for an engine
     that integrates blocks, runs again point by point when it raises, so its first
     failing point raises its own message."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return [fn(p, args, engine)]
     except (DomainError, SingularMetricError, ArithmeticError) as exc:
-        if np.ndim(p.c1):
-            return [b for i in range(p.c1.size) for b in _run(p.at(i), fn, args, engine)]
+        if type(p.c1) is not float:
+            return [b for q in p.points() for b in _run(q, fn, args, engine)]
         if not isinstance(exc, ArithmeticError):
             raise
         raise DomainError(
@@ -666,7 +654,8 @@ def _report(args) -> tuple[Report, int]:
         point = _points(args, chart)
         if hasattr(args, "engine"):
             engine, engine_desc = _parse_engine(args.engine)
-        blocks = [b for block in _blocks(point, engine)
+        size = BLOCK_POINTS if integrates_blocks(engine) else 1
+        blocks = [b for block in point.points(size)
                   for b in _run(block, _COMMANDS[args.command], args, engine)]
         code = EXIT_OK
         if args.command == "audit":

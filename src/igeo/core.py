@@ -71,7 +71,8 @@ class ParamPoint:
     ``c1`` and ``c2`` are floats, or arrays of one shape for a block of points
     that the geometry kernels evaluate in one call, block axes first.  A number
     becomes a float and a sequence a float array; a float given with an array is
-    repeated over the block.
+    repeated over the block.  A block holds read-only copies, so no caller can
+    move a validated point out of its domain.
     """
 
     chart: Chart
@@ -84,7 +85,9 @@ class ParamPoint:
             c1, c2 = (float(c) if isinstance(c, (float, int, np.number)) else np.asarray(c, float)
                       for c in (c1, c2))
             if isinstance(c1, np.ndarray) or isinstance(c2, np.ndarray):
-                c1, c2 = np.broadcast_arrays(c1, c2)
+                c1, c2 = (np.array(c) for c in np.broadcast_arrays(c1, c2))
+                c1.setflags(write=False)
+                c2.setflags(write=False)
             object.__setattr__(self, "c1", c1)
             object.__setattr__(self, "c2", c2)
         validate_coords(self.chart, c1, c2)
@@ -96,6 +99,17 @@ class ParamPoint:
     def at(self, index) -> "ParamPoint":
         """The single point at ``index`` of a block."""
         return ParamPoint(self.chart, float(self.c1[index]), float(self.c2[index]))
+
+    def points(self, size: int = 1) -> list["ParamPoint"]:
+        """The block's points in C order: float points at size 1, else flat blocks of
+        at most ``size`` points, the last one shorter.  A single point is ``[self]``."""
+        if type(self.c1) is float:
+            return [self]
+        c1, c2 = self.c1.ravel(), self.c2.ravel()
+        if size == 1:
+            return [ParamPoint(self.chart, a, b) for a, b in zip(c1.tolist(), c2.tolist())]
+        return [ParamPoint(self.chart, c1[i:i + size], c2[i:i + size])
+                for i in range(0, c1.size, size)]
 
     @classmethod
     def theta(cls, mu, sigma) -> "ParamPoint":

@@ -64,20 +64,20 @@ class _Result:
         """The object over float arrays a kernel has just made and no one else
         holds: they are made read-only in place, not copied."""
         obj = object.__new__(cls)
-        for name, value in fields.items():
-            if name in cls._FROZEN:
-                value.setflags(write=False)
-            object.__setattr__(obj, name, value)
+        for name in cls._FROZEN:
+            fields[name].setflags(write=False)
+        obj.__dict__.update(fields)  # costs less than a frozen setattr per field
         return obj
 
 
 @dataclass(frozen=True, eq=False)
-class MetricAt:
+class MetricAt(_Result):
     """Metric matrix and its inverse at a point, or at each point of a block."""
 
     point: ParamPoint
     g: np.ndarray
     g_inv: np.ndarray
+    _FROZEN = ("g", "g_inv")
 
     @classmethod
     def from_matrix(cls, point: ParamPoint, g) -> "MetricAt":
@@ -116,9 +116,7 @@ class MetricAt:
         # [[g11, -g01], [-g01, g00]] / det
         g_inv = g[..., ::-1, ::-1] * _COFACTOR_SIGNS
         g_inv /= det[..., None, None]
-        g.setflags(write=False)
-        g_inv.setflags(write=False)
-        return cls(point=point, g=g, g_inv=g_inv)
+        return cls._adopt(point=point, g=g, g_inv=g_inv)
 
     @property
     def det(self):

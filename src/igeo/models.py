@@ -220,6 +220,7 @@ def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint) -> np.nda
     per call, in order, with its float coordinates.
     """
     th = p if p.chart is Chart.THETA else chart_backward(p)
+    cut = max(1, GH_BLOCK_VALUES // engine.nodes) if type(engine) is GaussHermite else 1
 
     def at(q: ParamPoint):
         mu, s = q.c1, q.c2
@@ -227,15 +228,7 @@ def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint) -> np.nda
             mu, s = mu[..., None], s[..., None]
         return engine.expect(lambda x: integrands(x - mu, mu, s), q)
 
-    if not np.ndim(p.c1):
-        return at(th)
-    block = np.shape(p.c1)
-    if integrates_blocks(engine):
-        c1, c2 = np.ravel(th.c1), np.ravel(th.c2)
-        cut = max(1, GH_BLOCK_VALUES // engine.nodes)
-        return np.concatenate([at(ParamPoint.theta(c1[i:i + cut], c2[i:i + cut]))
-                               for i in range(0, c1.size, cut)]).reshape(block + (-1,))
-    return np.array([at(th.at(i)) for i in np.ndindex(block)]).reshape(block + (-1,))
+    return np.concatenate([at(q) for q in th.points(cut)]).reshape(np.shape(p.c1) + (-1,))
 
 
 def _metric_from_means(p: ParamPoint, means: np.ndarray) -> MetricAt:

@@ -636,6 +636,22 @@ class TestBlocks:
         assert (p.c1, p.c2) == (float(c1), float(c2))
         assert str(p) == f"theta point ({float(c1)!r}, {float(c2)!r})"
 
+    @pytest.mark.parametrize("c1, c2", [(np.array([0.3, -1.0]), np.array([1.2, 0.5])),
+                                        (np.array([0.3, -1.0]), 1.2), (0.3, np.array([1.2, 0.5]))],
+                             ids=["arrays", "array-float", "float-array"])
+    def test_a_block_does_not_share_its_callers_arrays(self, c1, c2):
+        block = ParamPoint.theta(c1, c2)
+        before = (np.copy(block.c1), np.copy(block.c2))
+        for mine, held in zip((c1, c2), (block.c1, block.c2)):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = -1.0
+            if isinstance(mine, np.ndarray):
+                assert not np.shares_memory(mine, held)
+                mine[0] = -1.0  # sigma = -1 would leave the domain
+        assert same_bits(block.c1, before[0]) and same_bits(block.c2, before[1])
+        assert same_bits(fisher_metric(block).g, fisher_metric(ParamPoint.theta(*before)).g)
+
     def test_from_matrix_names_the_first_failing_point(self):
         block = ParamPoint(Chart.THETA, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0, 1.0]))
         g = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
@@ -656,6 +672,46 @@ class TestBlocks:
         assert np.array_equal(m.det, [2.0, 2 / 2**4, 2 / 4**4])
 
 
+class TestPoints:
+    """ParamPoint.points splits a block in C order: float points at size 1, else
+    flat blocks of at most size points; a single point is itself."""
+
+    @staticmethod
+    def grid(chart=Chart.THETA) -> ParamPoint:
+        c1, c2 = np.meshgrid(np.linspace(-1.0, 1.0, 3), np.linspace(2.0, 5.0, 4), indexing="ij")
+        return ParamPoint(chart, c1, c2)
+
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    def test_c_order_over_a_2d_block(self, chart):
+        block = self.grid(chart)
+        points = block.points()
+        assert len(points) == 12
+        for p, i in zip(points, np.ndindex(3, 4), strict=True):
+            assert p.chart is chart
+            assert (p.c1, p.c2) == (block.c1[i], block.c2[i])
+
+    @pytest.mark.parametrize("size, sizes", [(2, [2] * 6), (5, [5, 5, 2]), (11, [11, 1]),
+                                             (12, [12]), (100, [12])])
+    def test_piece_sizes(self, size, sizes):
+        block = self.grid()
+        pieces = block.points(size)
+        assert [p.c1.shape for p in pieces] == [(n,) for n in sizes]
+        assert all(p.chart is Chart.THETA and p.c2.shape == p.c1.shape for p in pieces)
+        assert same_bits(np.concatenate([p.c1 for p in pieces]), block.c1.ravel())
+        assert same_bits(np.concatenate([p.c2 for p in pieces]), block.c2.ravel())
+
+    def test_float_points_keep_the_bits(self, rng):
+        block = ParamPoint.theta(rng.uniform(-3, 3, (4, 5)) * 1e-300, rng.uniform(0.5, 2, (4, 5)))
+        for p, i in zip(block.points(), np.ndindex(4, 5), strict=True):
+            assert type(p.c1) is float and type(p.c2) is float
+            assert same_bits(p.c1, float(block.c1[i])) and same_bits(p.c2, float(block.c2[i]))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_a_point_is_itself(self, size):
+        p = ParamPoint.xi(0.5, 2.0)
+        assert p.points(size) == [p] and p.points(size)[0] is p
+
+
 class TestResultOwnership:
     """A result object's arrays are read-only, and none is an array its caller passed in."""
 
@@ -667,6 +723,10 @@ class TestResultOwnership:
         q = chart_forward(p)
         conn = levi_civita(XI_FIELD, q)
         return [
+            (fisher_metric(p), ("g", "g_inv")),
+            (fisher_metric(q), ("g", "g_inv")),
+            (fisher_metric(q, GaussHermite(8)), ("g", "g_inv")),
+            (transform_metric(fisher_metric(p), jacobian(p)[1], q), ("g", "g_inv")),
             (conn, ("lower", "mixed")),
             (levi_civita(THETA_FIELD, p), ("lower", "mixed")),
             (conn_expectation_theta(p), ("lower", "mixed")),
@@ -688,6 +748,7 @@ class TestResultOwnership:
                     a[...] = 0.0
 
     @pytest.mark.parametrize("cls, arrays", [
+        (MetricAt, {"g": (2, 2), "g_inv": (2, 2)}),
         (ConnAt, {"lower": (2, 2, 2), "mixed": (2, 2, 2)}),
         (TorsionAt, {"t": (2, 2, 2)}),
         (RiemannAt, {"r": (2, 2, 2, 2), "scalar": None}),

@@ -450,6 +450,24 @@ class TestGaussHermiteBlocks:
             assert np.array_equal(_bits(all_at_once[i]), _bits(dot.expect(stacked, q)))
 
 
+class TestEngineBlocksEqualPoints:
+    """On a 2-D block, each engine gives every point the bits of the point alone, and
+    the block axes come first."""
+
+    @pytest.mark.parametrize("engine", [MonteCarlo(1000), GaussHermite(8)],
+                             ids=["monte_carlo:1000", "gauss_hermite:8"])
+    @pytest.mark.parametrize("fn", [fisher_metric, expectation_connection])
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    def test_block_bits_equal_point_bits(self, engine, fn, chart):
+        block = TestGaussHermiteBlocks.block(chart, (3, 4))
+        in_block = TestGaussHermiteBlocks.arrays(fn(block, engine))
+        for i in np.ndindex(3, 4):
+            alone = TestGaussHermiteBlocks.arrays(fn(block.at(i), engine))
+            for a, b in zip(in_block, alone, strict=True):
+                assert a.shape == (3, 4) + b.shape
+                assert np.array_equal(_bits(a[i]), _bits(b))
+
+
 # extreme coordinates: float errors of every kind, and metrics that fail their check
 _EXTREME_MU = (0.0, 3.0, -2.5, 1e-150, 1e100, 1e154, 1e200, -1e300, 1.7e308)
 _EXTREME_SIGMA = (5e-324, 1e-300, 1e-160, 1e-152, 1e-100, 1e-50, 0.5, 1.0, 1e50, 1e100,
