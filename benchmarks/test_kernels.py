@@ -12,7 +12,8 @@ dual-chart ``fisher_metric_field`` on the lifted point, the ``Dual2`` evaluation
 that gives the metric jet.  The engine cases time ``fisher_metric`` and
 ``expectation_connection`` (``conn_expectation_theta`` in the natural chart) by
 ``GaussHermite(64)`` on the same 40x40 block, in both charts, and at the point
-alone by ``gauss_hermite:64`` and ``monte_carlo:1000``, in both charts: a point
+alone by ``gauss_hermite:64``, ``monte_carlo:1000`` (one leaf of the draw) and
+the default ``monte_carlo`` (10^6 samples, 128 leaves), in both charts: a point
 takes the engines' block path as its one-point case.  The writer cases time the
 JSON, CSV and text writers alone on the columns of a request computed beforehand: the audit of a
 20x20 grid as JSON, as CSV and as text, and the dual-chart curvature of a 40x40
@@ -44,6 +45,7 @@ ENGINE_QUANTITIES = {
 ENGINES = {
     "gauss_hermite:64": GaussHermite(64),
     "monte_carlo:1000": MonteCarlo(1000),
+    "monte_carlo": MonteCarlo(),
 }
 
 # the requests whose columns the writer cases write

@@ -178,8 +178,12 @@ def batch_array(entries, shape: tuple[int, ...]) -> np.ndarray:
     A float entry (a constant, or a derivative that is zero everywhere) is
     broadcast over the block.
     """
-    if not any([isinstance(e, np.ndarray) for e in entries]):
-        return np.array(entries, dtype=float).reshape(shape)
+    try:
+        flat = np.array(entries, dtype=float)
+    except ValueError:  # floats among block arrays
+        flat = None
+    if flat is not None and flat.ndim == 1:  # floats: a point
+        return flat.reshape(shape)
     columns = np.broadcast_arrays(*entries)
     return np.stack(columns, axis=-1).astype(float, copy=False).reshape(columns[0].shape + shape)
 

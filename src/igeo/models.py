@@ -39,8 +39,8 @@ DEFAULT_MC_SEED = 20260808
 # draw keeps 8 bytes per sample resident in the draw cache.
 MAX_GH_NODES = 300
 MAX_MC_SAMPLES = 10_000_000
-# Monte Carlo leaf: each temporary of 8,192 doubles (64 KB) stays in L2 and below
-# glibc's 128 KB mmap threshold, so it is not page-faulted afresh on every operation
+# Monte Carlo leaf: each integrand row of 8,192 doubles is 64 KB, so a leaf's stack of
+# k rows (576 KB for the connection's nine) stays in L2
 MC_LEAF = 1 << 13
 # Gauss-Hermite block: at most 65,536 values (512 KB) per integrand array, so a
 # 4,096-point block at 300 nodes is integrated in cuts of 218 points
@@ -63,23 +63,45 @@ def _require_xi(p: ParamPoint) -> tuple[float, float]:
 # derivatives of the log-likelihood l
 # ---------------------------------------------------------------------------
 
-def _score_parts(z: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d l/d mu, d l/d sigma) at the offsets z = x - mu."""
-    return z / (s * s), -1.0 / s + z * z / ad._pow(s, 3)
+def _score_parts(z, s) -> np.ndarray:
+    """(d l/d mu, d l/d sigma) at the offsets z = x - mu, stacked on a leading axis."""
+    # the operations of z / s^2 and -1/s + z^2 / s^3, in place but in their order,
+    # so every value and every float error stays the same
+    out = np.empty((2,) + np.shape(z))
+    s1, s2 = out[0, ...], out[1, ...]  # views, 0-d ones too
+    np.divide(z, s * s, out=s1)
+    shift = -1.0 / s
+    np.multiply(z, z, out=s2)
+    s2 /= ad._pow(s, 3)
+    s2 += shift
+    return out
 
 
-def _hessian_parts(z: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct second partials (h11, h12, h22) of l at the offsets z = x - mu."""
-    h11 = np.broadcast_to(-1.0 / (s * s), z.shape).copy()
-    h12 = -2.0 * z / ad._pow(s, 3)
-    h22 = 1.0 / (s * s) - 3.0 * z * z / ad._pow(s, 4)
-    return h11, h12, h22
+def _hessian_parts(z, s, out=None) -> np.ndarray:
+    """The distinct second partials (h11, h12, h22) of l at the offsets z = x - mu,
+    stacked on a leading axis, into ``out`` when given."""
+    # -1/s^2, -2 z / s^3 and 1/s^2 - 3 z z / s^4, in place as _score_parts
+    out = np.empty((3,) + np.shape(z)) if out is None else out
+    h11, h12, h22 = out[0, ...], out[1, ...], out[2, ...]
+    h11[...] = -1.0 / (s * s)
+    np.multiply(z, -2.0, out=h12)
+    h12 /= ad._pow(s, 3)
+    shift = 1.0 / (s * s)
+    np.multiply(z, 3.0, out=h22)
+    h22 *= z
+    h22 /= ad._pow(s, 4)
+    np.subtract(shift, h22, out=h22)
+    return out
 
 
-def _pullback_parts(z: np.ndarray, mu: float, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d l/d xi_1, d l/d xi_2) at the offsets z = x - mu."""
-    s1, s2 = _score_parts(z, s)
-    return s1 - (mu / s) * s2, s2 / (2.0 * s)
+def _pullback_parts(z, mu, s) -> np.ndarray:
+    """(d l/d xi_1, d l/d xi_2) at the offsets z = x - mu, stacked on a leading axis."""
+    # s1 - (mu / s) s2 and s2 / (2 s), in place as _score_parts
+    out = _score_parts(z, s)
+    s1, s2 = out[0, ...], out[1, ...]
+    np.subtract(s1, np.multiply(mu / s, s2), out=s1)
+    s2 /= 2.0 * s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +126,9 @@ def _standard_normals(samples: int, seed: int) -> np.ndarray:
 
 
 def _each(values, reduce: Callable) -> Union[float, np.ndarray]:
-    """reduce(values) for one integrand array; for an iterable of integrand
-    arrays, the array of reduce(v), taking the arrays one at a time."""
+    """reduce(values) for one integrand array, which reduces its last axis: a float
+    for one integrand, an array for a stack of integrands on the leading axis.  For an
+    iterable of integrand arrays, the array of reduce(v), taking the arrays one at a time."""
     if isinstance(values, np.ndarray):
         return reduce(values)
     return np.array([reduce(v) for v in values])
@@ -132,12 +155,13 @@ class GaussHermite:
             )
 
     def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
-        """E[f(x)]: a float for one integrand array f(x), an array of floats
-        for an iterable of them.
+        """E[f(x)]: a float for an integrand array f(x) of x's shape, an array of
+        floats for a stack of k integrands, f(x) of shape (k,) + x.shape, or for an
+        iterable of integrand arrays.
 
-        f takes x of shape block + (nodes,), and each mean is one dot over the
-        last axis, so a point is the shape-() block.  At a block, each float
-        becomes an array over the block, the integrands on the last axis.  A
+        f takes x of shape block + (nodes,), and the means of a stack are one dot
+        over its last axis, so a point is the shape-() block.  At a block, each
+        float becomes an array over the block, the integrands on the last axis.  A
         block point keeps its bits alone when its integrand rows have the same
         stride in the block as at the point, as C-contiguous integrands do.
         """
@@ -172,13 +196,15 @@ class MonteCarlo:
             raise EngineError(f"monte carlo seed must be >= 0, got {self.seed}")
 
     def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
-        """E[f(x)]: a float for one integrand array f(x), an array of floats
-        for an iterable of them.  The draw is shared by every point and call.
+        """E[f(x)]: a float for an integrand array f(x) of x's shape, an array of
+        floats for a stack of k integrands, f(x) of shape (k,) + x.shape, or for an
+        iterable of integrand arrays.  The draw is shared by every point and call.
 
         The sum walks numpy's pairwise tree over the draw (a node of n > 128
         values adds its halves split at n//2 - (n//2) % 8) and evaluates f on
-        one leaf of at most MC_LEAF samples at a time, so each mean has the
-        bits of np.mean(f(x)) over the whole draw.
+        one leaf of at most MC_LEAF samples at a time.  A leaf's stack is summed
+        in one call over its last axis, which numpy takes row by row as it takes
+        a 1-D array, so each mean has the bits of np.mean(f(x)) over the whole draw.
         """
         mu, s = _require_theta(p)
         z = _standard_normals(self.samples, self.seed)
@@ -186,7 +212,8 @@ class MonteCarlo:
         def total(a: int, b: int, leaf: int = MC_LEAF):
             n = b - a
             if n <= leaf:
-                return _each(f(mu + s * z[a:b]), lambda v: np.add.reduce(np.asarray(v, dtype=float)))
+                return _each(f(mu + s * z[a:b]),
+                             lambda v: np.add.reduce(np.asarray(v, dtype=float), axis=-1))
             half = n // 2 - n // 2 % 8
             return total(a, a + half, leaf) + total(a + half, b, leaf)
 
@@ -256,23 +283,36 @@ def conn_expectation_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
     Closed form: Gamma_121 = Gamma_211 = -2/sigma^3, Gamma_222 = -6/sigma^3,
     all other components zero; at a block point, block axes come first.
     """
-    mu, s = _require_theta(p)
+    return _conn_expectation_theta(p, engine)[0]
+
+
+def _closed_form_lower(s) -> np.ndarray:
+    """The closed-form Gamma_ijk of `conn_expectation_theta` at sigma = s, block axes first."""
+    g121, g222 = -2.0 / ad._pow(s, 3), -6.0 / ad._pow(s, 3)
+    return ad.batch_array([0.0, 0.0, g121, 0.0, g121, 0.0, 0.0, g222], (2, 2, 2))
+
+
+def _conn_expectation_theta(p: ParamPoint, engine: Engine) -> tuple[ConnAt, MetricAt | None]:
+    """`conn_expectation_theta`, and the closed-form metric that raised its index; None
+    under an engine, which raises it with the metric of its own means."""
+    _, s = _require_theta(p)
+    metric = None
     if isinstance(engine, ClosedForm):
-        g121, g222 = -2.0 / ad._pow(s, 3), -6.0 / ad._pow(s, 3)
-        lower = ad.batch_array([0.0, 0.0, g121, 0.0, g121, 0.0, 0.0, g222], (2, 2, 2))
-        g_inv = fisher_metric_theta(p).g_inv
+        lower = _closed_form_lower(s)
+        metric = fisher_metric_theta(p)
+        g_inv = metric.g_inv
     else:
-        def integrands(z, _, s):  # the distinct products h * score[k], one alive at a time; then h
-            h = _hessian_parts(z, s)
-            score = _score_parts(z, s)
-            yield from (hij * sk for hij in h for sk in score)
-            yield from h
+        def integrands(z, _, s):  # the distinct products h_ij * score[k], then h
+            out = np.empty((9,) + z.shape)
+            h = _hessian_parts(z, s, out=out[6:])
+            np.multiply(h[:, None], _score_parts(z, s), out=out[:6].reshape((3, 2) + z.shape))
+            return out
 
         means = _engine_means(engine, integrands, p)
         # (i, j, k) -> the mean of h_ij * score[k]; h21 is h12
         lower = means[..., [0, 1, 2, 3, 2, 3, 4, 5]].reshape(means.shape[:-1] + (2, 2, 2))
         g_inv = _metric_from_means(p, -means[..., 6:]).g_inv
-    return ConnAt._adopt(point=p, lower=lower, mixed=_raise_index(g_inv, lower))
+    return ConnAt._adopt(point=p, lower=lower, mixed=_raise_index(g_inv, lower)), metric
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +411,12 @@ def fisher_metric(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricAt:
     if isinstance(engine, ClosedForm):
         return evaluate_metric(fisher_metric_field(Chart.XI), p)
 
-    def products(z, mu, s):
-        s1, s2 = _pullback_parts(z, mu, s)
-        return (u * v for u, v in ((s1, s1), (s1, s2), (s2, s2)))
+    def products(z, mu, s):  # s_1 s_1, s_1 s_2, then s_2 s_2
+        s12 = _pullback_parts(z, mu, s)
+        out = np.empty((3,) + z.shape)
+        np.multiply(s12[0], s12, out=out[:2])
+        np.multiply(s12[1], s12[1], out=out[2])
+        return out
 
     return _metric_from_means(p, _engine_means(engine, products, p))
 
@@ -388,10 +431,11 @@ def expectation_connection(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
         return conn_expectation_theta(p, engine)
     th = chart_backward(p)
     jac, jac_inv = jacobian(th)
-    return transform_connection(
-        conn_expectation_theta(th, engine), jac, jac_inv,
-        chart_second_derivatives(th), fisher_metric_theta(th), p,
-    )
+    conn, metric = _conn_expectation_theta(th, engine)
+    second_derivs = chart_second_derivatives(th)
+    if metric is None:
+        metric = fisher_metric_theta(th)
+    return transform_connection(conn, jac, jac_inv, second_derivs, metric, p)
 
 
 def selftest_checks() -> list[tuple[str, float, float]]:

@@ -33,10 +33,10 @@ from .geometry import (
     transform_metric,
 )
 from .models import (
+    _closed_form_lower,
     _require_theta,
     _second_derivatives_xi,
     chart_forward,
-    conn_expectation_theta,
     fisher_metric_field,
     fisher_metric_theta,
     jacobian,
@@ -272,7 +272,7 @@ def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
 
     # the connection law's lower coefficients are the tensor law's plus its
     # inhomogeneous term, as transform_connection adds them
-    lower_tensor = transform_lower_tensor3(conn_expectation_theta(p).lower, jac_inv)
+    lower_tensor = transform_lower_tensor3(_closed_form_lower(p.c2), jac_inv)
     lower_conn = lower_tensor + _connection_shift_lower(_second_derivatives_xi(q), jac_inv,
                                                         metric_th)
 

@@ -1,3 +1,4 @@
+import collections
 import os
 import sys
 from pathlib import Path
@@ -71,3 +72,21 @@ def assert_same_outcome(got, ref, same=same_bits):
         assert got == ref
     else:
         assert all(same(a, b) for a, b in zip(got, ref, strict=True))
+
+
+def count_calls(monkeypatch, *functions) -> collections.Counter:
+    """Calls to each function from here on, by name: every ``igeo`` module attribute
+    that is the function is replaced by a counting wrapper, as perfbench's tracer does."""
+    calls = collections.Counter()
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "igeo" or name.startswith("igeo."))]
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            for name, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, name, counted)
+    return calls

@@ -11,10 +11,11 @@ have a second, unrelated computation path to compare against.
 The last section is of another kind: the earlier forms of the kernels that were
 rewritten to make fewer calls at a point (the dual-chart metric field as the full
 pullback sum, index lowering by ``np.moveaxis``, the curvature summed over s in
-a loop, the metric checks one reduction each), and the audit composed from
-``transform_connection`` and ``chart_second_derivatives``.  They take each float
-operation in the order the package takes it, so the tests ask the package for
-their bits.
+a loop, the metric checks one reduction each), the audit composed from
+``transform_connection`` and ``chart_second_derivatives``, and the engines'
+integrands as generators of fresh arrays, which the engines reduce one at a time.
+They take each float operation in the order the package takes it, so the tests
+ask the package for their bits.
 The dual-chart field is differentiated by ``Dual2``, as the package's is.
 """
 
@@ -23,12 +24,14 @@ import math
 
 import numpy as np
 
-from igeo import (Chart, Dual2, SingularMetricError, chart_forward, chart_second_derivatives,
-                  conn_expectation_theta, fisher_metric_field, fisher_metric_theta, jacobian,
-                  torsion, transform_connection, transform_lower_tensor3, transform_metric)
+from igeo import (Chart, ConnAt, Dual2, SingularMetricError, chart_backward, chart_forward,
+                  chart_second_derivatives, conn_expectation_theta, fisher_metric_field,
+                  fisher_metric_theta, jacobian, torsion, transform_connection,
+                  transform_lower_tensor3, transform_metric)
+from igeo import models
 from igeo import papertable as pt
-from igeo.autodiff import sqrt
-from igeo.geometry import _levi_civita_and_riemann
+from igeo.autodiff import _pow, sqrt
+from igeo.geometry import _levi_civita_and_riemann, _raise_index
 
 H1 = 1e-6   # first-derivative step (5-point stencil, ~1e-12 truncation)
 H2 = 1e-3   # second-derivative step (5-point stencil, ~1e-10 total error)
@@ -271,8 +274,9 @@ def _hermgauss(nodes: int):
 
 class GaussHermiteDot:
     """E[f(x)] at one float point, x = mu + sqrt(2) sigma t: each mean is the 1-D dot
-    v @ w / sqrt(pi) of one integrand array v, a float.  It has an engine's ``expect``,
-    so the package integrates a block with it point by point, in order."""
+    v @ w / sqrt(pi) of one integrand array v, a float; a 2-D f(x) holds one integrand
+    per row, and an iterable one per item.  It has an engine's ``expect``, so the
+    package integrates a block with it point by point, in order."""
 
     def __init__(self, nodes: int):
         self.nodes = nodes
@@ -287,7 +291,9 @@ class GaussHermiteDot:
         def mean(v):
             return float(np.asarray(v, dtype=float) @ w / math.sqrt(math.pi))
 
-        return mean(values) if isinstance(values, np.ndarray) else np.array([mean(v) for v in values])
+        if isinstance(values, np.ndarray) and values.ndim == 1:
+            return mean(values)
+        return np.array([mean(v) for v in values])
 
 
 # -- earlier forms of the rewritten kernels, for the bit-for-bit gates -----------------
@@ -406,3 +412,63 @@ def audit_columns_by_parts(p, tol):
     rel = np.divide(gap, denom, out=np.zeros_like(gap), where=denom > 0.0)
     gate = np.where([derived for _, _, derived, _ in pt.ROWS], tol.derived_abs, tol.closed_form_abs)
     return paper, oracle, gap, rel, (gap <= gate) | (rel <= tol.rel)
+
+
+def hessian_parts(z, s):
+    """(h11, h12, h22) of l at the offsets z = x - mu, three fresh arrays."""
+    h11 = np.broadcast_to(-1.0 / (s * s), z.shape).copy()
+    h12 = -2.0 * z / _pow(s, 3)
+    h22 = 1.0 / (s * s) - 3.0 * z * z / _pow(s, 4)
+    return h11, h12, h22
+
+
+def score_parts(z, s):
+    """(d l/d mu, d l/d sigma) at the offsets z = x - mu, two fresh arrays."""
+    return z / (s * s), -1.0 / s + z * z / _pow(s, 3)
+
+
+def pullback_parts(z, mu, s):
+    """(d l/d xi_1, d l/d xi_2) at the offsets z = x - mu, two fresh arrays."""
+    s1, s2 = score_parts(z, s)
+    return s1 - (mu / s) * s2, s2 / (2.0 * s)
+
+
+def theta_connection_integrands(z, _, s):
+    """The products h_ij * score[k] for (ij) = 11, 12, 22 and k = 1, 2, then h, made one
+    at a time as the engine takes them."""
+    h = hessian_parts(z, s)
+    score = score_parts(z, s)
+    yield from (hij * sk for hij in h for sk in score)
+    yield from h
+
+
+def xi_metric_products(z, mu, s):
+    """s_a s_b of the pullback scores for (a, b) = (1, 1), (1, 2), (2, 2), one at a time."""
+    s1, s2 = pullback_parts(z, mu, s)
+    return (u * v for u, v in ((s1, s1), (s1, s2), (s2, s2)))
+
+
+def fisher_metric_by_generators(p, engine):
+    """``fisher_metric`` at a point or block under an engine, its integrands a tuple of
+    fresh arrays (natural chart) or a generator (dual chart)."""
+    if p.chart is Chart.THETA:
+        means = models._engine_means(engine, lambda z, _, s: hessian_parts(z, s), p)
+        return models._metric_from_means(p, np.negative(means))
+    return models._metric_from_means(p, models._engine_means(engine, xi_metric_products, p))
+
+
+def expectation_connection_by_generators(p, engine):
+    """``expectation_connection`` at a point or block under an engine, its integrands from
+    ``theta_connection_integrands``, moved to the dual chart by ``transform_connection``."""
+    def theta(q):
+        means = models._engine_means(engine, theta_connection_integrands, q)
+        lower = means[..., [0, 1, 2, 3, 2, 3, 4, 5]].reshape(means.shape[:-1] + (2, 2, 2))
+        g_inv = models._metric_from_means(q, -means[..., 6:]).g_inv
+        return ConnAt(q, lower, _raise_index(g_inv, lower))
+
+    if p.chart is Chart.THETA:
+        return theta(p)
+    th = chart_backward(p)
+    jac, jac_inv = jacobian(th)
+    return transform_connection(theta(th), jac, jac_inv, chart_second_derivatives(th),
+                                fisher_metric_theta(th), p)

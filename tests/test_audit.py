@@ -1,20 +1,18 @@
 """Audit behaviour: verdicts, gaps, determinism, documented discrepancies."""
 
-import collections
 import math
-import sys
 
 import numpy as np
 import pytest
 
 from igeo import (DEFAULT_TOLERANCES, Chart, ParamPoint, Tolerances, audit, chart_forward,
-                  fisher_metric_field, levi_civita, riemann_levi_civita, torsion,
-                  transform_connection, transform_lower_tensor3)
+                  conn_expectation_theta, fisher_metric_field, fisher_metric_theta, levi_civita,
+                  riemann_levi_civita, torsion, transform_connection, transform_lower_tensor3)
 from igeo import papertable
 from igeo.papertable import MATCH, MISMATCH
 
 import oracles
-from conftest import as_block, assert_same_outcome, extreme_points, failed, outcome
+from conftest import as_block, assert_same_outcome, count_calls, extreme_points, failed, outcome
 
 P01 = ParamPoint.theta(0, 1)
 P11 = ParamPoint.theta(1, 1)
@@ -190,24 +188,6 @@ class TestRowsSequence:
             rows[len(rows)]
 
 
-def count_calls(monkeypatch, *functions) -> collections.Counter:
-    """Calls to each function from here on, by name: every ``igeo`` module attribute
-    that is the function is replaced by a counting wrapper, as perfbench's tracer does."""
-    calls = collections.Counter()
-    modules = [m for name, m in sys.modules.items()
-               if m is not None and (name == "igeo" or name.startswith("igeo."))]
-    for fn in functions:
-        def counted(*args, _fn=fn, **kwargs):
-            calls[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-
-        for m in modules:
-            for name, value in list(vars(m).items()):
-                if value is fn:
-                    monkeypatch.setattr(m, name, counted)
-    return calls
-
-
 class TestAuditInputs:
     """The audit computes each input once, and its columns keep the bits of the
     composition through ``transform_connection`` (``oracles.audit_columns_by_parts``)."""
@@ -218,6 +198,13 @@ class TestAuditInputs:
                             transform_connection)
         audit(p)
         assert calls == {"chart_forward": 1, "transform_lower_tensor3": 1}
+
+    @pytest.mark.parametrize("p", [P11, BLOCK], ids=["point", "block"])
+    def test_theta_metric_once(self, monkeypatch, p):
+        # the closed-form connection's lower coefficients need no metric and no mixed half
+        calls = count_calls(monkeypatch, fisher_metric_theta, conn_expectation_theta)
+        audit(p)
+        assert calls == {"fisher_metric_theta": 1}
 
     @pytest.mark.parametrize("errors", ["raise", "ignore"])
     def test_columns_bit_for_bit(self, rng, errors):

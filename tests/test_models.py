@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from igeo import (
     Chart,
+    ClosedForm,
     DomainError,
     EngineError,
     GaussHermite,
@@ -43,7 +44,8 @@ from igeo.models import (
 )
 
 import oracles
-from conftest import random_theta_points
+from conftest import (as_block, assert_same_outcome, count_calls, extreme_points, failed, outcome,
+                      random_theta_points)
 
 GH = GaussHermite(64)
 MC = MonteCarlo(1_000_000, 20260808)
@@ -265,6 +267,12 @@ class TestLeafSums:
             assert isinstance(got, float) and _bits(got) == _bits(mean)
         stacked = engine.expect(lambda x: (f(x) for f in self.INTEGRANDS), p)
         assert np.array_equal(_bits(stacked), _bits(want))
+        # one array of shape (3, n): each row is summed as the 1-D array it holds, in
+        # the leaves and, as the error path takes it, over the whole draw
+        rows = engine.expect(lambda x: np.stack([f(x) for f in self.INTEGRANDS]), p)
+        assert rows.shape == (3,) and np.array_equal(_bits(rows), _bits(want))
+        whole = np.add.reduce(np.stack([f(fresh) for f in self.INTEGRANDS]), axis=-1) / samples
+        assert np.array_equal(_bits(whole), _bits(want))
 
     def test_a_sum_that_overflows_raises_as_the_whole_draw_does(self):
         # every leaf sum is finite; numpy's sum over the whole draw overflows
@@ -510,6 +518,46 @@ class TestNineIntegrands:
         assert 0 < failures < len(_EXTREME_MU) * len(_EXTREME_SIGMA)
 
 
+class TestStackedIntegrandBits:
+    """The engines' integrand stacks, made in place and summed in one call per leaf or
+    dot per cut, give the bits of the generator integrands in ``oracles``, which the
+    engines reduce one array at a time; at a failing point, the same error type and
+    message.  Points have |c1| and sigma from 1e-300 to 1e300, under the CLI's traps;
+    blocks are 60 of them."""
+
+    ENGINES = (MonteCarlo(1000), MonteCarlo(3 * MC_LEAF + 5), MonteCarlo(),
+               GaussHermite(8), GaussHermite(64), GaussHermite(300))
+    QUANTITIES = {
+        "fisher_metric": (fisher_metric, oracles.fisher_metric_by_generators),
+        "expectation_connection": (expectation_connection,
+                                   oracles.expectation_connection_by_generators),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES, ids=repr)
+    @pytest.mark.parametrize("name", sorted(QUANTITIES))
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    def test_bits_and_errors(self, rng, chart, name, engine):
+        fn, ref = self.QUANTITIES[name]
+
+        def package(p):
+            return TestGaussHermiteBlocks.arrays(fn(p, engine))
+
+        def generators(p):
+            return TestGaussHermiteBlocks.arrays(ref(p, engine))
+
+        # 10^6 draws cost about 10 ms a passing point, so the default engine takes fewer
+        points = extreme_points(rng, chart, 120 if engine == MonteCarlo() else 240)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            passing = [p for p in points if not failed(outcome(generators, p))]
+            # 60-point blocks of all the points, which stop at their first failing point,
+            # and of the points that pass
+            blocks = [as_block(ps[i:i + 60]) for ps in (points, passing)
+                      for i in range(0, len(ps) - 59, 60)]
+            for p in points + blocks:
+                assert_same_outcome(outcome(package, p), outcome(generators, p))
+        assert 0 < len(passing) < len(points)
+
+
 class TestFisherMetric:
     def test_closed_form_values(self):
         assert np.array_equal(
@@ -595,6 +643,19 @@ class TestExpectationConnection:
             g_inv = np.asarray(fisher_metric_theta(p).g_inv)
             rebuilt = np.einsum("km,ijm->kij", g_inv, np.asarray(conn.lower))
             assert np.max(np.abs(rebuilt - conn.mixed)) < 1e-12
+
+    @pytest.mark.parametrize("engine", [ClosedForm(), GaussHermite(8), MonteCarlo(1000)],
+                             ids=repr)
+    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+    @pytest.mark.parametrize("block", [False, True], ids=["point", "block"])
+    def test_theta_metric_once(self, monkeypatch, engine, chart, block):
+        # the closed form raises its index with the metric the dual chart's law takes;
+        # an engine raises it with its own means
+        p = ParamPoint.theta([-0.7, 1.3], [0.6, 2.2]) if block else ParamPoint.theta(0.3, 1.2)
+        calls = count_calls(monkeypatch, fisher_metric_theta)
+        expectation_connection(p if chart is Chart.THETA else chart_forward(p), engine)
+        engine_at_theta = chart is Chart.THETA and not isinstance(engine, ClosedForm)
+        assert calls["fisher_metric_theta"] == (0 if engine_at_theta else 1)
 
 
 class TestCharts:
