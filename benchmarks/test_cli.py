@@ -8,9 +8,10 @@ The single-point cases time each command's fixed cost as point-mix sends it:
 the metric, the audit, the dual-chart curvature, the scalar, ``transform``, the
 Levi-Civita torsion, and the dual-chart expectation connection in closed form
 and by Gauss-Hermite at 64 nodes.  The grid cases are, written as JSON, the
-dual-chart curvature, ``transform`` and the dual-chart closed-form expectation
-connection of a 40x40 grid, the Gauss-Hermite dual-chart expectation
-connection of a 20x20 grid, the Monte Carlo natural-chart expectation
+dual-chart curvature, the natural-chart scalar (12 distinct doubles among its
+1,600 values, the most repetitive block), ``transform`` and the dual-chart
+closed-form expectation connection of a 40x40 grid, the Gauss-Hermite
+dual-chart expectation connection of a 20x20 grid, the Monte Carlo natural-chart expectation
 connection and dual-chart metric of a 2x2 grid at 10^6 samples, and the audit
 of a 20x20 grid.  The audit of the
 20x20 grid as CSV and as text and the metric of a 40x40 grid as CSV time the
@@ -45,6 +46,7 @@ REQUESTS = {
                                               "--format", "json"),
     "curvature_xi_grid40x40": ("curvature", "--chart=xi", "--grid=-1:1:40,2.5:4:40",
                                "--format", "json"),
+    "scalar_grid40x40": ("scalar", "--grid=-1:1:40,0.5:2:40", "--format", "json"),
     "audit_grid20x20": ("audit", "--grid=-1:1:20,0.5:2:20", "--format", "json"),
     "audit_grid20x20_csv": ("audit", "--grid=-1:1:20,0.5:2:20", "--format", "csv"),
     "audit_grid20x20_text": ("audit", "--grid=-1:1:20,0.5:2:20", "--format", "text"),

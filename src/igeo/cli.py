@@ -17,6 +17,7 @@ import itertools
 import math
 import operator
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -70,6 +71,7 @@ EXIT_USAGE = 64
 MAX_GRID_POINTS = 1_000_000  # a larger --grid is a typo, not a computation
 PARSE_MEMO_SIZE = 256  # argv shapes whose parse main keeps; more evict the least recent
 BLOCK_POINTS = 4096  # grid points per kernel call; bounds the temporaries of a large grid
+JOIN_POINTS = 32  # points per join of a JSON or CSV block's records; bounds their strings
 
 
 class UsageError(Exception):
@@ -116,6 +118,19 @@ class Verdict(NamedTuple):
     ok: str
 
 
+class Rows(tuple):
+    """A row pattern that computes its hash once, so that the template cache finds
+    a long pattern without hashing its rows on every request."""
+
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 class Block(NamedTuple):
     """The records of a point or block, as columns.
 
@@ -141,8 +156,9 @@ class Report(NamedTuple):
 
 
 _FLOAT = Floats(())
-_AUDIT_ROWS = tuple((qid, _FLOAT, _FLOAT, _FLOAT, _FLOAT, Verdict(MISMATCH, MATCH), label, note)
-                    for qid, label, _, note in AUDIT_ROWS)
+_POINT = "[%.17g, %.17g]"  # a point's cell in JSON and CSV
+_AUDIT_ROWS = Rows((qid, _FLOAT, _FLOAT, _FLOAT, _FLOAT, Verdict(MISMATCH, MATCH), label, note)
+                   for qid, label, _, note in AUDIT_ROWS)
 
 
 def _json_str(v: str) -> str:
@@ -227,7 +243,8 @@ _RECORDS = {"json": _record, "csv": _record,
 @functools.cache
 def _template(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
     """The records of one point in fmt as one %-template, the picker that orders a
-    point's arguments [point, *floats, *verdicts] for it, and the verdict words.
+    point's arguments [point, *floats, *verdicts] for it, the verdict words, and
+    the argument of each slot in order.
 
     The point is a %s slot in each JSON and CSV record, and once ahead of a
     point's text rows; each row's record places the slots of the keys it writes.
@@ -249,7 +266,30 @@ def _template(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
         record, written = _RECORDS[fmt](keys, row, fmt)
         template.append(record)
         order.extend(i for key in written for i in slots.get(key, ()))
-    return "".join(template), operator.itemgetter(*order), words
+    return "".join(template), operator.itemgetter(*order), words, tuple(order)
+
+
+@functools.cache
+def _join_layout(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
+    """A JSON or CSV point's records as _template's literal text around its slots,
+    %% unescaped, and the column of each slot's value in the point's
+    [c1, c2, *floats, *verdicts]; the point's %s slot becomes _POINT's.  The
+    records are pieces[0], the value of columns[0], pieces[1], ..., pieces[-1]."""
+    template, _, words, order = _template(keys, rows, fmt)
+    parts = re.split(r"%(%|s|\.17g)", template)
+    head, mid, tail = _POINT.split("%.17g")
+    pieces, columns, args = [parts[0]], [], iter(order)
+    for spec, text in zip(parts[1::2], parts[2::2]):
+        if spec == "%":
+            pieces[-1] += "%" + text
+        elif arg := next(args):
+            columns.append(arg + 1)
+            pieces.append(text)
+        else:  # the point, its coordinates' slots in _POINT
+            pieces[-1] += head
+            columns += [0, 1]
+            pieces += [mid, tail + text]
+    return tuple(pieces), np.array(columns), words
 
 
 def _coords(p: ParamPoint) -> np.ndarray:
@@ -257,11 +297,35 @@ def _coords(p: ParamPoint) -> np.ndarray:
     return np.array([p.c1, p.c2]).reshape(2, -1).T
 
 
+def _write_columns(out: list[str], keys: tuple[str, ...], block: Block, fmt: str) -> None:
+    """Append a JSON or CSV block's records to out: each distinct float formatted
+    once, and the records joined from _join_layout's pieces, JOIN_POINTS at a time."""
+    pieces, columns, words = _join_layout(keys, block.rows, fmt)
+    # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0; equal bits write equal text
+    values = np.concatenate([block.coords, block.floats], axis=1, dtype=float) + 0.0
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = ("%.17g," * len(distinct) % tuple(distinct.view(float).tolist())).split(",")
+    table = np.array(texts[:-1] + [*words, *pieces], dtype=object)
+    index = inverse.reshape(len(values), -1)
+    if block.ok is not None:  # a verdict's column picks its word
+        index = np.concatenate([index, len(distinct) + block.ok], axis=1)
+    cells = np.empty((JOIN_POINTS, 2 * len(columns) + 1), dtype=np.intp)
+    cells[:, 0::2] = np.arange(len(table) - len(pieces), len(table))
+    for a in range(0, len(values), JOIN_POINTS):
+        chunk = cells[:len(values) - a]
+        chunk[:, 1::2] = index[a:a + JOIN_POINTS, columns]
+        out.append("".join(table[chunk.ravel()].tolist()))
+
+
 def _write_records(out: list[str], keys: tuple[str, ...], blocks: list[Block], fmt: str) -> None:
-    """Append each point's records in fmt to out, one %-format per point."""
+    """Append each point's records in fmt to out: a JSON or CSV block of more
+    than one point by columns, else one %-format per point."""
     last = None
     for block in blocks:
-        template, pick, words = _template(keys, block.rows, fmt)
+        if fmt != "text" and len(block.coords) > 1:
+            _write_columns(out, keys, block, fmt)
+            continue
+        template, pick, words, _ = _template(keys, block.rows, fmt)
         oks = itertools.repeat(()) if block.ok is None else block.ok.tolist()
         if fmt == "text":  # keeps the sign of a zero; heads a point only where it changes
             points, floats = [], block.floats.tolist()
@@ -269,7 +333,7 @@ def _write_records(out: list[str], keys: tuple[str, ...], blocks: list[Block], f
                 points.append("" if point == last else "point (%.12g, %.12g)\n" % tuple(point))
                 last = point
         else:  # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0
-            points = ["[%.17g, %.17g]" % (c1, c2) for c1, c2 in (block.coords + 0.0).tolist()]
+            points = [_POINT % (c1, c2) for c1, c2 in (block.coords + 0.0).tolist()]
             floats = (block.floats + 0.0).tolist()
         for point, values, ok in zip(points, floats, oks):
             out.append(template % pick([point, *values, *map(words.__getitem__, ok)]))
@@ -411,7 +475,7 @@ def _require_finite(p: ParamPoint, what: str, values) -> None:
 @functools.cache
 def _quantity_rows(quantities: tuple[str, ...], shapes: tuple[tuple[int, ...], ...]) -> tuple:
     """The row pattern of a point's (quantity, value) records, values of these shapes."""
-    return tuple((quantity, Floats(shape), "oracle") for quantity, shape in zip(quantities, shapes))
+    return Rows((quantity, Floats(shape), "oracle") for quantity, shape in zip(quantities, shapes))
 
 
 def _quantity_block(fn):

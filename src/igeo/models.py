@@ -212,7 +212,9 @@ class MonteCarlo:
         def total(a: int, b: int, leaf: int = MC_LEAF):
             n = b - a
             if n <= leaf:
-                return _each(f(mu + s * z[a:b]),
+                x = s * z[a:b]
+                x += mu  # in place: IEEE addition commutes, so x has the bits of mu + s * z
+                return _each(f(x),
                              lambda v: np.add.reduce(np.asarray(v, dtype=float), axis=-1))
             half = n // 2 - n // 2 % 8
             return total(a, a + half, leaf) + total(a + half, b, leaf)

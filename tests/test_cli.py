@@ -749,6 +749,118 @@ class TestSerialisation:
                         f"{'PASS' if ok else 'FAIL'}\n")
 
 
+# constants that the %-templates must escape: each holds %, ", a comma or a backslash
+_LITERALS = ["50%", "%s %% %.17g", 'say "%d"', "a,%", "back\\slash %%"]
+_NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001)
+# floats a block repeats: signed zeros, the smallest subnormal, NaN payloads, infinities
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.0, 0.1, -2.5,
+            *np.array(_NAN_BITS, dtype=np.uint64).view(float).tolist()]
+_CELL = st.one_of(
+    st.sampled_from(_LITERALS + ["plain", None]),
+    st.sampled_from([(), (2,), (2, 2), (2, 2, 2)]).map(cli.Floats),
+    st.just("verdict"),
+)
+
+
+class TestColumnWriter:
+    """A JSON or CSV block of more than one point is written by columns: its records
+    equal those of its points written one by one, through the per-point template."""
+
+    @given(
+        keys=st.lists(st.sampled_from(_LITERALS + ["k", "value"]), min_size=3, max_size=3,
+                      unique=True),
+        rows=st.lists(st.lists(_CELL, min_size=3, max_size=3), min_size=1, max_size=4),
+        words=st.sampled_from([("MISMATCH", "MATCH"), ("%s", "50%"), ('say "%d"', "a,%"),
+                               ("back\\slash %%", "%s %% %.17g")]),
+        n=st.one_of(st.integers(2, 5), st.integers(cli.JOIN_POINTS - 1, 2 * cli.JOIN_POINTS + 3)),
+        pool=st.lists(st.floats(), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(keys=_LITERALS[:3], rows=[[_LITERALS[3], cli.Floats((2, 2)), "verdict"],
+                                       ["verdict", None, cli.Floats(())]],
+             words=('say "%d"', "a,%"), n=2 * cli.JOIN_POINTS + 3, pool=[], seed=0)
+    def test_block_equals_its_points(self, keys, rows, words, n, pool, seed):
+        verdict = cli.Verdict(*words)
+        rows = tuple(tuple(verdict if c == "verdict" else c for c in row) for row in rows)
+        size = sum(c.size for row in rows for c in row if isinstance(c, cli.Floats))
+        verdicts = sum(isinstance(c, cli.Verdict) for row in rows for c in row)
+        rng = np.random.default_rng(seed)
+        values = np.array(_SPECIAL + pool)  # few distinct values, each repeated
+        coords, floats = rng.choice(values, (n, 2)), rng.choice(values, (n, size))
+        coords[:2] = [[-0.0, 0.0], [0.0, -0.0]]  # both zeros in every block
+        ok = rng.integers(0, 2, (n, verdicts)).astype(bool) if verdicts else None
+        block = cli.Block(coords, rows, floats, ok)
+        points = [cli.Block(coords[i:i + 1], rows, floats[i:i + 1],
+                            None if ok is None else ok[i:i + 1]) for i in range(n)]
+        keys = ("point", *keys)
+        for fmt in ("json", "csv"):
+            whole, each = [], []
+            with np.errstate(invalid="ignore"):  # + 0.0 quiets a signalling NaN
+                cli._write_records(whole, keys, [block], fmt)
+                cli._write_records(each, keys, points, fmt)
+            assert "".join(whole) == "".join(each)
+            assert len(whole) == -(-n // cli.JOIN_POINTS)
+
+    def test_audit_grid_is_written_by_columns(self, monkeypatch):
+        joined = []
+        write = cli._write_columns
+        monkeypatch.setattr(cli, "_write_columns", lambda out, keys, block, fmt: (
+            joined.append(len(block.coords)), write(out, keys, block, fmt)))
+        grid = ("audit", "--grid=-1:1:6,0.5:2:7")
+        outs = [call(*grid, f"--format={fmt}") for fmt in ("json", "csv")]
+        assert joined == [42, 42] and all(code == 0 for code, _, _ in outs)
+        monkeypatch.setattr(cli, "JOIN_POINTS", 5)
+        assert [call(*grid, f"--format={fmt}") for fmt in ("json", "csv")] == outs
+
+    def test_text_and_single_points_keep_the_per_point_template(self, monkeypatch):
+        def refuse(out, keys, block, fmt):
+            raise AssertionError("written by columns")
+
+        text = call("curvature", "--grid=-1:1:3,0.5:2:3", "--format=text")
+        points = [call("metric", "--point=0.5,1.5", f"--format={fmt}") for fmt in ("json", "csv")]
+        monkeypatch.setattr(cli, "_write_columns", refuse)
+        assert call("curvature", "--grid=-1:1:3,0.5:2:3", "--format=text") == text
+        assert text[0] == 0 and text[1].count("\npoint (") == 9
+        for fmt, got in zip(("json", "csv"), points):
+            assert call("metric", "--point=0.5,1.5", f"--format={fmt}") == got
+        assert call("metric", "--grid=0:1:2,1:2:1", "--format=text")[0] == 0
+        with pytest.raises(AssertionError, match="written by columns"):  # a block of two
+            call("metric", "--grid=0:1:2,1:2:1", "--format=json")
+
+
+class TestRowPatternHash:
+    """The template cache finds a row pattern by a hash computed once; any tuple
+    of the same rows finds the same entry."""
+
+    def test_rows_hash_once(self):
+        hashed = []
+
+        class Cell:
+            def __hash__(self):
+                hashed.append(self)
+                return 7
+
+        rows = cli.Rows([("q", Cell())])
+        assert hash(rows) == hash(rows) and len(hashed) == 1
+        assert hash(rows) == hash(tuple(rows)) and rows == tuple(rows)
+        assert isinstance(cli._AUDIT_ROWS, cli.Rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_plain_tuple_finds_the_same_layout(self, fmt):
+        layout = cli._template(cli.AUDIT_KEYS, cli._AUDIT_ROWS, fmt)
+        assert cli._template(cli.AUDIT_KEYS, tuple(cli._AUDIT_ROWS), fmt) is layout
+        rows = (("q", cli.Floats((2,)), "oracle"),)
+        assert (cli._template(cli.QUANTITY_KEYS, rows, fmt)
+                is cli._template(cli.QUANTITY_KEYS, cli.Rows(rows), fmt))
+        if fmt != "text":
+            assert (cli._join_layout(cli.AUDIT_KEYS, tuple(cli._AUDIT_ROWS), fmt)
+                    is cli._join_layout(cli.AUDIT_KEYS, cli._AUDIT_ROWS, fmt))
+
+    def test_quantity_rows_are_rows(self):
+        assert isinstance(cli._quantity_rows(("g",), ((2, 2),)), cli.Rows)
+
+
 _REAL = st.one_of(
     st.floats(-3, 3).map(repr),
     st.floats().map(repr),
