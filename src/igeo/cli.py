@@ -17,7 +17,6 @@ import itertools
 import math
 import operator
 import os
-import re
 import sys
 from typing import NamedTuple
 
@@ -72,6 +71,7 @@ MAX_GRID_POINTS = 1_000_000  # a larger --grid is a typo, not a computation
 PARSE_MEMO_SIZE = 256  # argv shapes whose parse main keeps; more evict the least recent
 BLOCK_POINTS = 4096  # grid points per kernel call; bounds the temporaries of a large grid
 JOIN_POINTS = 32  # points per join of a JSON or CSV block's records; bounds their strings
+FORMAT_VALUES = 1 << 17  # floats per np.unique of a JSON or CSV block; bounds their texts
 
 
 class UsageError(Exception):
@@ -243,11 +243,15 @@ _RECORDS = {"json": _record, "csv": _record,
 @functools.cache
 def _template(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
     """The records of one point in fmt as one %-template, the picker that orders a
-    point's arguments [point, *floats, *verdicts] for it, the verdict words, and
-    the argument of each slot in order.
+    point's arguments [point, *floats, *verdicts] for it, the verdict words, and,
+    for JSON and CSV, the same template as the layout a block is joined from.
 
     The point is a %s slot in each JSON and CSV record, and once ahead of a
     point's text rows; each row's record places the slots of the keys it writes.
+    The layout is the template's literal pieces, %% unescaped, and the column
+    of each slot's value in a point's [c1, c2, *floats, *verdicts], the point's
+    %s expanded to _POINT's two slots: a point's records are pieces[0], the value
+    of columns[0], pieces[1], ..., pieces[-1].
     """
     esc = {"json": _json_str, "csv": _csv_str, "text": str}[fmt]
     heads = fmt == "text"
@@ -266,30 +270,25 @@ def _template(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
         record, written = _RECORDS[fmt](keys, row, fmt)
         template.append(record)
         order.extend(i for key in written for i in slots.get(key, ()))
-    return "".join(template), operator.itemgetter(*order), words, tuple(order)
-
-
-@functools.cache
-def _join_layout(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
-    """A JSON or CSV point's records as _template's literal text around its slots,
-    %% unescaped, and the column of each slot's value in the point's
-    [c1, c2, *floats, *verdicts]; the point's %s slot becomes _POINT's.  The
-    records are pieces[0], the value of columns[0], pieces[1], ..., pieces[-1]."""
-    template, _, words, order = _template(keys, rows, fmt)
-    parts = re.split(r"%(%|s|\.17g)", template)
+    template = "".join(template)
+    if heads:
+        return template, operator.itemgetter(*order), words, None
+    parts = iter(template.split("%"))
     head, mid, tail = _POINT.split("%.17g")
-    pieces, columns, args = [parts[0]], [], iter(order)
-    for spec, text in zip(parts[1::2], parts[2::2]):
-        if spec == "%":
-            pieces[-1] += "%" + text
-        elif arg := next(args):
+    pieces, columns, args = [next(parts)], [], iter(order)
+    for part in parts:
+        if not part:  # %%: a literal %, and the text after it
+            pieces[-1] += "%" + next(parts)
+            continue
+        text = part[4:] if part[0] == "." else part[1:]  # after the slot's .17g or s
+        if arg := next(args):
             columns.append(arg + 1)
             pieces.append(text)
         else:  # the point, its coordinates' slots in _POINT
             pieces[-1] += head
             columns += [0, 1]
             pieces += [mid, tail + text]
-    return tuple(pieces), np.array(columns), words
+    return template, operator.itemgetter(*order), words, (tuple(pieces), np.array(columns))
 
 
 def _coords(p: ParamPoint) -> np.ndarray:
@@ -297,24 +296,27 @@ def _coords(p: ParamPoint) -> np.ndarray:
     return np.array([p.c1, p.c2]).reshape(2, -1).T
 
 
-def _write_columns(out: list[str], keys: tuple[str, ...], block: Block, fmt: str) -> None:
-    """Append a JSON or CSV block's records to out: each distinct float formatted
-    once, and the records joined from _join_layout's pieces, JOIN_POINTS at a time."""
-    pieces, columns, words = _join_layout(keys, block.rows, fmt)
+def _write_columns(out: list[str], block: Block, layout, words: tuple[str, ...]) -> None:
+    """Append a JSON or CSV block's records to out, joined from _template's
+    layout JOIN_POINTS points at a time: each distinct float of a segment of
+    about FORMAT_VALUES floats is formatted once."""
+    pieces, columns = layout
     # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0; equal bits write equal text
     values = np.concatenate([block.coords, block.floats], axis=1, dtype=float) + 0.0
-    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = ("%.17g," * len(distinct) % tuple(distinct.view(float).tolist())).split(",")
-    table = np.array(texts[:-1] + [*words, *pieces], dtype=object)
-    index = inverse.reshape(len(values), -1)
-    if block.ok is not None:  # a verdict's column picks its word
-        index = np.concatenate([index, len(distinct) + block.ok], axis=1)
+    segment = max(1, FORMAT_VALUES // (JOIN_POINTS * values.shape[1])) * JOIN_POINTS  # whole joins
     cells = np.empty((JOIN_POINTS, 2 * len(columns) + 1), dtype=np.intp)
-    cells[:, 0::2] = np.arange(len(table) - len(pieces), len(table))
-    for a in range(0, len(values), JOIN_POINTS):
-        chunk = cells[:len(values) - a]
-        chunk[:, 1::2] = index[a:a + JOIN_POINTS, columns]
-        out.append("".join(table[chunk.ravel()].tolist()))
+    for s in range(0, len(values), segment):
+        distinct, inverse = np.unique(values[s:s + segment].view(np.uint64), return_inverse=True)
+        texts = ("%.17g," * len(distinct) % tuple(distinct.view(float).tolist())).split(",")
+        table = np.array(texts[:-1] + [*words, *pieces], dtype=object)
+        index = inverse.reshape(-1, values.shape[1])
+        if block.ok is not None:  # a verdict's column picks its word
+            index = np.concatenate([index, len(distinct) + block.ok[s:s + segment]], axis=1)
+        cells[:, 0::2] = np.arange(len(table) - len(pieces), len(table))
+        for a in range(0, len(index), JOIN_POINTS):
+            chunk = cells[:len(index) - a]
+            chunk[:, 1::2] = index[a:a + JOIN_POINTS, columns]
+            out.append("".join(table[chunk.ravel()].tolist()))
 
 
 def _write_records(out: list[str], keys: tuple[str, ...], blocks: list[Block], fmt: str) -> None:
@@ -322,10 +324,10 @@ def _write_records(out: list[str], keys: tuple[str, ...], blocks: list[Block], f
     than one point by columns, else one %-format per point."""
     last = None
     for block in blocks:
-        if fmt != "text" and len(block.coords) > 1:
-            _write_columns(out, keys, block, fmt)
+        template, pick, words, layout = _template(keys, block.rows, fmt)
+        if layout and len(block.coords) > 1:
+            _write_columns(out, block, layout, words)
             continue
-        template, pick, words, _ = _template(keys, block.rows, fmt)
         oks = itertools.repeat(()) if block.ok is None else block.ok.tolist()
         if fmt == "text":  # keeps the sign of a zero; heads a point only where it changes
             points, floats = [], block.floats.tolist()

@@ -3,20 +3,22 @@ requests through ``igeo.cli.main`` in two source trees.
 
     python tests/sweep.py --quick                 # HEAD's src/ against the working tree's
     python tests/sweep.py --rev <rev> [--seed N]  # the full corpus against <rev>
-    python tests/sweep.py --parent-src DIR --change-src DIR
+    python tests/sweep.py --quick --change-src DIR
 
 The parent's ``src/`` comes from ``git archive <rev> src``, unpacked into a
 temporary directory; the change's is the working tree's unless
-``--change-src`` names another.  Each side runs in its own subprocess with its
-``src/`` first on ``sys.path`` and ``IGEO_SEED`` set alike, calls ``cli.main``
-in process for each request in order, and writes one line per request: its
-argv, exit code, the sha256 of its stdout, and its stderr.  The report counts
-the requests by family and by exit code and prints the first differing
-requests in full; the exit status is 1 when any request differs.
+``--change-src`` names another.  That is how a mutant is checked: a copy of
+``src/`` outside the repository with one deliberate fault must differ.  Each
+side runs in its own subprocess with its ``src/`` first on ``sys.path`` and
+``IGEO_SEED`` set alike, calls ``cli.main`` in process for each request in
+order, and writes one line per request: its argv, exit code, the sha256 of its
+stdout, and its stderr.  The report counts the requests by family and by exit
+code and prints the first SHOW differing requests in full; the exit status is 1
+when any request differs.
 
-The corpus is built from ``--seed`` alone.  ``--quick`` (3,205 requests) runs
+The corpus is built from ``--seed`` alone.  ``--quick`` (3,207 requests) runs
 in a few seconds a side; the full corpus repeats the per-point family at 150
-seeded points a combination and draws ten times the extreme points (35,311
+seeded points a combination and draws ten times the extreme points (35,313
 requests).  pytest does not collect this file; ``test_sweep.py`` tests
 the harness, not the outputs.
 """
@@ -38,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED_ENV = "11"  # IGEO_SEED on both sides, so that monte_carlo[:samples] is reproducible
+SHOW = 10  # differing requests printed in full
 
 # command -> its option variants; every command but audit takes --chart, and
 # every one but transform and audit takes --engine
@@ -190,6 +193,8 @@ def corpus(seed: int = 0, quick: bool = False) -> list[tuple[str, tuple[str, ...
         for fmt in FORMATS:
             for where in (_point(rng, "theta"), _grid(rng, "theta", 3, 3)):
                 add("audit", ("audit", where, *extra, f"--format={fmt}"))
+    for fmt in ("json", "csv"):  # more floats than one segment of the column writer
+        add("large_grid", ("audit", _grid(rng, "theta", 26, 26), f"--format={fmt}"))
     for fmt in FORMATS:
         add("selftest", ("selftest", f"--format={fmt}"))
     for argv in USAGE:
@@ -247,7 +252,7 @@ def _side(src: str, corpus_file: str) -> None:
         print(json.dumps(line))
 
 
-def _report(requests, parent, change, show: int) -> str:
+def _report(requests, parent, change) -> str:
     diffs = differences(parent, change)
     differing = collections.Counter(p["family"] for p, _ in diffs)
     lines = [f"{len(requests)} requests, {len(diffs)} differ"]
@@ -257,7 +262,7 @@ def _report(requests, parent, change, show: int) -> str:
         lines.append(f"  {family}: {n} ({by_code}); {differing[family]} differ")
     codes = collections.Counter(str(c["code"]) for c in change)
     lines.append("  all: " + ", ".join(f"exit {code}: {k}" for code, k in sorted(codes.items())))
-    for p, c in diffs[:show]:
+    for p, c in diffs[:SHOW]:
         lines.append(f"differs: {json.dumps(p['argv'])}")
         lines.append(f"  parent: {json.dumps({k: p[k] for k in ('code', 'stdout', 'stderr')})}")
         lines.append(f"  change: {json.dumps({k: c[k] for k in ('code', 'stdout', 'stderr')})}")
@@ -267,11 +272,9 @@ def _report(requests, parent, change, show: int) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD", help="git revision of the parent side")
-    parser.add_argument("--parent-src", type=Path, help="a src/ directory instead of --rev")
     parser.add_argument("--change-src", type=Path, default=ROOT / "src")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--show", type=int, default=10, help="differing requests printed")
     parser.add_argument("--side", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.side:
@@ -279,14 +282,11 @@ def main(argv=None) -> int:
         return 0
     requests = corpus(args.seed, args.quick)
     with tempfile.TemporaryDirectory() as tmp:
-        parent_src = args.parent_src
-        if parent_src is None:
-            archive = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT,
-                                     capture_output=True, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-            parent_src = Path(tmp, "src")
-        parent, change = run_sides(parent_src, args.change_src, requests)
-    print(_report(requests, parent, change, args.show))
+        archive = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        parent, change = run_sides(Path(tmp, "src"), args.change_src, requests)
+    print(_report(requests, parent, change))
     return 1 if differences(parent, change) else 0
 
 

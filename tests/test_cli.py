@@ -775,12 +775,14 @@ class TestColumnWriter:
         n=st.one_of(st.integers(2, 5), st.integers(cli.JOIN_POINTS - 1, 2 * cli.JOIN_POINTS + 3)),
         pool=st.lists(st.floats(), max_size=6),
         seed=st.integers(0, 2**32 - 1),
+        format_values=st.sampled_from([1, 2 * cli.JOIN_POINTS * 20, cli.FORMAT_VALUES]),
     )
     @settings(max_examples=60, deadline=None)
     @example(keys=_LITERALS[:3], rows=[[_LITERALS[3], cli.Floats((2, 2)), "verdict"],
                                        ["verdict", None, cli.Floats(())]],
-             words=('say "%d"', "a,%"), n=2 * cli.JOIN_POINTS + 3, pool=[], seed=0)
-    def test_block_equals_its_points(self, keys, rows, words, n, pool, seed):
+             words=('say "%d"', "a,%"), n=2 * cli.JOIN_POINTS + 3, pool=[], seed=0,
+             format_values=1)
+    def test_block_equals_its_points(self, keys, rows, words, n, pool, seed, format_values):
         verdict = cli.Verdict(*words)
         rows = tuple(tuple(verdict if c == "verdict" else c for c in row) for row in rows)
         size = sum(c.size for row in rows for c in row if isinstance(c, cli.Floats))
@@ -796,25 +798,31 @@ class TestColumnWriter:
         keys = ("point", *keys)
         for fmt in ("json", "csv"):
             whole, each = [], []
-            with np.errstate(invalid="ignore"):  # + 0.0 quiets a signalling NaN
-                cli._write_records(whole, keys, [block], fmt)
-                cli._write_records(each, keys, points, fmt)
+            with pytest.MonkeyPatch.context() as mp:  # at 1, each join is a segment
+                mp.setattr(cli, "FORMAT_VALUES", format_values)
+                with np.errstate(invalid="ignore"):  # + 0.0 quiets a signalling NaN
+                    cli._write_records(whole, keys, [block], fmt)
+                    cli._write_records(each, keys, points, fmt)
             assert "".join(whole) == "".join(each)
             assert len(whole) == -(-n // cli.JOIN_POINTS)
 
     def test_audit_grid_is_written_by_columns(self, monkeypatch):
         joined = []
         write = cli._write_columns
-        monkeypatch.setattr(cli, "_write_columns", lambda out, keys, block, fmt: (
-            joined.append(len(block.coords)), write(out, keys, block, fmt)))
+        monkeypatch.setattr(cli, "_write_columns", lambda out, block, *layout: (
+            joined.append(len(block.coords)), write(out, block, *layout)))
         grid = ("audit", "--grid=-1:1:6,0.5:2:7")
         outs = [call(*grid, f"--format={fmt}") for fmt in ("json", "csv")]
         assert joined == [42, 42] and all(code == 0 for code, _, _ in outs)
         monkeypatch.setattr(cli, "JOIN_POINTS", 5)
         assert [call(*grid, f"--format={fmt}") for fmt in ("json", "csv")] == outs
+        # segments of 5 and of 15 points: each formats its own distinct floats
+        for format_values in (1, 15 * (2 + 4 * len(cli.AUDIT_ROWS))):
+            monkeypatch.setattr(cli, "FORMAT_VALUES", format_values)
+            assert [call(*grid, f"--format={fmt}") for fmt in ("json", "csv")] == outs
 
     def test_text_and_single_points_keep_the_per_point_template(self, monkeypatch):
-        def refuse(out, keys, block, fmt):
+        def refuse(*args):
             raise AssertionError("written by columns")
 
         text = call("curvature", "--grid=-1:1:3,0.5:2:3", "--format=text")
@@ -853,9 +861,7 @@ class TestRowPatternHash:
         rows = (("q", cli.Floats((2,)), "oracle"),)
         assert (cli._template(cli.QUANTITY_KEYS, rows, fmt)
                 is cli._template(cli.QUANTITY_KEYS, cli.Rows(rows), fmt))
-        if fmt != "text":
-            assert (cli._join_layout(cli.AUDIT_KEYS, tuple(cli._AUDIT_ROWS), fmt)
-                    is cli._join_layout(cli.AUDIT_KEYS, cli._AUDIT_ROWS, fmt))
+        assert (layout[3] is None) == (fmt == "text")
 
     def test_quantity_rows_are_rows(self):
         assert isinstance(cli._quantity_rows(("g",), ((2, 2),)), cli.Rows)

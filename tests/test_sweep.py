@@ -1,5 +1,6 @@
 """The parent-vs-change sweep harness (tests/sweep.py) itself, not the outputs it compares."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,11 @@ def test_corpus_covers_every_command_chart_format_and_engine_family():
                 assert family == "large_grid" or (command, "--engine=gauss_hermite:8") in got
     grids = [opt for argv in argvs for opt in argv if opt.startswith("--grid=")]
     assert any("-0.0" in grid for grid in grids)
+    audit_floats = [math.prod(int(axis.split(":")[2]) for axis in opt[7:].split(","))
+                    * (2 + 4 * len(cli.AUDIT_ROWS))
+                    for fam, argv in requests if fam == "large_grid" and argv[0] == "audit"
+                    for opt in argv if opt.startswith("--grid=")]
+    assert max(audit_floats) > cli.FORMAT_VALUES  # a block of more than one segment
     assert {fam for fam, _ in requests} >= {"extreme", "edge", "failing_grid", "audit", "usage",
                                            "default_engine"}
 
