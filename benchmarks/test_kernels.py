@@ -6,7 +6,8 @@
 
 Times ``evaluate_metric``, ``levi_civita`` and ``riemann_levi_civita`` of the
 closed-form Fisher metric field at one point and on a 40x40 grid evaluated as
-one block, in both charts.  At the point alone it also times two of their parts:
+one block, in both charts, and ``riemann_levi_civita`` on a 64x64 grid, one
+full ``cli.BLOCK_POINTS`` block.  At the point alone it also times two of their parts:
 ``MetricAt.from_matrix`` on the Fisher metric there, in both charts, and the
 dual-chart ``fisher_metric_field`` on the lifted point, the ``Dual2`` evaluation
 that gives the metric jet.  The engine cases time ``fisher_metric`` and
@@ -69,9 +70,13 @@ def where_point(chart: Chart) -> ParamPoint:
     return ParamPoint(chart, *theta_to(chart, 0.3, 1.2))
 
 
-def where_grid40x40(chart: Chart) -> ParamPoint:
-    mu, sigma = np.meshgrid(np.linspace(-1.0, 1.0, 40), np.linspace(0.5, 2.0, 40), indexing="ij")
+def where_grid(chart: Chart, n: int) -> ParamPoint:
+    mu, sigma = np.meshgrid(np.linspace(-1.0, 1.0, n), np.linspace(0.5, 2.0, n), indexing="ij")
     return ParamPoint(chart, *theta_to(chart, mu.ravel(), sigma.ravel()))
+
+
+def where_grid40x40(chart: Chart) -> ParamPoint:
+    return where_grid(chart, 40)
 
 
 @pytest.mark.parametrize("where", [where_point, where_grid40x40], ids=lambda f: f.__name__[6:])
@@ -80,6 +85,14 @@ def where_grid40x40(chart: Chart) -> ParamPoint:
 def test_kernel(benchmark, kernel, chart, where):
     benchmark.group = f"{kernel} {where.__name__[6:]}"
     benchmark(KERNELS[kernel], fisher_metric_field(chart), where(chart))
+
+
+@pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
+def test_riemann_full_block(benchmark, chart):
+    p = where_grid(chart, 64)
+    assert p.c1.size == cli.BLOCK_POINTS
+    benchmark.group = "riemann_levi_civita grid64x64"
+    benchmark(riemann_levi_civita, fisher_metric_field(chart), p)
 
 
 @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)

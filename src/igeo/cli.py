@@ -157,6 +157,7 @@ class Report(NamedTuple):
 
 _FLOAT = Floats(())
 _POINT = "[%.17g, %.17g]"  # a point's cell in JSON and CSV
+_SIGN, _INF = np.uint64(1 << 63), np.uint64(0x7FF << 52)  # a float's sign bit; inf's bits
 _AUDIT_ROWS = Rows((qid, _FLOAT, _FLOAT, _FLOAT, _FLOAT, Verdict(MISMATCH, MATCH), label, note)
                    for qid, label, _, note in AUDIT_ROWS)
 
@@ -296,26 +297,65 @@ def _coords(p: ParamPoint) -> np.ndarray:
     return np.array([p.c1, p.c2]).reshape(2, -1).T
 
 
+def _mirrored(distinct: np.ndarray) -> tuple[np.ndarray | None, list[int]]:
+    """Of sorted distinct float bits, a mask of the negatives (they sort last) whose
+    magnitude is among them and is not NaN (%.17g writes no sign on a NaN), and the index
+    of each one's magnitude.  None where under one in 8 of 64 negatives sampled is such."""
+    neg = np.searchsorted(distinct, _SIGN)
+    magnitude, positive = distinct[neg:] ^ _SIGN, distinct[:neg]
+    sample = magnitude[::len(magnitude) // 64 + 1]
+    if np.count_nonzero(distinct[np.searchsorted(positive, sample)] == sample) * 8 < len(sample):
+        return None, []
+    mirror = np.searchsorted(positive, magnitude)
+    signed = (distinct[mirror] == magnitude) & (magnitude <= _INF)
+    return np.concatenate([np.zeros(neg, dtype=bool), signed]), mirror[signed].tolist()
+
+
 def _write_columns(out: list[str], block: Block, layout, words: tuple[str, ...]) -> None:
     """Append a JSON or CSV block's records to out, joined from _template's
-    layout JOIN_POINTS points at a time: each distinct float of a segment of
-    about FORMAT_VALUES floats is formatted once."""
+    layout JOIN_POINTS points at a time, in segments of about FORMAT_VALUES floats.
+    A column that holds one float or verdict across a segment is written into the
+    literal pieces once; each distinct float of the other columns is formatted
+    once, and a negative one whose magnitude is among them as '-' and its text."""
     pieces, columns = layout
     # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0; equal bits write equal text
     values = np.concatenate([block.coords, block.floats], axis=1, dtype=float) + 0.0
-    segment = max(1, FORMAT_VALUES // (JOIN_POINTS * values.shape[1])) * JOIN_POINTS  # whole joins
-    cells = np.empty((JOIN_POINTS, 2 * len(columns) + 1), dtype=np.intp)
+    nf = values.shape[1]  # float columns; the verdict columns follow, as 0 or 1
+    bits = values.view(np.uint64) if block.ok is None else \
+        np.concatenate([values.view(np.uint64), block.ok], axis=1, dtype=np.uint64)
+    segment = max(1, FORMAT_VALUES // (JOIN_POINTS * nf)) * JOIN_POINTS  # whole joins
     for s in range(0, len(values), segment):
-        distinct, inverse = np.unique(values[s:s + segment].view(np.uint64), return_inverse=True)
+        seg = bits[s:s + segment]
+        same = (seg == seg[0]).all(axis=0)
+        first, oks = values[s].tolist(), seg[0, nf:].tolist()
+        text = {c: "%.17g" % first[c] if c < nf else words[oks[c - nf]]
+                for c in np.flatnonzero(same).tolist()}
+        parts, slots = [pieces[0]], []  # the segment's layout, those columns written in
+        for c, piece in zip(columns.tolist(), pieces[1:]):
+            if c in text:
+                parts[-1] += text[c] + piece
+            else:
+                slots.append(c)
+                parts.append(piece)
+        vary = np.flatnonzero(~same)
+        distinct, inverse = np.unique(seg[:, vary[vary < nf]], return_inverse=True)
+        signed, mirror = _mirrored(distinct)
+        if mirror:  # their texts take the last rows
+            row = np.cumsum(~signed) - 1
+            row[signed] = np.arange(len(row) - len(mirror), len(row))
+            inverse, distinct = row[inverse], distinct[~signed]
         texts = ("%.17g," * len(distinct) % tuple(distinct.view(float).tolist())).split(",")
-        table = np.array(texts[:-1] + [*words, *pieces], dtype=object)
-        index = inverse.reshape(-1, values.shape[1])
-        if block.ok is not None:  # a verdict's column picks its word
-            index = np.concatenate([index, len(distinct) + block.ok[s:s + segment]], axis=1)
-        cells[:, 0::2] = np.arange(len(table) - len(pieces), len(table))
+        texts[-1:] = ["-" + texts[m] for m in mirror]  # in place of the "" after the last ","
+        table = np.array(texts + [*words, *parts], dtype=object)
+        index, verdicts = inverse.reshape(len(seg), -1), vary[vary >= nf]
+        if len(verdicts):  # a verdict's column picks its word
+            index = np.concatenate([index, len(texts) + seg[:, verdicts]], axis=1, dtype=np.intp)
+        slots = np.searchsorted(vary, slots)
+        cells = np.empty((JOIN_POINTS, 2 * len(slots) + 1), dtype=np.intp)
+        cells[:, 0::2] = np.arange(len(table) - len(parts), len(table))
         for a in range(0, len(index), JOIN_POINTS):
             chunk = cells[:len(index) - a]
-            chunk[:, 1::2] = index[a:a + JOIN_POINTS, columns]
+            chunk[:, 1::2] = index[a:a + JOIN_POINTS, slots]
             out.append("".join(table[chunk.ravel()].tolist()))
 
 

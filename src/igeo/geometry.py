@@ -25,7 +25,9 @@ result then carries the block axes first (``g[..., i, j]``,
 ``r[..., i, j, k, m]``, ``scalar[...]``), and a single point is the shape-()
 case of the same code.  Each sum over an index is written out term by term in
 the order a per-point loop would add it, so a point of a block gets the same
-bits as the point alone.
+bits as the point alone.  Inside, the curvature kernels hold the component axes
+first (``dg[l, i, j, ...]``), so each ufunc loops contiguously over the block, not
+over two entries per point; a public array leaves with its block axes first again.
 """
 
 from __future__ import annotations
@@ -186,25 +188,37 @@ def evaluate_metric(field: MetricField, point: ParamPoint) -> MetricAt:
 
 
 def _metric_jet(field: MetricField, point: ParamPoint):
-    """g[..., i, j], dg[..., l, i, j] = d_l g_ij and d2g[..., l, m, i, j] = d_l d_m g_ij."""
+    """g[i, j], dg[l, i, j] = d_l g_ij and d2g[l, m, i, j] = d_l d_m g_ij, component
+    axes first: views of one stack of the jet's 28 entries."""
     a, b = lift(point)
     e00, e01, e11 = (e if isinstance(e, Dual2) else Dual2(value(e))
                      for e in _field_entries(field, a, b))
     ij = (e00, e01, e01, e11)  # the entries in (i, j) order
-    g = batch_array([e.val for e in ij], (2, 2))
-    dg = batch_array([e.g1 for e in ij] + [e.g2 for e in ij], (2, 2, 2))
-    d2g = batch_array([e.h11 for e in ij] + [e.h12 for e in ij] * 2 + [e.h22 for e in ij],
-                      (2, 2, 2, 2))
-    return g, dg, d2g
+    entries = [getattr(e, part) for part in ("val", "g1", "g2", "h11", "h12", "h12", "h22")
+               for e in ij]
+    try:
+        jet = np.array(entries, dtype=float)  # a point's floats, or a block's arrays
+    except ValueError:  # floats among block arrays
+        jet = np.array(np.broadcast_arrays(*entries), dtype=float)
+    block = jet.shape[1:]
+    return (jet[:4].reshape((2, 2) + block), jet[4:12].reshape((2, 2, 2) + block),
+            jet[12:].reshape((2, 2, 2, 2) + block))
 
 
-def _lower(dg: np.ndarray) -> np.ndarray:
-    """Gamma_ijk = (d_i g_jk + d_j g_ik - d_k g_ij) / 2 over the last three axes.
+def _roll_axes(a: np.ndarray, k: int) -> np.ndarray:
+    """a with its axes rolled as np.roll rolls items, in C order (einsum and matmul round
+    by the layout): a copy, or a itself where nothing moves, as at a single point."""
+    k %= a.ndim
+    return np.ascontiguousarray(a.transpose(*range(-k, a.ndim - k))) if k else a
 
-    Applied to d2g (leading axis l) it gives d_l Gamma_ijk.
+
+def _lower(dg: np.ndarray, a: int = 0) -> np.ndarray:
+    """Gamma_ijk = (d_i g_jk + d_j g_ik - d_k g_ij) / 2 over component axes a, a + 1, a + 2.
+
+    Applied to d2g with a = 1 (leading axis l) it gives d_l Gamma_ijk.
     """
-    # the two swaps make np.moveaxis(dg, -3, -1)'s view at a fraction of its cost
-    return 0.5 * (dg + dg.swapaxes(-3, -2) - dg.swapaxes(-3, -2).swapaxes(-2, -1))
+    # the two swaps make a moveaxis view at a fraction of its cost
+    return 0.5 * (dg + dg.swapaxes(a, a + 1) - dg.swapaxes(a, a + 1).swapaxes(a + 1, a + 2))
 
 
 def _sum2(t0, t1):
@@ -212,22 +226,26 @@ def _sum2(t0, t1):
     return 0.0 + t0 + t1
 
 
-def _raise_index(ginv: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """mixed[..., k, i, j] = g^k0 lower[..., i, j, 0] + g^k1 lower[..., i, j, 1]."""
-    a, t = ginv[..., :, None, None, :], lower[..., None, :, :, :]
-    return _sum2(a[..., 0] * t[..., 0], a[..., 1] * t[..., 1])
+def _raise_index(ginv: np.ndarray, lower: np.ndarray, a: int = 0) -> np.ndarray:
+    """mixed[k, i, j] = g^k0 lower[i, j, 0] + g^k1 lower[i, j, 1], component axes first,
+    behind a leading axes (such as the l of d_l) over which the two broadcast."""
+    x, c = (slice(None),) * a, slice(None)
+    return _sum2(ginv[x + (c, None, None, 0)] * lower[x + (None, c, c, 0)],
+                 ginv[x + (c, None, None, 1)] * lower[x + (None, c, c, 1)])
 
 
 def _lc_jet(field: MetricField, point: ParamPoint):
     """Levi-Civita coefficients with the metric data curvature needs.
 
     One Dual2 evaluation of the metric field supplies g, dg and d2g, so
-    curvature never needs more than second derivatives of the metric.
+    curvature never needs more than second derivatives of the metric.  Besides
+    the MetricAt, every array has its component axes first, ginv its g_inv's.
     """
     g, dg, d2g = _metric_jet(field, point)
-    metric = MetricAt.from_matrix(point, g)
+    metric = MetricAt.from_matrix(point, _roll_axes(g, -2))  # g itself after its checks
+    ginv = _roll_axes(metric.g_inv, 2)
     lower = _lower(dg)
-    return metric, dg, d2g, lower, _raise_index(metric.g_inv, lower)
+    return metric, g, ginv, dg, d2g, lower, _raise_index(ginv, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +258,8 @@ def levi_civita(metric_field: MetricField, point: ParamPoint) -> ConnAt:
     Metric derivatives come from one Dual2 evaluation of the field.
     Raises SingularMetricError when the metric is not invertible.
     """
-    _, _, _, lower, mixed = _lc_jet(metric_field, point)
-    return ConnAt._adopt(point=point, lower=lower, mixed=mixed)
+    *_, lower, mixed = _lc_jet(metric_field, point)
+    return ConnAt._adopt(point=point, lower=_roll_axes(lower, -3), mixed=_roll_axes(mixed, -3))
 
 
 def torsion(conn: ConnAt) -> TorsionAt:
@@ -258,27 +276,27 @@ def riemann_levi_civita(metric_field: MetricField, point: ParamPoint) -> Riemann
 def _levi_civita_and_riemann(metric_field: MetricField,
                              point: ParamPoint) -> tuple[ConnAt, RiemannAt]:
     """levi_civita and riemann_levi_civita from one Dual2 evaluation of the field."""
-    metric, dg, d2g, lower, mixed = _lc_jet(metric_field, point)
-    g, ginv = metric.g, metric.g_inv
-    # d_l g^-1 = -g^-1 (d_l g) g^-1, one 2x2 product per matrix
-    dginv = -ginv[..., None, :, :] @ dg @ ginv[..., None, :, :]
-    # dmixed[..., l, k, i, j] = d_l Gamma^k_ij
-    dmixed = (_raise_index(dginv, lower[..., None, :, :, :])
-              + _raise_index(ginv[..., None, :, :], _lower(d2g)))
+    metric, g, ginv, dg, d2g, lower, mixed = _lc_jet(metric_field, point)
+    # d_l g^-1 = -g^-1 (d_l g) g^-1: matmul on block-first operands, whose fused 2x2 sums
+    # no sum of ufuncs repeats
+    inv = metric.g_inv[..., None, :, :]
+    dginv = _roll_axes(-inv @ _roll_axes(dg, -3) @ inv, 3)
+    # dmixed[l, k, i, j] = d_l Gamma^k_ij
+    dmixed = (_raise_index(dginv, lower[None], 1)
+              + _raise_index(ginv[None], _lower(d2g, 1), 1))
     # r[i, j, k, m] = sum_s (dmixed[i, s, j, k] - dmixed[j, s, i, k]) g[s, m]
     #               + sum_s (lower[i, s, m] mixed[s, j, k] - lower[j, s, m] mixed[s, i, k]),
-    # each term formed for both s at once on axis -5 of (..., s, i, j, k, m)
-    d = (dmixed - dmixed.swapaxes(-4, -2)).swapaxes(-4, -3)  # d[..., s, i, j, k]
-    curl = d[..., None] * g[..., :, None, None, None, :]
-    p = lower.swapaxes(-3, -2)[..., :, :, None, None, :] * mixed[..., :, None, :, :, None]
-    prod = p - p.swapaxes(-4, -3)
-    r = _sum2(curl[..., 0, :, :, :, :], curl[..., 1, :, :, :, :]) \
-        + _sum2(prod[..., 0, :, :, :, :], prod[..., 1, :, :, :, :])
+    # each term formed for both s at once on axis 0 of [s, i, j, k, m]
+    d = (dmixed - dmixed.swapaxes(0, 2)).swapaxes(0, 1)  # d[s, i, j, k]
+    curl = d[:, :, :, :, None] * g[:, None, None, None, :]
+    p = lower.swapaxes(0, 1)[:, :, None, None, :] * mixed[:, None, :, :, None]
+    prod = p - p.swapaxes(1, 2)
+    r = _sum2(curl[0], curl[1]) + _sum2(prod[0], prod[1])
     # 0.5 r[i, j, k, m] g^im g^jk, summed in (i, j, k, m) order as one running total
-    terms = r * ginv[..., :, None, None, :] * ginv[..., None, :, :, None]
-    total = np.add.accumulate(terms.reshape(terms.shape[:-4] + (16,)), axis=-1)[..., -1]
-    return (ConnAt._adopt(point=point, lower=lower, mixed=mixed),
-            RiemannAt._adopt(point=point, r=r, scalar=0.5 * (0.0 + total)))
+    terms = r * ginv[:, None, None, :] * ginv[None, :, :, None]
+    total = np.add.accumulate(terms.reshape((16,) + terms.shape[4:]), axis=0)[-1]
+    return (ConnAt._adopt(point=point, lower=_roll_axes(lower, -3), mixed=_roll_axes(mixed, -3)),
+            RiemannAt._adopt(point=point, r=_roll_axes(r, -4), scalar=0.5 * (0.0 + total)))
 
 
 def sectional_curvature(riem: RiemannAt, metric: MetricAt):
@@ -302,7 +320,9 @@ def transform_metric(m: MetricAt, jac_inv, to_point: ParamPoint) -> MetricAt:
     rows.  The full law is applied, cross terms included.
     """
     b = _basis_change(jac_inv)
-    return MetricAt.from_matrix(to_point, b @ m.g @ b.swapaxes(-1, -2))
+    g = b @ m.g @ b.swapaxes(-1, -2)
+    g[..., 1, 0] = g[..., 0, 1]  # the product rounds its two off-diagonal entries apart
+    return MetricAt.from_matrix(to_point, g)
 
 
 def transform_lower_tensor3(t, jac_inv) -> np.ndarray:

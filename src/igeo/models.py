@@ -25,6 +25,7 @@ from .geometry import (
     MetricField,
     _first,
     _raise_index,
+    _roll_axes,
     evaluate_metric,
     levi_civita,
     riemann_levi_civita,
@@ -314,7 +315,8 @@ def _conn_expectation_theta(p: ParamPoint, engine: Engine) -> tuple[ConnAt, Metr
         # (i, j, k) -> the mean of h_ij * score[k]; h21 is h12
         lower = means[..., [0, 1, 2, 3, 2, 3, 4, 5]].reshape(means.shape[:-1] + (2, 2, 2))
         g_inv = _metric_from_means(p, -means[..., 6:]).g_inv
-    return ConnAt._adopt(point=p, lower=lower, mixed=_raise_index(g_inv, lower)), metric
+    mixed = _raise_index(_roll_axes(g_inv, 2), _roll_axes(lower, 3))
+    return ConnAt._adopt(point=p, lower=lower, mixed=_roll_axes(mixed, -3)), metric
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from igeo import (Chart, ConnAt, Dual2, SingularMetricError, chart_backward, cha
 from igeo import models
 from igeo import papertable as pt
 from igeo.autodiff import _pow, sqrt
-from igeo.geometry import _levi_civita_and_riemann, _raise_index
+from igeo.geometry import _levi_civita_and_riemann
 
 H1 = 1e-6   # first-derivative step (5-point stencil, ~1e-12 truncation)
 H2 = 1e-3   # second-derivative step (5-point stencil, ~1e-10 total error)
@@ -349,14 +349,16 @@ def _stacked(entries, shape):
     return np.stack(columns, axis=-1).reshape(columns[0].shape + shape)
 
 
-def _raised(ginv, lower):
+def raised(ginv, lower):
+    """mixed[..., k, i, j] = g^k0 lower[..., i, j, 0] + g^k1 lower[..., i, j, 1], block
+    axes first."""
     a, t = ginv[..., :, None, None, :], lower[..., None, :, :, :]
     return 0.0 + a[..., 0] * t[..., 0] + a[..., 1] * t[..., 1]
 
 
-def levi_civita_and_riemann_by_loop(field, point):
-    """(lower, mixed, r, scalar) of the Levi-Civita connection of ``field`` at a point
-    or block, with the curvature's sums over s taken in a loop over s = 0, 1."""
+def _levi_civita_jet(field, point):
+    """(g, ginv, lower, mixed, dmixed) of the Levi-Civita connection, block axes first,
+    dmixed[..., l, k, i, j] = d_l Gamma^k_ij."""
     m = field(Dual2(point.c1, g1=1.0), Dual2(point.c2, g2=1.0))
     ij = [e if isinstance(e, Dual2) else Dual2(float(e)) for e in (m[0][0], m[0][1], m[0][1], m[1][1])]
     g = _stacked([e.val for e in ij], (2, 2))
@@ -365,10 +367,23 @@ def levi_civita_and_riemann_by_loop(field, point):
                    (2, 2, 2, 2))
     g, ginv, _ = metric_checked_in_order(point, g)
     lower = lower_by_moveaxis(dg)
-    mixed = _raised(ginv, lower)
+    mixed = raised(ginv, lower)
     dginv = -ginv[..., None, :, :] @ dg @ ginv[..., None, :, :]
-    dmixed = (_raised(dginv, lower[..., None, :, :, :])
-              + _raised(ginv[..., None, :, :], lower_by_moveaxis(d2g)))
+    dmixed = (raised(dginv, lower[..., None, :, :, :])
+              + raised(ginv[..., None, :, :], lower_by_moveaxis(d2g)))
+    return g, ginv, lower, mixed, dmixed
+
+
+def _with_scalar(ginv, lower, mixed, r):
+    terms = r * ginv[..., :, None, None, :] * ginv[..., None, :, :, None]
+    total = np.add.accumulate(terms.reshape(terms.shape[:-4] + (16,)), axis=-1)[..., -1]
+    return lower, mixed, r, 0.5 * (0.0 + total)
+
+
+def levi_civita_and_riemann_by_loop(field, point):
+    """(lower, mixed, r, scalar) of the Levi-Civita connection of ``field`` at a point
+    or block, with the curvature's sums over s taken in a loop over s = 0, 1."""
+    g, ginv, lower, mixed, dmixed = _levi_civita_jet(field, point)
     curl, prod = [], []
     for s in (0, 1):
         d = dmixed[..., :, s, :, :]
@@ -376,9 +391,21 @@ def levi_civita_and_riemann_by_loop(field, point):
         p = lower[..., :, None, None, s, :] * mixed[..., None, s, :, :, None]
         prod.append(p - p.swapaxes(-4, -3))
     r = (0.0 + curl[0] + curl[1]) + (0.0 + prod[0] + prod[1])
-    terms = r * ginv[..., :, None, None, :] * ginv[..., None, :, :, None]
-    total = np.add.accumulate(terms.reshape(terms.shape[:-4] + (16,)), axis=-1)[..., -1]
-    return lower, mixed, r, 0.5 * (0.0 + total)
+    return _with_scalar(ginv, lower, mixed, r)
+
+
+def levi_civita_and_riemann_block_first(field, point):
+    """(lower, mixed, r, scalar) as ``levi_civita_and_riemann_by_loop``, with the block
+    axes first and both terms of each sum over s formed in one array operation, on
+    axis -5 of (..., s, i, j, k, m)."""
+    g, ginv, lower, mixed, dmixed = _levi_civita_jet(field, point)
+    d = (dmixed - dmixed.swapaxes(-4, -2)).swapaxes(-4, -3)  # d[..., s, i, j, k]
+    curl = d[..., None] * g[..., :, None, None, None, :]
+    p = lower.swapaxes(-3, -2)[..., :, :, None, None, :] * mixed[..., :, None, :, :, None]
+    prod = p - p.swapaxes(-4, -3)
+    r = (0.0 + curl[..., 0, :, :, :, :] + curl[..., 1, :, :, :, :]) \
+        + (0.0 + prod[..., 0, :, :, :, :] + prod[..., 1, :, :, :, :])
+    return _with_scalar(ginv, lower, mixed, r)
 
 
 def audit_columns_by_parts(p, tol):
@@ -464,7 +491,7 @@ def expectation_connection_by_generators(p, engine):
         means = models._engine_means(engine, theta_connection_integrands, q)
         lower = means[..., [0, 1, 2, 3, 2, 3, 4, 5]].reshape(means.shape[:-1] + (2, 2, 2))
         g_inv = models._metric_from_means(q, -means[..., 6:]).g_inv
-        return ConnAt(q, lower, _raise_index(g_inv, lower))
+        return ConnAt(q, lower, raised(g_inv, lower))
 
     if p.chart is Chart.THETA:
         return theta(p)

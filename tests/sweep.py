@@ -20,7 +20,7 @@ The corpus is built from ``--seed`` alone.  ``--quick`` (3,207 requests) runs
 in a few seconds a side; the full corpus repeats the per-point family at 150
 seeded points a combination and draws ten times the extreme points (35,313
 requests).  pytest does not collect this file; ``test_sweep.py`` tests
-the harness, not the outputs.
+the harness, and pins the ``digest`` of the quick corpus's outcomes.
 """
 
 from __future__ import annotations
@@ -226,8 +226,15 @@ def differences(parent: list[dict], change: list[dict]) -> list[tuple[dict, dict
     return [(p, c) for p, c in zip(parent, change) if p != c]
 
 
-def run_sides(parent_src: Path, change_src: Path, requests) -> tuple[list[dict], list[dict]]:
-    """The outcomes of the requests in a subprocess per side, the two run at once."""
+def digest(lines: list[dict]) -> str:
+    """sha256 of each request's argv, exit code, stdout sha256 and stderr, in order."""
+    return hashlib.sha256("".join(
+        json.dumps([line["argv"], line["code"], line["stdout"], line["stderr"]]) + "\n"
+        for line in lines).encode()).hexdigest()
+
+
+def run_sides(requests, *srcs: Path) -> tuple[list[dict], ...]:
+    """The outcomes of the requests in a subprocess per ``src/`` tree, all run at once."""
     env = {**os.environ, "IGEO_SEED": SEED_ENV}
     env.pop("PYTHONPATH", None)
     with tempfile.TemporaryDirectory() as tmp:
@@ -235,7 +242,7 @@ def run_sides(parent_src: Path, change_src: Path, requests) -> tuple[list[dict],
         corpus_file.write_text(json.dumps(requests))
         procs = [subprocess.Popen([sys.executable, __file__, "--side", str(src), str(corpus_file)],
                                   env=env, stdout=subprocess.PIPE, text=True)
-                 for src in (parent_src, change_src)]
+                 for src in srcs]
         sides = [proc.communicate()[0] for proc in procs]
         for proc in procs:
             if proc.returncode:
@@ -285,7 +292,7 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT,
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        parent, change = run_sides(Path(tmp, "src"), args.change_src, requests)
+        parent, change = run_sides(requests, Path(tmp, "src"), args.change_src)
     print(_report(requests, parent, change))
     return 1 if differences(parent, change) else 0
 

@@ -751,9 +751,11 @@ class TestSerialisation:
 
 # constants that the %-templates must escape: each holds %, ", a comma or a backslash
 _LITERALS = ["50%", "%s %% %.17g", 'say "%d"', "a,%", "back\\slash %%"]
-_NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001)
-# floats a block repeats: signed zeros, the smallest subnormal, NaN payloads, infinities
-_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.0, 0.1, -2.5,
+_NAN_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0x7FF0000000000001,
+             0xFFF8000000000123, 0xFFF0000000000001)  # each payload with both signs
+# floats a block repeats: signed zeros, the smallest subnormal, NaN payloads (signalling
+# ones too), infinities, each with its negative, and one number without it
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1.0, -1.0, 0.1, -0.1, -2.5,
             *np.array(_NAN_BITS, dtype=np.uint64).view(float).tolist()]
 _CELL = st.one_of(
     st.sampled_from(_LITERALS + ["plain", None]),
@@ -782,16 +784,32 @@ class TestColumnWriter:
                                        ["verdict", None, cli.Floats(())]],
              words=('say "%d"', "a,%"), n=2 * cli.JOIN_POINTS + 3, pool=[], seed=0,
              format_values=1)
+    @example(keys=_LITERALS[:3], rows=[["verdict", cli.Floats((2, 2, 2)), "verdict"]],
+             words=("MISMATCH", "MATCH"), n=3 * cli.JOIN_POINTS, pool=[-3.5, 7e-300], seed=1,
+             format_values=1)
+    @example(keys=_LITERALS[:3], rows=[["verdict", cli.Floats((2, 2, 2)), "verdict"]],
+             words=("MISMATCH", "MATCH"), n=3 * cli.JOIN_POINTS, pool=[-3.5, 7e-300], seed=6,
+             format_values=1)
     def test_block_equals_its_points(self, keys, rows, words, n, pool, seed, format_values):
         verdict = cli.Verdict(*words)
         rows = tuple(tuple(verdict if c == "verdict" else c for c in row) for row in rows)
         size = sum(c.size for row in rows for c in row if isinstance(c, cli.Floats))
         verdicts = sum(isinstance(c, cli.Verdict) for row in rows for c in row)
         rng = np.random.default_rng(seed)
-        values = np.array(_SPECIAL + pool)  # few distinct values, each repeated
-        coords, floats = rng.choice(values, (n, 2)), rng.choice(values, (n, size))
+        values = np.array(_SPECIAL + pool + [-x for x in pool])  # few, each repeated
+        # each column holds drawn values, one value per JOIN_POINTS points (so per
+        # segment at format_values 1), or one value over the block
+        run = np.arange(n) // cli.JOIN_POINTS
+
+        def columns(draw, k):
+            kind = rng.integers(0, 3, k)
+            return np.where(kind == 0, draw((n, k)),
+                            np.where(kind == 1, draw((run[-1] + 1, k))[run], draw(k)))
+
+        coords, floats = np.hsplit(columns(lambda shape: rng.choice(values, shape), 2 + size), [2])
         coords[:2] = [[-0.0, 0.0], [0.0, -0.0]]  # both zeros in every block
-        ok = rng.integers(0, 2, (n, verdicts)).astype(bool) if verdicts else None
+        ok = columns(lambda shape: rng.integers(0, 2, shape).astype(bool), verdicts) \
+            if verdicts else None
         block = cli.Block(coords, rows, floats, ok)
         points = [cli.Block(coords[i:i + 1], rows, floats[i:i + 1],
                             None if ok is None else ok[i:i + 1]) for i in range(n)]

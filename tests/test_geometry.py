@@ -40,6 +40,8 @@ from igeo import (
 )
 from igeo.autodiff import Dual2, batch_array, lift, sin
 
+from igeo import cli
+
 import oracles
 from conftest import (as_block, assert_same_outcome, extreme_points, failed, outcome,
                       random_theta_points, same_bits)
@@ -803,9 +805,16 @@ class TestRewrittenKernelBits:
                         overflowed += not np.isfinite(b).all()
         assert overflowed  # the overflow rule was exercised
 
-    @pytest.mark.parametrize("chart", [Chart.THETA, Chart.XI], ids=str)
-    def test_levi_civita_and_riemann(self, rng, chart):
-        field = fisher_metric_field(chart)
+    @pytest.mark.parametrize("field", [THETA_FIELD, XI_FIELD, sphere_field],
+                             ids=["theta", "xi", "sphere"])
+    def test_levi_civita_and_riemann(self, rng, field):
+        """Extreme points, 60-point blocks of them, a block of cli.BLOCK_POINTS points and
+        a 2-D block read from strided and transposed coordinate views give the bits of
+        the loop form in ``oracles`` where it is finite, and of the block-first form
+        everywhere.  On the last two, the public arrays carry the block axes first,
+        share no memory with any coordinates and, but for the scalar, are read-only
+        and in C order, and each point has the bits of the point alone."""
+        chart = Chart.XI if field is XI_FIELD else Chart.THETA
 
         def package(p):
             conn, riem = levi_civita(field, p), riemann_levi_civita(field, p)
@@ -814,6 +823,17 @@ class TestRewrittenKernelBits:
         def loop(p):
             return oracles.levi_civita_and_riemann_by_loop(field, p)
 
+        def block_first(p):
+            return oracles.levi_civita_and_riemann_block_first(field, p)
+
+        c1 = rng.uniform(0.2, 2.9, cli.BLOCK_POINTS)  # the sphere's polar angle stays off 0, pi
+        sigma = rng.uniform(0.3, 3.0, cli.BLOCK_POINTS)
+        c2 = c1 * c1 + sigma * sigma if chart is Chart.XI else sigma
+        wide, tall = np.zeros((32, 3 * 128)), np.zeros((2 * 128, 32))
+        wide[:, ::3], tall[::2] = c1.reshape(32, 128), c2.reshape(32, 128).T
+        views = (wide[:, ::3], tall[::2].T)  # (32, 128) each, the second one transposed
+        large = [(ParamPoint(chart, c1, c2), (c1, c2)), (ParamPoint(chart, *views), views)]
+
         points = extreme_points(rng, chart, 240)
         with np.errstate(all="ignore"):
             passing = [p for p in points if not failed(outcome(loop, p))]
@@ -821,9 +841,21 @@ class TestRewrittenKernelBits:
             # and of the points that pass
             blocks = [as_block(ps[i:i + 60]) for ps in (points, passing)
                       for i in range(0, len(ps) - 59, 60)]
-            for p in points + blocks:
-                assert_same_outcome(outcome(package, p), outcome(loop, p), same_bits_where_finite)
+            for p in points + blocks + [block for block, _ in large]:
+                got = outcome(package, p)
+                assert_same_outcome(got, outcome(loop, p), same_bits_where_finite)
+                assert_same_outcome(got, outcome(block_first, p))
         assert len(passing) >= 120
+
+        for block, given in large:
+            got = package(block)
+            for a, k in zip(got, (3, 3, 4, 0)):
+                assert a.shape == block.c1.shape + (2,) * k
+                assert k == 0 or not a.flags.writeable and a.flags.c_contiguous
+                for coords in (block.c1, block.c2, *given, wide, tall):
+                    assert not np.shares_memory(a, coords)
+            for at in zip(*(rng.integers(0, m, 40) for m in block.c1.shape)):
+                assert_same_outcome([a[at] for a in got], package(block.at(at)))
 
     @staticmethod
     def matrices(rng, n):

@@ -30,7 +30,6 @@ from igeo import (
 )
 from igeo.autodiff import lift
 from igeo import models
-from igeo.geometry import _raise_index
 from igeo.models import (
     MAX_GH_NODES,
     MAX_MC_SAMPLES,
@@ -494,7 +493,7 @@ def _eight_product_connection(p: ParamPoint, engine):
 
     means = engine.expect(integrands, p)
     lower = means[:8].reshape(2, 2, 2)
-    return lower, _raise_index(_metric_from_means(p, -means[8:]).g_inv, lower)
+    return lower, oracles.raised(_metric_from_means(p, -means[8:]).g_inv, lower)
 
 
 class TestNineIntegrands:

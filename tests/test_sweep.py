@@ -1,4 +1,5 @@
-"""The parent-vs-change sweep harness (tests/sweep.py) itself, not the outputs it compares."""
+"""The parent-vs-change sweep harness (tests/sweep.py) itself, and one pin of the outputs
+it compares: the digest of its quick corpus's outcomes."""
 
 import math
 from pathlib import Path
@@ -9,6 +10,10 @@ import sweep
 from igeo import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# sweep.digest of the quick corpus at seed 0: each request's argv, exit code, stdout
+# sha256 and stderr, run as a sweep side runs them.  Any change to an output of these
+# requests, stderr included, moves it.
+QUICK_DIGEST = "e1a9dac4fa6988b48a9fb99625f7a668d0b0437cb2cbbed1ceaa0bea9d058103"
 
 
 def test_corpus_is_deterministic():
@@ -72,7 +77,14 @@ def test_different_corpora_are_refused():
 
 def test_sides_run_in_subprocesses():
     requests = [r for r in sweep.corpus(0, quick=True) if r[0] in ("selftest", "usage")]
-    parent, change = sweep.run_sides(SRC, SRC, requests)
+    parent, change = sweep.run_sides(requests, SRC, SRC)
     assert parent == change
     assert [line["argv"] for line in parent] == [list(argv) for _, argv in requests]
     assert {line["code"] for line in parent} >= {0, 2, 64}
+
+
+def test_quick_corpus_outcomes_are_pinned():
+    requests = sweep.corpus(0, quick=True)
+    (lines,) = sweep.run_sides(requests, SRC)
+    assert len(lines) == 3207
+    assert sweep.digest(lines) == QUICK_DIGEST
