@@ -312,11 +312,10 @@ def _mirrored(distinct: np.ndarray) -> tuple[np.ndarray | None, list[int]]:
 
 
 def _write_columns(out: list[str], block: Block, layout, words: tuple[str, ...]) -> None:
-    """Append a JSON or CSV block's records to out, joined from _template's
-    layout JOIN_POINTS points at a time, in segments of about FORMAT_VALUES floats.
-    A column that holds one float or verdict across a segment is written into the
-    literal pieces once; each distinct float of the other columns is formatted
-    once, and a negative one whose magnitude is among them as '-' and its text."""
+    """Append a JSON or CSV block's records to out, joined from _template's layout
+    JOIN_POINTS points at a time, in segments of about FORMAT_VALUES floats.  A column
+    with one float or verdict across a segment is written into the literal pieces; each
+    distinct float of the others is formatted once, or as '-' and its magnitude's text."""
     pieces, columns = layout
     # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0; equal bits write equal text
     values = np.concatenate([block.coords, block.floats], axis=1, dtype=float) + 0.0

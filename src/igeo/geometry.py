@@ -235,11 +235,10 @@ def _raise_index(ginv: np.ndarray, lower: np.ndarray, a: int = 0) -> np.ndarray:
 
 
 def _lc_jet(field: MetricField, point: ParamPoint):
-    """Levi-Civita coefficients with the metric data curvature needs.
+    """Levi-Civita coefficients with the metric data curvature needs, components first.
 
     One Dual2 evaluation of the metric field supplies g, dg and d2g, so
-    curvature never needs more than second derivatives of the metric.  Besides
-    the MetricAt, every array has its component axes first, ginv its g_inv's.
+    curvature never needs more than second derivatives of the metric.
     """
     g, dg, d2g = _metric_jet(field, point)
     metric = MetricAt.from_matrix(point, _roll_axes(g, -2))  # g itself after its checks
@@ -277,8 +276,7 @@ def _levi_civita_and_riemann(metric_field: MetricField,
                              point: ParamPoint) -> tuple[ConnAt, RiemannAt]:
     """levi_civita and riemann_levi_civita from one Dual2 evaluation of the field."""
     metric, g, ginv, dg, d2g, lower, mixed = _lc_jet(metric_field, point)
-    # d_l g^-1 = -g^-1 (d_l g) g^-1: matmul on block-first operands, whose fused 2x2 sums
-    # no sum of ufuncs repeats
+    # d_l g^-1 = -g^-1 (d_l g) g^-1 by matmul on block-first operands, which rounds its own way
     inv = metric.g_inv[..., None, :, :]
     dginv = _roll_axes(-inv @ _roll_axes(dg, -3) @ inv, 3)
     # dmixed[l, k, i, j] = d_l Gamma^k_ij
