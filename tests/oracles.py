@@ -9,9 +9,10 @@ tests that differentiate a log-likelihood.  So derivative-based results always
 have a second, unrelated computation path to compare against.
 
 The last section is of another kind: the earlier forms of the kernels that were
-rewritten to make fewer calls at a point (the dual-chart metric field as the full
-pullback sum, index lowering by ``np.moveaxis``, the curvature summed over s in
-a loop, the metric checks one reduction each), the audit composed from
+rewritten to make fewer calls at a point or to loop over whole blocks (the
+dual-chart metric field as the full pullback sum, index lowering by
+``np.moveaxis``, the curvature summed over s in a loop, and with the block axes
+first, the metric checks one reduction each), the audit composed from
 ``transform_connection`` and ``chart_second_derivatives``, and the engines'
 integrands as generators of fresh arrays, which the engines reduce one at a time.
 They take each float operation in the order the package takes it, so the tests

@@ -23,6 +23,7 @@ from igeo import (
     chart_backward,
     chart_forward,
     chart_second_derivatives,
+    cli,
     conn_expectation_theta,
     evaluate_metric,
     expectation_connection,
@@ -39,8 +40,6 @@ from igeo import (
     transform_metric,
 )
 from igeo.autodiff import Dual2, batch_array, lift, sin
-
-from igeo import cli
 
 import oracles
 from conftest import (as_block, assert_same_outcome, extreme_points, failed, outcome,
