@@ -9,11 +9,12 @@ the metric, the audit, the dual-chart curvature, the scalar, ``transform``, the
 Levi-Civita torsion, and the dual-chart expectation connection in closed form
 and by Gauss-Hermite at 64 nodes.  The grid cases are, written as JSON, the
 dual-chart curvature, the natural-chart scalar (12 distinct doubles among its
-1,600 values, the most repetitive block), ``transform`` and the dual-chart
-closed-form expectation connection of a 40x40 grid, the Gauss-Hermite
-dual-chart expectation connection of a 20x20 grid, the Monte Carlo natural-chart expectation
-connection and dual-chart metric of a 2x2 grid at 10^6 samples, and the audit
-of a 20x20 grid.  The audit of the
+1,600 values, the most repetitive block), the natural-chart curvature and
+Levi-Civita connection (these three evaluated at one point per distinct sigma),
+``transform`` and the dual-chart closed-form expectation connection of a 40x40
+grid, the Gauss-Hermite dual-chart expectation connection of a 20x20 grid, the
+Monte Carlo natural-chart expectation connection and dual-chart metric of a 2x2
+grid at 10^6 samples, and the audit of a 20x20 grid.  The audit of the
 20x20 grid as CSV and as text and the metric of a 40x40 grid as CSV time the
 CSV and text writers.  The ``parse`` group times the argument parse alone: one
 round parses the single-point argv of each command and option mix that
@@ -47,6 +48,8 @@ REQUESTS = {
     "curvature_xi_grid40x40": ("curvature", "--chart=xi", "--grid=-1:1:40,2.5:4:40",
                                "--format", "json"),
     "scalar_grid40x40": ("scalar", "--grid=-1:1:40,0.5:2:40", "--format", "json"),
+    "curvature_theta_grid40x40": ("curvature", "--grid=-1:1:40,0.5:2:40", "--format", "json"),
+    "christoffel_theta_grid40x40": ("christoffel", "--grid=-1:1:40,0.5:2:40", "--format", "json"),
     "audit_grid20x20": ("audit", "--grid=-1:1:20,0.5:2:20", "--format", "json"),
     "audit_grid20x20_csv": ("audit", "--grid=-1:1:20,0.5:2:20", "--format", "csv"),
     "audit_grid20x20_text": ("audit", "--grid=-1:1:20,0.5:2:20", "--format", "text"),

@@ -36,16 +36,6 @@ class Dual2:
         self.h12 = h12
         self.h22 = h22
 
-    @property
-    def grad(self) -> np.ndarray:
-        """Shape (..., 2), block axes first."""
-        return batch_array((self.g1, self.g2), (2,))
-
-    @property
-    def hess(self) -> np.ndarray:
-        """Shape (..., 2, 2), block axes first."""
-        return batch_array((self.h11, self.h12, self.h12, self.h22), (2, 2))
-
     def __repr__(self) -> str:
         return f"Dual2({self.val!r}, grad=({self.g1!r}, {self.g2!r}))"
 

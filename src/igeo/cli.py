@@ -45,6 +45,7 @@ from .models import (
     ClosedForm,
     GaussHermite,
     MonteCarlo,
+    _sigma_representatives,
     chart_backward,
     chart_forward,
     expectation_connection,
@@ -519,24 +520,27 @@ def _quantity_rows(quantities: tuple[str, ...], shapes: tuple[tuple[int, ...], .
     return Rows((quantity, Floats(shape), "oracle") for quantity, shape in zip(quantities, shapes))
 
 
-def _quantity_block(fn):
+def _quantity_block(fn, by_sigma: bool = True):
     """A command of (quantity, value) pairs, values with block axes first, as a Block.
 
-    Every value is an ndarray or a numpy scalar.  One finiteness check covers
-    the Block's floats; only where it fails are the values checked one by one,
-    so the message names the first quantity that is not finite.
+    Every value is an ndarray or a numpy scalar.  A command by_sigma runs on a
+    block's `_sigma_representatives` where models gives them, and take gathers the
+    block's rows from theirs; a block that fails there is rerun point by point by
+    `_run`, as any failing block is.  One finiteness check covers the floats; only
+    where it fails are the values checked one by one, so the message names the
+    first quantity that is not finite.
     """
     def block(p: ParamPoint, args, engine) -> Block:
-        pairs = fn(p, args, engine)
-        coords = _coords(p)
-        n, axes = len(coords), 0 if type(p.c1) is float else p.c1.ndim
+        q, index = by_sigma and _sigma_representatives(p, engine) or (p, None)
+        pairs = fn(q, args, engine)
+        n, axes = (1, 0) if type(q.c1) is float else (q.c1.size, q.c1.ndim)
         floats = np.concatenate([v.reshape(n, -1) for _, v in pairs], axis=1)
         if np.count_nonzero(np.isfinite(floats)) < floats.size:
             for quantity, value in pairs:
-                _require_finite(p, quantity, value)
+                _require_finite(q, quantity, value)
         rows = _quantity_rows(tuple([quantity for quantity, _ in pairs]),
                               tuple([v.shape[axes:] for _, v in pairs]))
-        return Block(coords, rows, floats)
+        return Block(_coords(p), rows, floats if index is None else floats.take(index, axis=0))
     return block
 
 
@@ -600,12 +604,12 @@ def _audit(p, args, engine) -> Block:
 
 # command -> the Block of a point, or of a block of points
 _COMMANDS = {
-    "metric": _quantity_block(_metric),
+    "metric": _quantity_block(_metric, by_sigma=False),  # its kernels cost little per point
     "christoffel": _quantity_block(_christoffel),
     "torsion": _quantity_block(_torsion),
     "curvature": _quantity_block(_curvature),
     "scalar": _quantity_block(_scalar),
-    "transform": _quantity_block(_transform),
+    "transform": _quantity_block(_transform, by_sigma=False),
     "audit": _audit,
 }
 

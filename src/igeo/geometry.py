@@ -57,9 +57,11 @@ class _Result:
 
     def __post_init__(self):
         for name in self._FROZEN:
-            arr = np.array(getattr(self, name), dtype=float)
+            # in C order, since einsum rounds by the layout; [()] leaves a 0-d value the
+            # numpy scalar a kernel gives at a point
+            arr = np.array(getattr(self, name), dtype=float, order="C")
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, arr[()])
 
     @classmethod
     def _adopt(cls, **fields):
@@ -163,7 +165,7 @@ class RiemannAt(_Result):
     point: ParamPoint
     r: np.ndarray
     scalar: float
-    _FROZEN = ("r",)
+    _FROZEN = ("r", "scalar")
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,18 @@ def expectation_connection(p: ParamPoint, engine: Engine = ClosedForm()) -> Conn
     return transform_connection(conn, jac, jac_inv, second_derivs, metric, p)
 
 
+def _sigma_representatives(p: ParamPoint, engine: Engine) -> tuple[ParamPoint, np.ndarray] | None:
+    """The closed-form natural-chart metric, connections and curvature depend on sigma
+    alone (mu is a location parameter), so a block takes one value per distinct sigma:
+    its first point at each, and the index that gathers the flat block from them.  None
+    at a single point, in the xi chart and under an engine, whose nodes round with mu."""
+    if type(p.c1) is float or p.chart is not Chart.THETA or not isinstance(engine, ClosedForm):
+        return None
+    s = p.c2.ravel()
+    _, first, index = np.unique(s, return_index=True, return_inverse=True)
+    return ParamPoint.theta(p.c1.ravel()[first], s[first]), index
+
+
 def selftest_checks() -> list[tuple[str, float, float]]:
     """Quick internal consistency checks as (name, residual, bound) triples."""
     tol = DEFAULT_TOLERANCES

@@ -3,9 +3,10 @@
 Everything here is plain numpy: 5-point stencils, the (0,4)-tensor law as one
 einsum, Gauss-Hermite quadrature by one 1-D dot per integrand, and the
 derivatives of the Gaussian log-likelihood and of the dual potential written
-out by hand.  None of it touches the package's kernels, and only ``log`` touches
-its forward-mode machinery: it hands ``Dual2`` the chain rule of log, for the
-tests that differentiate a log-likelihood.  So derivative-based results always
+out by hand.  None of it touches the package's kernels, and only ``log``, ``grad``
+and ``hess`` touch its forward-mode machinery: ``log`` hands ``Dual2`` the chain
+rule of log, for the tests that differentiate a log-likelihood, and the other two
+read a ``Dual2``'s partials as arrays.  So derivative-based results always
 have a second, unrelated computation path to compare against.
 
 The last section is of another kind: the earlier forms of the kernels that were
@@ -31,7 +32,7 @@ from igeo import (Chart, ConnAt, Dual2, SingularMetricError, chart_backward, cha
                   transform_lower_tensor3, transform_metric)
 from igeo import models
 from igeo import papertable as pt
-from igeo.autodiff import _pow, sqrt
+from igeo.autodiff import _pow, batch_array, sqrt
 from igeo.geometry import _levi_civita_and_riemann
 
 H1 = 1e-6   # first-derivative step (5-point stencil, ~1e-12 truncation)
@@ -66,6 +67,16 @@ def gradient_fd(f, x, h=H1):
 def hessian_fd(f, x, h=H2):
     x = np.asarray(x, dtype=float)
     return np.array([[fd2(f, x, i, j, h) for j in range(2)] for i in range(2)])
+
+
+def grad(d: Dual2) -> np.ndarray:
+    """The first partials (g1, g2) of a Dual2, shape (..., 2), block axes first."""
+    return batch_array((d.g1, d.g2), (2,))
+
+
+def hess(d: Dual2) -> np.ndarray:
+    """The Hessian of a Dual2, shape (..., 2, 2), block axes first."""
+    return batch_array((d.h11, d.h12, d.h12, d.h22), (2, 2))
 
 
 def christoffel_fd(metric_fn, x):

@@ -18,31 +18,31 @@ class TestLift:
     def test_seed_values_and_directions(self):
         a, b = lift(ParamPoint.theta(0.0, 1.0))
         assert (a.val, b.val) == (0.0, 1.0)
-        assert np.array_equal(a.grad, [1.0, 0.0])
-        assert np.array_equal(b.grad, [0.0, 1.0])
-        assert not a.hess.any() and not b.hess.any()
+        assert np.array_equal(oracles.grad(a), [1.0, 0.0])
+        assert np.array_equal(oracles.grad(b), [0.0, 1.0])
+        assert not oracles.hess(a).any() and not oracles.hess(b).any()
 
     def test_product_rule(self):
         a, b = lift(ParamPoint.theta(2.0, 3.0))
         f = a * b
         assert f.val == 6.0
-        assert np.array_equal(f.grad, [3.0, 2.0])
-        assert np.array_equal(f.hess, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(oracles.grad(f), [3.0, 2.0])
+        assert np.array_equal(oracles.hess(f), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_reciprocal_square(self):
         # f(a, b) = 1/b^2 at (0, 2): value 1/4, d/db = -2/b^3, d2/db2 = 6/b^4
         a, b = lift(ParamPoint.theta(0.0, 2.0))
         f = 1.0 / (b * b)
         assert f.val == 0.25
-        assert np.allclose(f.grad, [0.0, -0.25], rtol=0, atol=1e-15)
-        assert abs(f.hess[1, 1] - 0.375) < 1e-15
+        assert np.allclose(oracles.grad(f), [0.0, -0.25], rtol=0, atol=1e-15)
+        assert abs(oracles.hess(f)[1, 1] - 0.375) < 1e-15
         fd = oracles.hessian_fd(lambda x, y: 1.0 / y**2, (0.0, 2.0))
         assert abs(fd[1, 1] - 0.375) < 1e-7
 
     def test_hessian_is_exactly_symmetric(self):
         a, b = lift(ParamPoint.theta(1.3, 0.7))
         f = (a * a * b + 3.0) / (b * b) - a * sqrt(b)
-        assert f.hess[0, 1] == f.hess[1, 0]
+        assert oracles.hess(f)[0, 1] == oracles.hess(f)[1, 0]
 
 
 class TestElementary:
@@ -98,7 +98,7 @@ class TestAgainstFiniteDifferences:
             for _ in range(20):
                 p = ParamPoint.theta(rng.uniform(-2, 2), rng.uniform(0.5, 3.0))
                 jet = f(*lift(p))
-                g_ad, h_ad = jet.grad, jet.hess
+                g_ad, h_ad = oracles.grad(jet), oracles.hess(jet)
                 x = (p.c1, p.c2)
                 g_fd, h_fd = oracles.gradient_fd(f, x), oracles.hessian_fd(f, x)
                 scale_g = max(1.0, float(np.max(np.abs(g_ad))))
@@ -119,7 +119,7 @@ class TestAgainstFiniteDifferences:
             return c0 + c1 * a + c2 * b + c11 * a * a + c12 * a * b + c22 * b * b
 
         jet = f(*lift(ParamPoint.theta(mu, sigma)))
-        g, h = jet.grad, jet.hess
+        g, h = oracles.grad(jet), oracles.hess(jet)
         exact_g = np.array([c1 + 2 * c11 * mu + c12 * sigma, c2 + c12 * mu + 2 * c22 * sigma])
         exact_h = np.array([[2 * c11, c12], [c12, 2 * c22]])
         scale = max(1.0, float(np.max(np.abs(exact_g))))
@@ -137,7 +137,7 @@ class TestArrays:
             assert isinstance(f, Dual2)
         f = np.array([3.0, 4.0]) * a
         assert np.array_equal(f.val, [3.0, 8.0])
-        assert np.array_equal(f.grad, [[3.0, 0.0], [4.0, 0.0]])
+        assert np.array_equal(oracles.grad(f), [[3.0, 0.0], [4.0, 0.0]])
 
     def test_elementary_functions_match_points(self):
         xs = np.array([0.3, 1.1, 2.5])
@@ -150,7 +150,7 @@ class TestArrays:
                 one_a, one_b = lift(ParamPoint.theta(x, x + 1.0))
                 one = fn(one_a * one_b + 1.0)
                 assert type(one.val) is float
-                assert np.array_equal(out.hess[n], one.hess)
+                assert np.array_equal(oracles.hess(out)[n], oracles.hess(one))
         assert np.allclose(sin(a).val, [math.sin(x) for x in xs], rtol=1e-15, atol=0)
 
     def test_power_rounds_like_float_pow(self):
@@ -160,4 +160,4 @@ class TestArrays:
         block = (a ** 2).val
         assert np.array_equal(block, [x ** 2 for x in xs.tolist()])
         u, _ = lift(ParamPoint.theta(2.0, 1.0))
-        assert np.array_equal((u ** 3).hess, [[12.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(oracles.hess(u ** 3), [[12.0, 0.0], [0.0, 0.0]])

@@ -423,6 +423,68 @@ class TestBlockwiseGrids:
             assert "(0.0, 1e-200)" in err
 
 
+class TestSigmaRepresentatives:
+    """A closed-form natural-chart grid of a connection or curvature command, which
+    depends on sigma alone, is evaluated at one point per distinct sigma and gathered:
+    it writes, and fails, as the same grid with every point evaluated.  The metric,
+    whose kernels cost little per point, and every other request evaluate every point."""
+
+    COMMANDS = [("christoffel", "--connection=levi_civita"),
+                ("christoffel", "--connection=expectation"),
+                ("torsion", "--connection=levi_civita"),
+                ("torsion", "--connection=expectation"), ("curvature",), ("scalar",)]
+    GRIDS = {  # grid -> distinct sigma per block
+        "--grid=-1:1:40,0.5:2:40": [40],
+        "--grid=0.3:0.3:1,0.5:2:7": [7],  # 1 x n
+        "--grid=-1:1:7,1.3:1.3:1": [1],  # n x 1
+        "--grid=-1:1:5,1:1:3": [1],  # a repeated sigma axis
+        "--grid=-1:1:70,0.5:2:70": [70, 70],  # two BLOCK_POINTS blocks
+        "--grid=-0.0:1:3,0.5:2:4": [4],  # -0.0 mu ends
+        "--grid=-1:-0.0:3,0.5:2:4": [4],
+    }
+
+    @staticmethod
+    def both_ways(monkeypatch, argv):
+        """(the representative run, the every-point run) of argv, and the number of
+        distinct sigma in each block of the first."""
+        found = []
+
+        def spy(p, engine):
+            reps = models._sigma_representatives(p, engine)
+            found.append(None if reps is None else reps[0].c1.size)
+            return reps
+
+        monkeypatch.setattr(cli, "_sigma_representatives", spy)
+        by_sigma = call(*argv)
+        monkeypatch.setattr(cli, "_sigma_representatives", lambda p, engine: None)
+        return by_sigma, call(*argv), found
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("command", COMMANDS, ids="".join)
+    def test_equals_every_point(self, monkeypatch, command, grid):
+        for fmt in ("json", "csv", "text"):
+            by_sigma, every, found = self.both_ways(monkeypatch, (*command, grid, "--format", fmt))
+            assert by_sigma[0] == 0 and by_sigma == every
+            assert found == self.GRIDS[grid]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids="".join)
+    def test_failing_grid_keeps_exit_code_and_stderr(self, monkeypatch, command):
+        by_sigma, every, found = self.both_ways(
+            monkeypatch, (*command, "--grid=-1:1:3,1:1e-160:4", "--format", "json"))
+        assert by_sigma == every and (by_sigma[0], by_sigma[1]) == (2, "")
+        assert "theta point (-1.0, 1e-160)" in by_sigma[2] and found[0] == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("metric", "--grid=-1:1:3,1:2:2"),
+        ("transform", "--grid=-1:1:3,1:2:2"), ("audit", "--grid=-1:1:3,1:2:2"),
+        ("scalar", "--chart=xi", "--grid=-1:1:3,2:3:2"), ("scalar", "--point=0.5,1"),
+        ("metric", "--engine=gauss_hermite:8", "--grid=-1:1:3,1:2:2"),
+    ], ids=lambda a: "_".join(a[:2]))
+    def test_other_requests_evaluate_every_point(self, monkeypatch, argv):
+        by_sigma, every, found = self.both_ways(monkeypatch, (*argv, "--format", "json"))
+        assert by_sigma == every and found in ([], [None])
+
+
 class TestParserReuse:
     """main(argv) builds the parser once; no call leaves state for the next."""
 

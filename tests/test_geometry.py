@@ -132,7 +132,7 @@ class TestLeviCivita:
             field = THETA_FIELD(*lift(p))
             for i in range(2):
                 for j in range(2):
-                    dg = (Dual2(0.0) + field[i][j]).grad  # a constant entry is a float
+                    dg = oracles.grad(Dual2(0.0) + field[i][j])  # a constant entry is a float
                     for k in range(2):
                         resid = dg[k] - conn.lower[k, i, j] - conn.lower[k, j, i]
                         assert abs(resid) < 1e-8
@@ -409,7 +409,8 @@ class TestTransformConnection:
                     for c in range(2):
                         native[a, b, c] = gh.expect(
                             lambda xs, a=a, b=b, c=c: np.array(
-                                [lifted(x).hess[a, b] * lifted(x).grad[c] for x in np.atleast_1d(xs)]
+                                [oracles.hess(lifted(x))[a, b] * oracles.grad(lifted(x))[c]
+                                 for x in np.atleast_1d(xs)]
                             ),
                             p,
                         )
@@ -769,6 +770,31 @@ class TestResultOwnership:
             assert same_bits(held, before[name])
 
 
+    def test_constructor_stores_c_order(self, rng):
+        """A result built from Fortran-ordered arrays holds C-ordered copies, so a law,
+        whose einsum sums in an order that follows the layout, gives it the bits it gives
+        the C-ordered result."""
+        p = ParamPoint.theta(rng.uniform(-3.0, 3.0, 60), rng.uniform(0.3, 3.0, 60))
+        conn = conn_expectation_theta(p, GaussHermite(64))
+        fortran = ConnAt(p, np.asfortranarray(conn.lower), np.asfortranarray(conn.mixed))
+        assert fortran.lower.flags.c_contiguous and fortran.mixed.flags.c_contiguous
+        jac, jac_inv = jacobian(p)
+        law = (jac, jac_inv, chart_second_derivatives(p), fisher_metric_theta(p), chart_forward(p))
+        moved, ref = transform_connection(fortran, *law), transform_connection(conn, *law)
+        assert same_bits(moved.lower, ref.lower) and same_bits(moved.mixed, ref.mixed)
+
+    def test_scalar_is_read_only(self):
+        """A block's scalar curvature is a read-only array; a point's is a numpy scalar."""
+        p, block = self.POINTS
+        for field, at in ((THETA_FIELD, lambda q: q), (XI_FIELD, chart_forward)):
+            assert type(riemann_levi_civita(field, at(p)).scalar) is np.float64
+            scalar = riemann_levi_civita(field, at(block)).scalar
+            with pytest.raises(ValueError, match="read-only"):
+                scalar[0] = 0.0
+        built = RiemannAt(point=p, r=np.zeros((2, 2, 2, 2)), scalar=-0.5)
+        assert type(built.scalar) is np.float64
+
+
 def same_bits_where_finite(got, ref) -> bool:
     """same_bits wherever ``ref`` is finite, and not finite wherever ``ref`` is not.
 
@@ -811,8 +837,8 @@ class TestRewrittenKernelBits:
         a 2-D block read from strided and transposed coordinate views give the bits of
         the loop form in ``oracles`` where it is finite, and of the block-first form
         everywhere.  On the last two, the public arrays carry the block axes first,
-        share no memory with any coordinates and, but for the scalar, are read-only
-        and in C order, and each point has the bits of the point alone."""
+        share no memory with any coordinates, are read-only and in C order, and each
+        point has the bits of the point alone."""
         chart = Chart.XI if field is XI_FIELD else Chart.THETA
 
         def package(p):
@@ -850,7 +876,7 @@ class TestRewrittenKernelBits:
             got = package(block)
             for a, k in zip(got, (3, 3, 4, 0)):
                 assert a.shape == block.c1.shape + (2,) * k
-                assert k == 0 or not a.flags.writeable and a.flags.c_contiguous
+                assert not a.flags.writeable and a.flags.c_contiguous
                 for coords in (block.c1, block.c2, *given, wide, tall):
                     assert not np.shares_memory(a, coords)
             for at in zip(*(rng.integers(0, m, 40) for m in block.c1.shape)):
