@@ -298,15 +298,12 @@ def _coords(p: ParamPoint) -> np.ndarray:
     return np.array([p.c1, p.c2]).reshape(2, -1).T
 
 
-def _mirrored(distinct: np.ndarray) -> tuple[np.ndarray | None, list[int]]:
+def _mirrored(distinct: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Of sorted distinct float bits, a mask of the negatives (they sort last) whose
     magnitude is among them and is not NaN (%.17g writes no sign on a NaN), and the index
-    of each one's magnitude.  None where under one in 8 of 64 negatives sampled is such."""
+    of each one's magnitude."""
     neg = np.searchsorted(distinct, _SIGN)
     magnitude, positive = distinct[neg:] ^ _SIGN, distinct[:neg]
-    sample = magnitude[::len(magnitude) // 64 + 1]
-    if np.count_nonzero(distinct[np.searchsorted(positive, sample)] == sample) * 8 < len(sample):
-        return None, []
     mirror = np.searchsorted(positive, magnitude)
     signed = (distinct[mirror] == magnitude) & (magnitude <= _INF)
     return np.concatenate([np.zeros(neg, dtype=bool), signed]), mirror[signed].tolist()

@@ -126,15 +126,6 @@ def _standard_normals(samples: int, seed: int) -> np.ndarray:
     return z
 
 
-def _each(values, reduce: Callable) -> Union[float, np.ndarray]:
-    """reduce(values) for one integrand array, which reduces its last axis: a float
-    for one integrand, an array for a stack of integrands on the leading axis.  For an
-    iterable of integrand arrays, the array of reduce(v), taking the arrays one at a time."""
-    if isinstance(values, np.ndarray):
-        return reduce(values)
-    return np.array([reduce(v) for v in values])
-
-
 @dataclass(frozen=True)
 class ClosedForm:
     """Marker engine: use the analytic moments, no numerical expectation."""
@@ -157,8 +148,8 @@ class GaussHermite:
 
     def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
         """E[f(x)]: a float for an integrand array f(x) of x's shape, an array of
-        floats for a stack of k integrands, f(x) of shape (k,) + x.shape, or for an
-        iterable of integrand arrays.
+        floats for a stack of k integrands, f(x) of shape (k,) + x.shape, or a list of
+        their k arrays, which numpy stacks.
 
         f takes x of shape block + (nodes,), and the means of a stack are one dot
         over its last axis, so a point is the shape-() block.  At a block, each
@@ -173,7 +164,7 @@ class GaussHermite:
         x = np.asarray(mu)[..., None] + np.asarray(math.sqrt(2.0) * s)[..., None] * t
         # np.vecdot takes each row by the dot that a 1-D v @ w takes, so a contiguous
         # row of a block keeps the bits of the point alone
-        means = _each(f(x), lambda v: np.vecdot(v, w) / math.sqrt(math.pi))
+        means = np.vecdot(f(x), w) / math.sqrt(math.pi)
         # the integrands' axis last; transpose costs far less per call than np.moveaxis
         return means if means.ndim == np.ndim(mu) else means.transpose(*range(1, means.ndim), 0)
 
@@ -198,8 +189,8 @@ class MonteCarlo:
 
     def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
         """E[f(x)]: a float for an integrand array f(x) of x's shape, an array of
-        floats for a stack of k integrands, f(x) of shape (k,) + x.shape, or for an
-        iterable of integrand arrays.  The draw is shared by every point and call.
+        floats for a stack of k integrands, f(x) of shape (k,) + x.shape, or a list of
+        their k arrays, which numpy stacks.  The draw is shared by every point and call.
 
         The sum walks numpy's pairwise tree over the draw (a node of n > 128
         values adds its halves split at n//2 - (n//2) % 8) and evaluates f on
@@ -215,8 +206,7 @@ class MonteCarlo:
             if n <= leaf:
                 x = s * z[a:b]
                 x += mu  # in place: IEEE addition commutes, so x has the bits of mu + s * z
-                return _each(f(x),
-                             lambda v: np.add.reduce(np.asarray(v, dtype=float), axis=-1))
+                return np.add.reduce(f(x), axis=-1)
             half = n // 2 - n // 2 % 8
             return total(a, a + half, leaf) + total(a + half, b, leaf)
 
@@ -358,16 +348,11 @@ def jacobian(p: ParamPoint) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chart_second_derivatives(p: ParamPoint) -> np.ndarray:
-    """sd[..., m, a, b] = d^2 theta_m / d xi_a d xi_b at the point, via Dual2.
+    """sd[..., m, a, b] = d^2 theta_m / d xi_a d xi_b at a point of either chart, via Dual2.
 
     theta_1 is linear in xi, so only the sigma row is nonzero.
     """
-    return _second_derivatives_xi(chart_forward(p))
-
-
-def _second_derivatives_xi(q: ParamPoint) -> np.ndarray:
-    """chart_second_derivatives at the theta point whose xi image is q."""
-    x1, x2 = ad.lift(q)
+    x1, x2 = ad.lift(p if p.chart is Chart.XI else chart_forward(p))
     sigma = ad.sqrt(x2 - x1 * x1)
     return ad.batch_array([0.0] * 4 + [sigma.h11, sigma.h12, sigma.h12, sigma.h22], (2, 2, 2))
 

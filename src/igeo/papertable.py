@@ -16,7 +16,6 @@ Quantity ids: ``G_d.11 .. G_d.22``, ``G_d.det``, ``G_d_inv.11 .. G_d_inv.22``,
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,8 +34,8 @@ from .geometry import (
 from .models import (
     _closed_form_lower,
     _require_theta,
-    _second_derivatives_xi,
     chart_forward,
+    chart_second_derivatives,
     fisher_metric_field,
     fisher_metric_theta,
     jacobian,
@@ -212,15 +211,8 @@ class AuditRows(Sequence):
         i = range(len(self))[i]  # a tuple's IndexError and negative indices
         r = self._report
         qid, label, _, note = ROWS[i % len(ROWS)]
-        values = [np.ravel(a)[i].item() for a in (r.paper, r.oracle, r.abs_gap, r.rel_gap)]
-        return AuditRow(qid, *values, MATCH if np.ravel(r.match)[i] else MISMATCH, label, note)
-
-    def __iter__(self):
-        r = self._report
-        columns = zip(*(np.ravel(a).tolist()
-                        for a in (r.paper, r.oracle, r.abs_gap, r.rel_gap, r.match)))
-        for (qid, label, _, note), (*values, ok) in zip(itertools.cycle(ROWS), columns):
-            yield AuditRow(qid, *values, MATCH if ok else MISMATCH, label, note)
+        values = [a.item(i) for a in (r.paper, r.oracle, r.abs_gap, r.rel_gap)]  # C-order index
+        return AuditRow(qid, *values, MATCH if r.match.item(i) else MISMATCH, label, note)
 
 
 _TORSION_NOTE = (
@@ -273,7 +265,7 @@ def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
     # the connection law's lower coefficients are the tensor law's plus its
     # inhomogeneous term, as transform_connection adds them
     lower_tensor = transform_lower_tensor3(_closed_form_lower(p.c2), jac_inv)
-    lower_conn = lower_tensor + _connection_shift_lower(_second_derivatives_xi(q), jac_inv,
+    lower_conn = lower_tensor + _connection_shift_lower(chart_second_derivatives(q), jac_inv,
                                                         metric_th)
 
     lc_xi, riem_xi = _levi_civita_and_riemann(fisher_metric_field(Chart.XI), q)

@@ -15,7 +15,7 @@ dual-chart metric field as the full pullback sum, index lowering by
 ``np.moveaxis``, the curvature summed over s in a loop, and with the block axes
 first, the metric checks one reduction each), the audit composed from
 ``transform_connection`` and ``chart_second_derivatives``, and the engines'
-integrands as generators of fresh arrays, which the engines reduce one at a time.
+integrands as stacks of fresh arrays, each made by its own expression.
 They take each float operation in the order the package takes it, so the tests
 ask the package for their bits.
 The dual-chart field is differentiated by ``Dual2``, as the package's is.
@@ -286,9 +286,9 @@ def _hermgauss(nodes: int):
 
 class GaussHermiteDot:
     """E[f(x)] at one float point, x = mu + sqrt(2) sigma t: each mean is the 1-D dot
-    v @ w / sqrt(pi) of one integrand array v, a float; a 2-D f(x) holds one integrand
-    per row, and an iterable one per item.  It has an engine's ``expect``, so the
-    package integrates a block with it point by point, in order."""
+    v @ w / sqrt(pi) of one integrand array v, a float; a 2-D f(x), or a list of arrays
+    that numpy stacks, holds one integrand per row.  It has an engine's ``expect``, so
+    the package integrates a block with it point by point, in order."""
 
     def __init__(self, nodes: int):
         self.nodes = nodes
@@ -298,12 +298,12 @@ class GaussHermiteDot:
 
     def expect(self, f, p):
         t, w = _hermgauss(self.nodes)
-        values = f(p.c1 + math.sqrt(2.0) * p.c2 * t)
+        values = np.asarray(f(p.c1 + math.sqrt(2.0) * p.c2 * t), dtype=float)
 
         def mean(v):
-            return float(np.asarray(v, dtype=float) @ w / math.sqrt(math.pi))
+            return float(v @ w / math.sqrt(math.pi))
 
-        if isinstance(values, np.ndarray) and values.ndim == 1:
+        if values.ndim == 1:
             return mean(values)
         return np.array([mean(v) for v in values])
 
@@ -473,30 +473,29 @@ def pullback_parts(z, mu, s):
 
 
 def theta_connection_integrands(z, _, s):
-    """The products h_ij * score[k] for (ij) = 11, 12, 22 and k = 1, 2, then h, made one
-    at a time as the engine takes them."""
+    """The products h_ij * score[k] for (ij) = 11, 12, 22 and k = 1, 2, then h, each a
+    fresh array, stacked."""
     h = hessian_parts(z, s)
     score = score_parts(z, s)
-    yield from (hij * sk for hij in h for sk in score)
-    yield from h
+    return np.stack([hij * sk for hij in h for sk in score] + list(h))
 
 
 def xi_metric_products(z, mu, s):
-    """s_a s_b of the pullback scores for (a, b) = (1, 1), (1, 2), (2, 2), one at a time."""
+    """s_a s_b of the pullback scores for (a, b) = (1, 1), (1, 2), (2, 2), stacked."""
     s1, s2 = pullback_parts(z, mu, s)
-    return (u * v for u, v in ((s1, s1), (s1, s2), (s2, s2)))
+    return np.stack([s1 * s1, s1 * s2, s2 * s2])
 
 
-def fisher_metric_by_generators(p, engine):
+def fisher_metric_by_fresh_arrays(p, engine):
     """``fisher_metric`` at a point or block under an engine, its integrands a tuple of
-    fresh arrays (natural chart) or a generator (dual chart)."""
+    fresh arrays (natural chart) or ``xi_metric_products`` (dual chart)."""
     if p.chart is Chart.THETA:
         means = models._engine_means(engine, lambda z, _, s: hessian_parts(z, s), p)
         return models._metric_from_means(p, np.negative(means))
     return models._metric_from_means(p, models._engine_means(engine, xi_metric_products, p))
 
 
-def expectation_connection_by_generators(p, engine):
+def expectation_connection_by_fresh_arrays(p, engine):
     """``expectation_connection`` at a point or block under an engine, its integrands from
     ``theta_connection_integrands``, moved to the dual chart by ``transform_connection``."""
     def theta(q):

@@ -187,7 +187,7 @@ class TestOnePassEngines:
     def test_stacked_call_equals_per_entry_calls(self, engine, rng):
         for p in random_theta_points(rng, 4, sigma=(1.0, 2.5)):
             per_entry = [engine.expect(lambda x, t=t: _product(x, p, *t), p) for t in _TRIPLES]
-            stacked = engine.expect(lambda x: (_product(x, p, *t) for t in _TRIPLES), p)
+            stacked = engine.expect(lambda x: [_product(x, p, *t) for t in _TRIPLES], p)
             assert isinstance(per_entry[0], float) and stacked.shape == (8,)
             assert np.array_equal(stacked, per_entry)
 
@@ -218,7 +218,7 @@ class TestOnePassEngines:
         got = conn_expectation_theta(block, engine).lower
         for i in range(4):
             p = block.at(i)
-            want = engine.expect(lambda x: (_product(x, p, *t) for t in _TRIPLES), p)
+            want = engine.expect(lambda x: [_product(x, p, *t) for t in _TRIPLES], p)
             assert np.array_equal(_bits(got[i]), _bits(want.reshape(2, 2, 2)))
             assert np.array_equal(_bits(conn_expectation_theta(p, engine).lower), _bits(got[i]))
 
@@ -265,7 +265,7 @@ class TestLeafSums:
         for f, mean in zip(self.INTEGRANDS, want):
             got = engine.expect(f, p)
             assert isinstance(got, float) and _bits(got) == _bits(mean)
-        stacked = engine.expect(lambda x: (f(x) for f in self.INTEGRANDS), p)
+        stacked = engine.expect(lambda x: [f(x) for f in self.INTEGRANDS], p)
         assert np.array_equal(_bits(stacked), _bits(want))
         # one array of shape (3, n): each row is summed as the 1-D array it holds, in
         # the leaves and, as the error path takes it, over the whole draw
@@ -273,6 +273,14 @@ class TestLeafSums:
         assert rows.shape == (3,) and np.array_equal(_bits(rows), _bits(want))
         whole = np.add.reduce(np.stack([f(fresh) for f in self.INTEGRANDS]), axis=-1) / samples
         assert np.array_equal(_bits(whole), _bits(want))
+
+    @pytest.mark.parametrize("engine", [GH, MonteCarlo(3 * MC_LEAF + 5, 5)], ids=repr)
+    def test_a_list_of_arrays_is_the_stacked_array(self, engine):
+        # numpy stacks a list, so each mean has the bits of the stacked array's
+        p = ParamPoint.theta(0.4, 1.7)
+        stacked = engine.expect(lambda x: np.stack([f(x) for f in self.INTEGRANDS]), p)
+        listed = engine.expect(lambda x: [f(x) for f in self.INTEGRANDS], p)
+        assert listed.shape == (3,) and np.array_equal(_bits(listed), _bits(stacked))
 
     def test_a_sum_that_overflows_raises_as_the_whole_draw_does(self):
         # every leaf sum is finite; numpy's sum over the whole draw overflows
@@ -443,7 +451,7 @@ class TestGaussHermiteBlocks:
         engine, dot = GaussHermite(nodes), oracles.GaussHermiteDot(nodes)
 
         def stacked(x):
-            return (f(x) for f in self.INTEGRANDS)
+            return [f(x) for f in self.INTEGRANDS]
 
         ones = [engine.expect(f, p) for f in self.INTEGRANDS]
         all_at_once = engine.expect(stacked, p)
@@ -489,8 +497,7 @@ def _eight_product_connection(p: ParamPoint, engine):
         z = x - p.c1
         h11, h12, h22 = _hessian_parts(z, p.c2)
         hess, score = ((h11, h12), (h12, h22)), _score_parts(z, p.c2)
-        yield from (hess[i][j] * score[k] for i, j, k in _TRIPLES)
-        yield from (h11, h12, h22)
+        return [*(hess[i][j] * score[k] for i, j, k in _TRIPLES), h11, h12, h22]
 
     means = engine.expect(integrands, p)
     lower = means[:8].reshape(2, 2, 2)
@@ -520,17 +527,16 @@ class TestNineIntegrands:
 
 class TestStackedIntegrandBits:
     """The engines' integrand stacks, made in place and summed in one call per leaf or
-    dot per cut, give the bits of the generator integrands in ``oracles``, which the
-    engines reduce one array at a time; at a failing point, the same error type and
-    message.  Points have |c1| and sigma from 1e-300 to 1e300, under the CLI's traps;
-    blocks are 60 of them."""
+    dot per cut, give the bits of the stacks of fresh arrays in ``oracles``; at a
+    failing point, the same error type and message.  Points have |c1| and sigma from
+    1e-300 to 1e300, under the CLI's traps; blocks are 60 of them."""
 
     ENGINES = (MonteCarlo(1000), MonteCarlo(3 * MC_LEAF + 5), MonteCarlo(),
                GaussHermite(8), GaussHermite(64), GaussHermite(300))
     QUANTITIES = {
-        "fisher_metric": (fisher_metric, oracles.fisher_metric_by_generators),
+        "fisher_metric": (fisher_metric, oracles.fisher_metric_by_fresh_arrays),
         "expectation_connection": (expectation_connection,
-                                   oracles.expectation_connection_by_generators),
+                                   oracles.expectation_connection_by_fresh_arrays),
     }
 
     @pytest.mark.parametrize("engine", ENGINES, ids=repr)
@@ -542,19 +548,19 @@ class TestStackedIntegrandBits:
         def package(p):
             return TestGaussHermiteBlocks.arrays(fn(p, engine))
 
-        def generators(p):
+        def fresh(p):
             return TestGaussHermiteBlocks.arrays(ref(p, engine))
 
         # 10^6 draws cost about 10 ms a passing point, so the default engine takes fewer
         points = extreme_points(rng, chart, 120 if engine == MonteCarlo() else 240)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            passing = [p for p in points if not failed(outcome(generators, p))]
+            passing = [p for p in points if not failed(outcome(fresh, p))]
             # 60-point blocks of all the points, which stop at their first failing point,
             # and of the points that pass
             blocks = [as_block(ps[i:i + 60]) for ps in (points, passing)
                       for i in range(0, len(ps) - 59, 60)]
             for p in points + blocks:
-                assert_same_outcome(outcome(package, p), outcome(generators, p))
+                assert_same_outcome(outcome(package, p), outcome(fresh, p))
         assert 0 < len(passing) < len(points)
 
 
@@ -734,6 +740,14 @@ class TestCharts:
             # the default 1e-3 step gives 4e-5 relative error here; 1e-4 gives 4e-7
             fd = oracles.hessian_fd(lambda a, b: math.sqrt(b - a * a), (q.c1, q.c2), h=1e-4)
             assert np.max(np.abs(sd[1] - fd)) < 1e-5 * max(1.0, float(np.max(np.abs(fd))))
+
+    def test_second_derivatives_at_either_chart(self, rng):
+        # a theta point is taken at its xi image, so both charts give the same bits
+        block = as_block(random_theta_points(rng, 6))
+        for p in [block] + random_theta_points(rng, 3):
+            sd = chart_second_derivatives(p)
+            assert sd.shape == np.shape(p.c1) + (2, 2, 2)
+            assert np.array_equal(_bits(chart_second_derivatives(chart_forward(p))), _bits(sd))
 
 
 class TestDualChartMetricField:
