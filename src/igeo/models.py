@@ -147,9 +147,9 @@ class GaussHermite:
             )
 
     def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
-        """E[f(x)]: a float for an integrand array f(x) of x's shape, an array of
-        floats for a stack of k integrands, f(x) of shape (k,) + x.shape, or a list of
-        their k arrays, which numpy stacks.
+        """E[f(x)], f(x) read as a float64 array: a float for an integrand of x's
+        shape, an array of floats for a stack of k integrands, f(x) of shape
+        (k,) + x.shape, or a list of their k arrays, which numpy stacks.
 
         f takes x of shape block + (nodes,), and the means of a stack are one dot
         over its last axis, so a point is the shape-() block.  At a block, each
@@ -164,7 +164,7 @@ class GaussHermite:
         x = np.asarray(mu)[..., None] + np.asarray(math.sqrt(2.0) * s)[..., None] * t
         # np.vecdot takes each row by the dot that a 1-D v @ w takes, so a contiguous
         # row of a block keeps the bits of the point alone
-        means = np.vecdot(f(x), w) / math.sqrt(math.pi)
+        means = np.vecdot(np.asarray(f(x), dtype=float), w) / math.sqrt(math.pi)
         # the integrands' axis last; transpose costs far less per call than np.moveaxis
         return means if means.ndim == np.ndim(mu) else means.transpose(*range(1, means.ndim), 0)
 
@@ -188,9 +188,9 @@ class MonteCarlo:
             raise EngineError(f"monte carlo seed must be >= 0, got {self.seed}")
 
     def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
-        """E[f(x)]: a float for an integrand array f(x) of x's shape, an array of
-        floats for a stack of k integrands, f(x) of shape (k,) + x.shape, or a list of
-        their k arrays, which numpy stacks.  The draw is shared by every point and call.
+        """E[f(x)], f(x) read as a float64 array: a float for an integrand of x's
+        shape, an array of floats for a stack of k integrands, f(x) of shape
+        (k,) + x.shape, or a list of their k arrays, which numpy stacks; all calls share the draw.
 
         The sum walks numpy's pairwise tree over the draw (a node of n > 128
         values adds its halves split at n//2 - (n//2) % 8) and evaluates f on
@@ -206,7 +206,7 @@ class MonteCarlo:
             if n <= leaf:
                 x = s * z[a:b]
                 x += mu  # in place: IEEE addition commutes, so x has the bits of mu + s * z
-                return np.add.reduce(f(x), axis=-1)
+                return np.add.reduce(np.asarray(f(x), dtype=float), axis=-1)
             half = n // 2 - n // 2 % 8
             return total(a, a + half, leaf) + total(a + half, b, leaf)
 

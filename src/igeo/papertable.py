@@ -16,6 +16,7 @@ Quantity ids: ``G_d.11 .. G_d.22``, ``G_d.det``, ``G_d_inv.11 .. G_d_inv.22``,
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -211,8 +212,15 @@ class AuditRows(Sequence):
         i = range(len(self))[i]  # a tuple's IndexError and negative indices
         r = self._report
         qid, label, _, note = ROWS[i % len(ROWS)]
-        values = [a.item(i) for a in (r.paper, r.oracle, r.abs_gap, r.rel_gap)]  # C-order index
-        return AuditRow(qid, *values, MATCH if r.match.item(i) else MISMATCH, label, note)
+        values = [np.ravel(a)[i].item() for a in (r.paper, r.oracle, r.abs_gap, r.rel_gap)]
+        return AuditRow(qid, *values, MATCH if np.ravel(r.match)[i] else MISMATCH, label, note)
+
+    def __iter__(self):
+        r = self._report
+        columns = zip(*(np.ravel(a).tolist()
+                        for a in (r.paper, r.oracle, r.abs_gap, r.rel_gap, r.match)))
+        for (qid, label, _, note), (*values, ok) in zip(itertools.cycle(ROWS), columns):
+            yield AuditRow(qid, *values, MATCH if ok else MISMATCH, label, note)
 
 
 _TORSION_NOTE = (

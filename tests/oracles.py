@@ -15,7 +15,7 @@ dual-chart metric field as the full pullback sum, index lowering by
 ``np.moveaxis``, the curvature summed over s in a loop, and with the block axes
 first, the metric checks one reduction each), the audit composed from
 ``transform_connection`` and ``chart_second_derivatives``, and the engines'
-integrands as stacks of fresh arrays, each made by its own expression.
+integrands as fresh arrays, each made by its own expression and reduced alone.
 They take each float operation in the order the package takes it, so the tests
 ask the package for their bits.
 The dual-chart field is differentiated by ``Dual2``, as the package's is.
@@ -473,33 +473,77 @@ def pullback_parts(z, mu, s):
 
 
 def theta_connection_integrands(z, _, s):
-    """The products h_ij * score[k] for (ij) = 11, 12, 22 and k = 1, 2, then h, each a
-    fresh array, stacked."""
+    """The products h_ij * score[k] for (ij) = 11, 12, 22 and k = 1, 2, then h, a list of
+    fresh arrays."""
     h = hessian_parts(z, s)
     score = score_parts(z, s)
-    return np.stack([hij * sk for hij in h for sk in score] + list(h))
+    return [hij * sk for hij in h for sk in score] + list(h)
 
 
 def xi_metric_products(z, mu, s):
-    """s_a s_b of the pullback scores for (a, b) = (1, 1), (1, 2), (2, 2), stacked."""
+    """s_a s_b of the pullback scores for (a, b) = (1, 1), (1, 2), (2, 2), fresh arrays."""
     s1, s2 = pullback_parts(z, mu, s)
-    return np.stack([s1 * s1, s1 * s2, s2 * s2])
+    return s1 * s1, s1 * s2, s2 * s2
+
+
+def engine_means_one_by_one(engine, integrands, p):
+    """``models._engine_means`` with each of the integrands' arrays reduced alone: by
+    ``np.vecdot`` at each Gauss-Hermite cut of points, and by ``np.add.reduce`` at each
+    leaf of the Monte Carlo pairwise tree, walked as the engine walks it, an error
+    raised again over the whole draw.  The reference for the engines' one reduction
+    over a stack."""
+    def means(x, mu, s, reduce):
+        if isinstance(mu, np.ndarray):  # a cut of a block: one row of nodes per point
+            mu, s = mu[..., None], s[..., None]
+        return np.stack([reduce(v) for v in integrands(x - mu, mu, s)], axis=-1)
+
+    def gauss_hermite(q):
+        t, w = models._hermgauss(engine.nodes)
+        x = np.asarray(q.c1)[..., None] + np.asarray(math.sqrt(2.0) * q.c2)[..., None] * t
+        return means(x, q.c1, q.c2, lambda v: np.vecdot(v, w)) / math.sqrt(math.pi)
+
+    def monte_carlo(q):
+        z = models._standard_normals(engine.samples, engine.seed)
+
+        def total(a, b, leaf=models.MC_LEAF):
+            n = b - a
+            if n > leaf:
+                half = n // 2 - n // 2 % 8
+                return total(a, a + half, leaf) + total(a + half, b, leaf)
+            x = q.c2 * z[a:b]
+            x += q.c1
+            return means(x, q.c1, q.c2, np.add.reduce)
+
+        try:
+            sums = total(0, engine.samples)
+        except ArithmeticError:
+            sums = total(0, engine.samples, engine.samples)
+        return sums / engine.samples
+
+    th = p if p.chart is Chart.THETA else chart_backward(p)
+    if type(engine) is models.GaussHermite:
+        cut, at = max(1, models.GH_BLOCK_VALUES // engine.nodes), gauss_hermite
+    else:
+        cut, at = 1, monte_carlo
+    return np.concatenate([at(q) for q in th.points(cut)]).reshape(np.shape(p.c1) + (-1,))
 
 
 def fisher_metric_by_fresh_arrays(p, engine):
-    """``fisher_metric`` at a point or block under an engine, its integrands a tuple of
-    fresh arrays (natural chart) or ``xi_metric_products`` (dual chart)."""
+    """``fisher_metric`` at a point or block under an engine, its integrands
+    ``hessian_parts`` (natural chart) or ``xi_metric_products`` (dual chart), each
+    reduced alone."""
     if p.chart is Chart.THETA:
-        means = models._engine_means(engine, lambda z, _, s: hessian_parts(z, s), p)
+        means = engine_means_one_by_one(engine, lambda z, _, s: hessian_parts(z, s), p)
         return models._metric_from_means(p, np.negative(means))
-    return models._metric_from_means(p, models._engine_means(engine, xi_metric_products, p))
+    return models._metric_from_means(p, engine_means_one_by_one(engine, xi_metric_products, p))
 
 
 def expectation_connection_by_fresh_arrays(p, engine):
     """``expectation_connection`` at a point or block under an engine, its integrands from
-    ``theta_connection_integrands``, moved to the dual chart by ``transform_connection``."""
+    ``theta_connection_integrands``, each reduced alone, moved to the dual chart by
+    ``transform_connection``."""
     def theta(q):
-        means = models._engine_means(engine, theta_connection_integrands, q)
+        means = engine_means_one_by_one(engine, theta_connection_integrands, q)
         lower = means[..., [0, 1, 2, 3, 2, 3, 4, 5]].reshape(means.shape[:-1] + (2, 2, 2))
         g_inv = models._metric_from_means(q, -means[..., 6:]).g_inv
         return ConnAt(q, lower, raised(g_inv, lower))

@@ -1,14 +1,15 @@
 """Alternating parent-vs-change benchmark pairs, summarised as a BENCH_<n>.json skeleton.
 
-    python tests/pairs.py --rev <rev> --seeds 2401 2402 ... --out BENCH_<n>.json
-    python tests/pairs.py --rev HEAD --seeds 1 --workload point-mix --seconds 3
+    python tests/pairs.py --rev <rev> --seeds 2401 2402 ... > BENCH_<n>.json
 
 Each side runs ``perfbench/run.py --workload <w> --seed <seed> --seconds <s>
---trace 0`` from the root of its own copy: the parent's is ``git archive <rev>
-src perfbench BENCHMARK.json``, the change's the same paths of the working tree,
-copied when the script starts, so that editing the tree during the runs changes
-neither side.  For each seed the workloads run in turn; the parent runs first on
-odd seeds and the change first on even ones.
+--trace 0``, for every workload of BENCHMARK.json at its ``run_seconds``, from
+the root of its own copy: the parent's is ``git archive <rev> src perfbench
+BENCHMARK.json``, the change's the same paths of the working tree, copied when
+the script starts, so that editing the tree during the runs changes neither
+side.  For each seed the workloads run in turn; the parent runs first on odd
+seeds and the change first on even ones.  Progress goes to stderr, the summary
+to stdout.
 
 The summary gives, per workload and end-to-end metric of BENCHMARK.json, each
 side's median, q1, q3 and IQR by ``statistics.quantiles(n=4,
@@ -29,7 +30,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import sweep
+
+ROOT = sweep.ROOT
 PATHS = ("src", "perfbench", "BENCHMARK.json")  # what a side needs to run the benchmark
 SIDES = ("parent", "change")
 
@@ -91,37 +94,25 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "env": record["env"]}
 
 
-def _copy_tree(dest: Path) -> None:
-    for name in PATHS:
-        if (ROOT / name).is_dir():
-            shutil.copytree(ROOT / name, dest / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        else:
-            shutil.copy2(ROOT / name, dest / name)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", required=True, help="git revision of the parent side")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workload", action="append", help="default: every workload")
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
-    parser.add_argument("--out", type=Path, help="default: stdout")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     env = None
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: Path(tmp, side) for side in SIDES}
-        archive = subprocess.run(["git", "archive", args.rev, *PATHS], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        roots["parent"].mkdir()
-        subprocess.run(["tar", "-x", "-C", str(roots["parent"])], input=archive, check=True)
-        roots["change"].mkdir()
-        _copy_tree(roots["change"])
+        for root in roots.values():
+            root.mkdir()
+        sweep.extract(args.rev, roots["parent"], *PATHS)
+        for name in PATHS:
+            copy = shutil.copytree if (ROOT / name).is_dir() else shutil.copy2
+            copy(ROOT / name, roots["change"] / name)
         for seed in args.seeds:
             for workload in workloads:
                 for side in order(seed):
@@ -144,11 +135,7 @@ def main(argv=None) -> int:
         "env": {k: env[k] for k in ("nproc", "cpu_model", "python", "numpy") if k in env},
         **summarise(runs, better),
     }
-    text = json.dumps(bench, indent=1) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(json.dumps(bench, indent=1) + "\n")
     return 0
 
 

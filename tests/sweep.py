@@ -250,6 +250,13 @@ def run_sides(requests, *srcs: Path) -> tuple[list[dict], ...]:
     return tuple([json.loads(line) for line in side.splitlines()] for side in sides)
 
 
+def extract(rev: str, dest, *paths: str) -> None:
+    """Unpack ``git archive <rev> <paths>`` into the directory dest."""
+    archive = subprocess.run(["git", "archive", rev, *paths], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def _side(src: str, corpus_file: str) -> None:
     sys.path.insert(0, src)
     from igeo import cli
@@ -289,9 +296,7 @@ def main(argv=None) -> int:
         return 0
     requests = corpus(args.seed, args.quick)
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", args.rev, "src"], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        extract(args.rev, tmp, "src")
         parent, change = run_sides(requests, Path(tmp, "src"), args.change_src)
     print(_report(requests, parent, change))
     return 1 if differences(parent, change) else 0

@@ -282,6 +282,17 @@ class TestLeafSums:
         listed = engine.expect(lambda x: [f(x) for f in self.INTEGRANDS], p)
         assert listed.shape == (3,) and np.array_equal(_bits(listed), _bits(stacked))
 
+    @pytest.mark.parametrize("engine", [GH, MonteCarlo(3 * MC_LEAF + 5, 5)], ids=repr)
+    def test_integrands_are_taken_as_float64_arrays(self, engine):
+        # a float32 integrand is reduced as its float64 cast; a generator is no array
+        p = ParamPoint.theta(0.4, 1.7)
+        f = self.INTEGRANDS[1]
+        got = engine.expect(lambda x: f(x).astype(np.float32), p)
+        want = engine.expect(lambda x: f(x).astype(np.float32).astype(float), p)
+        assert isinstance(got, float) and _bits(got) == _bits(want)
+        with pytest.raises(TypeError):
+            engine.expect(lambda x: (f(x) for f in self.INTEGRANDS), p)
+
     def test_a_sum_that_overflows_raises_as_the_whole_draw_does(self):
         # every leaf sum is finite; numpy's sum over the whole draw overflows
         p = ParamPoint.theta(0.0, 1.0)
