@@ -157,7 +157,6 @@ class Report(NamedTuple):
 
 
 _FLOAT = Floats(())
-_POINT = "[%.17g, %.17g]"  # a point's cell in JSON and CSV
 _SIGN, _INF = np.uint64(1 << 63), np.uint64(0x7FF << 52)  # a float's sign bit; inf's bits
 _AUDIT_ROWS = Rows((qid, _FLOAT, _FLOAT, _FLOAT, _FLOAT, Verdict(MISMATCH, MATCH), label, note)
                    for qid, label, _, note in AUDIT_ROWS)
@@ -203,7 +202,7 @@ def _record(keys: tuple[str, ...], row: tuple, fmt: str) -> tuple[str, tuple[str
     """A row as a JSON or CSV record: its %-template and the keys of its slots, in order.
     Keys and constants are escaped here once, with % doubled."""
     esc, null = (_json_str, "null") if fmt == "json" else (_csv_str, "")
-    cells = ["%s" if fmt == "json" else '"%s"']
+    cells = ["[%s, %s]" if fmt == "json" else '"[%s, %s]"']
     for c in row:
         if isinstance(c, Floats):
             slots = _nested(c.shape)
@@ -237,30 +236,25 @@ def _selftest_text(quantity, value, bound, verdict, provenance):
 # report keys -> the text layout of its rows, which leaves out provenance and rel_gap
 _TEXT_LAYOUTS = {QUANTITY_KEYS: _quantity_text, AUDIT_KEYS: _audit_text,
                  SELFTEST_KEYS: _selftest_text}
-# format -> a row's record: its %-template and the keys of its slots, in order
-_RECORDS = {"json": _record, "csv": _record,
-            "text": lambda keys, row, fmt: _TEXT_LAYOUTS[keys](*row)}
 
 
 @functools.cache
 def _template(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
     """The records of one point in fmt as one %-template, the picker that orders a
-    point's arguments [point, *floats, *verdicts] for it, the verdict words, and,
+    point's arguments [c1, c2, *floats, *verdicts] for it, the verdict words, and,
     for JSON and CSV, the same template as the layout a block is joined from.
 
-    The point is a %s slot in each JSON and CSV record, and once ahead of a
-    point's text rows; each row's record places the slots of the keys it writes.
-    The layout is the template's literal pieces, %% unescaped, and the column
-    of each slot's value in a point's [c1, c2, *floats, *verdicts], the point's
-    %s expanded to _POINT's two slots: a point's records are pieces[0], the value
-    of columns[0], pieces[1], ..., pieces[-1].
+    Each JSON and CSV record writes the point as two %s slots, its coordinates'
+    texts; text records write no point.  The layout is the template's literal
+    pieces, %% unescaped, and the column of each slot's argument, which is the
+    picker's order: a point's records are pieces[0], the value of columns[0],
+    pieces[1], ..., pieces[-1].
     """
     esc = {"json": _json_str, "csv": _csv_str, "text": str}[fmt]
-    heads = fmt == "text"
-    template, order, words = ["%s"] * heads, [0] * heads, ()
-    at, verdict = 1, 1 + sum(c.size for row in rows for c in row if isinstance(c, Floats))
+    template, order, words = [], [], ()
+    at, verdict = 2, 2 + sum(c.size for row in rows for c in row if isinstance(c, Floats))
     for row in rows:
-        slots = {"point": [0]}  # key -> the places of its arguments
+        slots = {"point": [0, 1]}  # key -> the places of its arguments
         for key, c in zip(keys[1:], row):
             if isinstance(c, Floats):
                 slots[key] = range(at, at + c.size)
@@ -269,28 +263,20 @@ def _template(keys: tuple[str, ...], rows: tuple[tuple, ...], fmt: str):
                 slots[key] = [verdict]
                 verdict += 1
                 words = (esc(c.fail), esc(c.ok))
-        record, written = _RECORDS[fmt](keys, row, fmt)
+        record, written = _TEXT_LAYOUTS[keys](*row) if fmt == "text" else _record(keys, row, fmt)
         template.append(record)
         order.extend(i for key in written for i in slots.get(key, ()))
     template = "".join(template)
-    if heads:
+    if fmt == "text":
         return template, operator.itemgetter(*order), words, None
     parts = iter(template.split("%"))
-    head, mid, tail = _POINT.split("%.17g")
-    pieces, columns, args = [next(parts)], [], iter(order)
+    pieces = [next(parts)]
     for part in parts:
         if not part:  # %%: a literal %, and the text after it
             pieces[-1] += "%" + next(parts)
-            continue
-        text = part[4:] if part[0] == "." else part[1:]  # after the slot's .17g or s
-        if arg := next(args):
-            columns.append(arg + 1)
-            pieces.append(text)
-        else:  # the point, its coordinates' slots in _POINT
-            pieces[-1] += head
-            columns += [0, 1]
-            pieces += [mid, tail + text]
-    return template, operator.itemgetter(*order), words, (tuple(pieces), np.array(columns))
+        else:  # the text after the slot's .17g or s
+            pieces.append(part[4:] if part[0] == "." else part[1:])
+    return template, operator.itemgetter(*order), words, (tuple(pieces), np.array(order))
 
 
 def _coords(p: ParamPoint) -> np.ndarray:
@@ -366,16 +352,16 @@ def _write_records(out: list[str], keys: tuple[str, ...], blocks: list[Block], f
             _write_columns(out, block, layout, words)
             continue
         oks = itertools.repeat(()) if block.ok is None else block.ok.tolist()
-        if fmt == "text":  # keeps the sign of a zero; heads a point only where it changes
-            points, floats = [], block.floats.tolist()
-            for point in block.coords.tolist():
-                points.append("" if point == last else "point (%.12g, %.12g)\n" % tuple(point))
-                last = point
+        if fmt == "text":  # keeps the sign of a zero
+            points, floats = block.coords.tolist(), block.floats.tolist()
         else:  # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0
-            points = [_POINT % (c1, c2) for c1, c2 in (block.coords + 0.0).tolist()]
+            points = [("%.17g %.17g" % tuple(c)).split() for c in (block.coords + 0.0).tolist()]
             floats = (block.floats + 0.0).tolist()
         for point, values, ok in zip(points, floats, oks):
-            out.append(template % pick([point, *values, *map(words.__getitem__, ok)]))
+            if fmt == "text" and point != last:  # text heads a point only where it changes
+                out.append("point (%.12g, %.12g)\n" % tuple(point))
+                last = point
+            out.append(template % pick([*point, *values, *map(words.__getitem__, ok)]))
 
 
 def _to_json(report: Report) -> str:

@@ -48,15 +48,9 @@ MC_LEAF = 1 << 13
 GH_BLOCK_VALUES = 1 << 16
 
 
-def _require_theta(p: ParamPoint) -> tuple[float, float]:
-    if p.chart is not Chart.THETA:
-        raise DomainError(f"operation expects a theta-chart point, got {p.chart}")
-    return p.c1, p.c2
-
-
-def _require_xi(p: ParamPoint) -> tuple[float, float]:
-    if p.chart is not Chart.XI:
-        raise DomainError(f"operation expects a xi-chart point, got {p.chart}")
+def _require(p: ParamPoint, chart: Chart) -> tuple[float, float]:
+    if p.chart is not chart:
+        raise DomainError(f"operation expects a {chart}-chart point, got {p.chart}")
     return p.c1, p.c2
 
 
@@ -157,7 +151,7 @@ class GaussHermite:
         block point keeps its bits alone when its integrand rows have the same
         stride in the block as at the point, as C-contiguous integrands do.
         """
-        mu, s = _require_theta(p)
+        mu, s = _require(p, Chart.THETA)
         t, w = _hermgauss(self.nodes)
         # at a point sqrt(2) sigma is a float product, which does not trap, so a float
         # error names the array operation that follows it
@@ -198,7 +192,7 @@ class MonteCarlo:
         in one call over its last axis, which numpy takes row by row as it takes
         a 1-D array, so each mean has the bits of np.mean(f(x)) over the whole draw.
         """
-        mu, s = _require_theta(p)
+        mu, s = _require(p, Chart.THETA)
         z = _standard_normals(self.samples, self.seed)
 
         def total(a: int, b: int, leaf: int = MC_LEAF):
@@ -235,12 +229,12 @@ def integrates_blocks(engine: Engine) -> bool:
 def _engine_means(engine: Engine, integrands: Callable, p: ParamPoint) -> np.ndarray:
     """E[integrands(x - mu, mu, sigma)] at the theta coordinates of a point, block axes first.
 
-    A GaussHermite engine integrates a block in one ``expect`` call per cut of at
-    most GH_BLOCK_VALUES // nodes points.  Any other engine integrates one point
-    per call, in order, with its float coordinates.
+    An engine that `integrates_blocks`, here a GaussHermite, integrates a block in one
+    ``expect`` call per cut of at most GH_BLOCK_VALUES // nodes points.  Any other
+    engine integrates one point per call, in order, with its float coordinates.
     """
     th = p if p.chart is Chart.THETA else chart_backward(p)
-    cut = max(1, GH_BLOCK_VALUES // engine.nodes) if type(engine) is GaussHermite else 1
+    cut = max(1, GH_BLOCK_VALUES // engine.nodes) if integrates_blocks(engine) else 1
 
     def at(q: ParamPoint):
         mu, s = q.c1, q.c2
@@ -263,7 +257,7 @@ def fisher_metric_theta(p: ParamPoint, engine: Engine = ClosedForm()) -> MetricA
     Closed form diag(1/sigma^2, 2/sigma^2); quadrature and Monte Carlo
     engines evaluate -E[d_i d_j l] instead, as independent routes.
     """
-    _require_theta(p)
+    _require(p, Chart.THETA)
     if isinstance(engine, ClosedForm):
         return evaluate_metric(fisher_metric_field(Chart.THETA), p)
     means = _engine_means(engine, lambda z, _, s: _hessian_parts(z, s), p)
@@ -288,7 +282,7 @@ def _closed_form_lower(s) -> np.ndarray:
 def _conn_expectation_theta(p: ParamPoint, engine: Engine) -> tuple[ConnAt, MetricAt | None]:
     """`conn_expectation_theta`, and the closed-form metric that raised its index; None
     under an engine, which raises it with the metric of its own means."""
-    _, s = _require_theta(p)
+    _, s = _require(p, Chart.THETA)
     metric = None
     if isinstance(engine, ClosedForm):
         lower = _closed_form_lower(s)
@@ -316,7 +310,7 @@ def _conn_expectation_theta(p: ParamPoint, engine: Engine) -> tuple[ConnAt, Metr
 def chart_forward(p: ParamPoint) -> ParamPoint:
     """(mu, sigma) -> (mu, mu^2 + sigma^2); DomainError names the first theta point
     where that overflows, or rounds to mu^2 and so leaves the xi domain."""
-    mu, s = _require_theta(p)
+    mu, s = _require(p, Chart.THETA)
     x2 = mu * mu + s * s
     finite = np.isfinite(x2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,7 +325,7 @@ def chart_forward(p: ParamPoint) -> ParamPoint:
 
 def chart_backward(q: ParamPoint) -> ParamPoint:
     """(x1, x2) -> (x1, sqrt(x2 - x1^2)); the positive root, sigma > 0."""
-    x1, x2 = _require_xi(q)
+    x1, x2 = _require(q, Chart.XI)
     return ParamPoint.theta(x1, ad.sqrt(x2 - x1 * x1))
 
 
@@ -341,7 +335,7 @@ def jacobian(p: ParamPoint) -> tuple[np.ndarray, np.ndarray]:
     Rows of the Jacobian are dual-chart components, columns natural ones;
     the inverse holds d theta_i / d xi_a with natural components as rows.
     """
-    mu, s = _require_theta(p)
+    mu, s = _require(p, Chart.THETA)
     jac = ad.batch_array([1.0, 0.0, 2.0 * mu, 2.0 * s], (2, 2))
     jac_inv = ad.batch_array([1.0, 0.0, -mu / s, 1.0 / (2.0 * s)], (2, 2))
     return jac, jac_inv

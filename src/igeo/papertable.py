@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .models import (
     _closed_form_lower,
-    _require_theta,
+    _require,
     chart_forward,
     chart_second_derivatives,
     fisher_metric_field,
@@ -64,7 +64,7 @@ def paper_metric_xi(p: ParamPoint) -> dict[str, float]:
     transcribed as printed even though it only agrees with the determinant of
     the printed matrix at sigma = 1.
     """
-    mu, s = _require_theta(p)
+    mu, s = _require(p, Chart.THETA)
     # each power of sigma is taken once, up front: it can only overflow, and only
     # where no denominator below is zero, so a point raises the error it raised before
     s4 = _pow(s, 4)
@@ -86,7 +86,7 @@ def paper_metric_xi(p: ParamPoint) -> dict[str, float]:
 
 def paper_christoffel_xi(p: ParamPoint) -> dict[str, float]:
     """Published dual-chart connection coefficients, lower and mixed."""
-    mu, s = _require_theta(p)
+    mu, s = _require(p, Chart.THETA)
     s4, s6, s8 = _pow(s, 4), _pow(s, 6), _pow(s, 8)
     lower = {
         "Gamma_xi.111": (4.0 * mu * s * s + 6.0 * _pow(mu, 3)) / s6,
@@ -117,7 +117,7 @@ def paper_riemann_xi(p: ParamPoint) -> dict[str, float]:
     Eleven components are listed as zero and four are given explicitly;
     R_xi.1222 never appears in the published list and is recorded as zero.
     """
-    mu, s = _require_theta(p)
+    mu, s = _require(p, Chart.THETA)
     s2, s6, s8, s10, s14 = _pow(s, 2), _pow(s, 6), _pow(s, 8), _pow(s, 10), _pow(s, 14)
     out = {rid: 0.0 for rid in _R_IDS}
     out["R_xi.1221"] = mu / s6

@@ -565,13 +565,14 @@ class TestStackedIntegrandBits:
         # 10^6 draws cost about 10 ms a passing point, so the default engine takes fewer
         points = extreme_points(rng, chart, 120 if engine == MonteCarlo() else 240)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            passing = [p for p in points if not failed(outcome(fresh, p))]
+            refs = [outcome(fresh, p) for p in points]
+            passing = [p for p, ref in zip(points, refs) if not failed(ref)]
             # 60-point blocks of all the points, which stop at their first failing point,
             # and of the points that pass
             blocks = [as_block(ps[i:i + 60]) for ps in (points, passing)
                       for i in range(0, len(ps) - 59, 60)]
-            for p in points + blocks:
-                assert_same_outcome(outcome(package, p), outcome(fresh, p))
+            for p, ref in zip(points + blocks, refs + [outcome(fresh, b) for b in blocks]):
+                assert_same_outcome(outcome(package, p), ref)
         assert 0 < len(passing) < len(points)
 
 
