@@ -186,10 +186,3 @@ def lift(point: ParamPoint) -> tuple[Dual2, Dual2]:
     """
     return Dual2(point.c1, g1=1.0), Dual2(point.c2, g2=1.0)
 
-
-def value(x):
-    """Plain value of a Dual2, number or array (for fields evaluated either way)."""
-    if isinstance(x, Dual2):
-        return x.val
-    return x if isinstance(x, np.ndarray) else float(x)
-

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Dual2, batch_array, lift, value
+from .autodiff import Dual2, batch_array, lift
 from .core import ParamPoint, SingularMetricError
 
 MetricField = Callable[[object, object], object]  # (c1, c2) -> 2x2 of float/Dual2
@@ -185,7 +185,7 @@ def _field_entries(field: MetricField, a, b):
 
 def evaluate_metric(field: MetricField, point: ParamPoint) -> MetricAt:
     """Plain-float (or plain-array, for a block) evaluation of a metric field."""
-    e00, e01, e11 = (value(e) for e in _field_entries(field, point.c1, point.c2))
+    e00, e01, e11 = _field_entries(field, point.c1, point.c2)
     return MetricAt.from_matrix(point, batch_array([e00, e01, e01, e11], (2, 2)))
 
 
@@ -193,8 +193,7 @@ def _metric_jet(field: MetricField, point: ParamPoint):
     """g[i, j], dg[l, i, j] = d_l g_ij and d2g[l, m, i, j] = d_l d_m g_ij, component
     axes first: views of one stack of the jet's 28 entries."""
     a, b = lift(point)
-    e00, e01, e11 = (e if isinstance(e, Dual2) else Dual2(value(e))
-                     for e in _field_entries(field, a, b))
+    e00, e01, e11 = (e if isinstance(e, Dual2) else Dual2(e) for e in _field_entries(field, a, b))
     ij = (e00, e01, e01, e11)  # the entries in (i, j) order
     entries = [getattr(e, part) for part in ("val", "g1", "g2", "h11", "h12", "h12", "h22")
                for e in ij]

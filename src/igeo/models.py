@@ -208,7 +208,8 @@ class MonteCarlo:
             sums = total(0, self.samples)
         except ArithmeticError:
             # a float error is raised again over the whole draw, so that it names the
-            # operation that fails first there: an overflowing sum is "reduce", not "add"
+            # operation that fails first there: an overflowing sum is "reduce", not "add".
+            # This rerun holds the whole stack, 8 bytes per sample for each of its k rows
             sums = total(0, self.samples, leaf=self.samples)
         return sums / self.samples
 

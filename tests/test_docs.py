@@ -1,6 +1,7 @@
-"""The public surface as a reader meets it: the README example, the demos, ``__all__``."""
+"""The public surface as a reader meets it: the README examples, the demos, ``__all__``."""
 
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,14 @@ from pathlib import Path
 import pytest
 
 import igeo
+from igeo import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+COMMAND_LINES = [line for line in re.search(
+    r"```bash\n(.*?)```", README.split("## Command line", 1)[1], re.S).group(1).splitlines()
+    if line.startswith("igeo ")]
 
 
 def test_readme_quick_start_runs():
@@ -18,6 +24,18 @@ def test_readme_quick_start_runs():
     section = readme.split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES)
+def test_readme_command_line_runs(line, capsys):
+    """Exit 0, or 3 where the comment says so; a comment that is a number is the value
+    the command prints last."""
+    command, _, comment = (part.strip() for part in line.partition("#"))
+    code = 3 if comment.startswith("exit 3") else 0
+    assert cli.main(shlex.split(command)[1:]) == code
+    out = capsys.readouterr().out
+    if re.fullmatch(r"[-+.\d]+", comment):
+        assert out.rstrip().endswith(f": {comment}")
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)

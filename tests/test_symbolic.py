@@ -6,6 +6,7 @@ curvature array and the scalar curvature in exact rational arithmetic, with the
 index conventions of ``igeo.geometry``.  It shares no code with the Dual2 jet.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from igeo import (  # noqa: E402
     ParamPoint,
     audit,
     chart_forward,
+    cli,
     evaluate_metric,
     fisher_metric_field,
     levi_civita,
@@ -53,7 +55,9 @@ def exact():
         for m in R2] for k in R2] for j in R2] for i in R2]
     scalar = sp.cancel(sum(r[i][j][k][m] * ginv[i, m] * ginv[j, k]
                            for i in R2 for j in R2 for k in R2 for m in R2) / 2)
-    return {"g": g.tolist(), "lower": lower, "mixed": mixed, "r": r, "scalar": scalar}
+    sectional = sp.cancel(r[0][1][1][0] / g.det())
+    return {"g": g.tolist(), "lower": lower, "mixed": mixed, "r": r, "scalar": scalar,
+            "sectional": sectional}
 
 
 def at(expr, c1: float, c2: float) -> np.ndarray:
@@ -81,33 +85,54 @@ def test_batched_kernels_match_exact_values(exact):
             assert np.max(np.abs(value[n] - want)) <= TOL, (name, POINTS[n])
 
 
-# the audit's native oracle recomputes sigma^2 as x2 - x1^2 at the xi point, which
-# cancels: it loses about log10(kappa) digits, kappa = x2 / sigma^2 = (mu^2 + sigma^2) / sigma^2.
-# Each rung bounds the largest relative error over the exactly nonzero entries, about ten
-# times what the oracle gives there (1.2e-15, 2.1e-13, 1.0e-6, 1.4e2 and 2.3e9).  From
-# kappa ~ 1e4 on it is above the audit's 1e-8 gates, so verdicts there describe the oracle's
-# rounding; the exactly zero entries grow too, to about 3.6e14 at (100, 0.01).
-KAPPA_LADDER = (  # (theta point, kappa, bound)
-    ((0.7, 1.3), 1.3, 1e-14),
-    ((-1.7, 0.6), 9.0, 1e-12),
-    ((10.0, 0.1), 1e4, 1e-5),
-    ((100.0, 0.01), 1e8, 1e3),
-    ((1e4, 0.01), 1e12, 1e10),
+# The audit's native oracle and the xi commands below run the Levi-Civita kernels on the
+# dual-chart field at the xi point, and lose about two digits per decade of
+# kappa = x2 / sigma^2 = (mu^2 + sigma^2) / sigma^2: their largest relative error over the
+# exactly nonzero entries is about kappa^2 * 1e-14.  The loss is not the cancellation in
+# sigma^2 = x2 - x1^2 alone: at theta (1e6, 1), where that is exact, the scalar is off by a
+# relative 4.4e8.  Each rung bounds the error of each output at about ten times what it is
+# there: the audit's native rows (mixed, R and K) 1.2e-15, 2.1e-13, 1.0e-6, 1.4e2 and 2.3e9;
+# `scalar` 4.4e-16, 3.3e-14, 3.3e-7, 74 and 1.2e9; `curvature` 1.3e-15, 2.2e-13, 1.0e-6,
+# 1.4e2 and 2.3e9; `christoffel --connection levi_civita` 5.4e-16, 4.6e-15, 1.2e-7, 17 and
+# 1.1e9.  1e-8 relative accuracy ends near kappa ~ 1e3: past it the oracle's own error can
+# exceed the audit's 1e-8 gates, so a verdict can describe the oracle's rounding, and the
+# commands' outputs lose their leading digits.  The exactly zero entries grow too, to about
+# 3.6e14 at (100, 0.01).
+KAPPA_LADDER = (  # (theta point, kappa, bound per output of OUTPUTS)
+    ((0.7, 1.3), 1.3, (1e-14, 5e-15, 1e-14, 5e-15)),
+    ((-1.7, 0.6), 9.0, (1e-12, 5e-13, 1e-12, 5e-14)),
+    ((10.0, 0.1), 1e4, (1e-5, 5e-6, 1e-5, 1e-6)),
+    ((100.0, 0.01), 1e8, (1e3, 1e3, 1e3, 2e2)),
+    ((1e4, 0.01), 1e12, (1e10, 1e10, 1e10, 1e10)),
 )
+OUTPUTS = {  # output: (argv, the exact quantities of its values in order, how many are nonzero)
+    "audit": (None, ("mixed", "r", "scalar"), 12),
+    "scalar": (("scalar",), ("scalar",), 1),
+    "curvature": (("curvature",), ("r", "scalar", "sectional"), 6),
+    "christoffel": (("christoffel", "--connection=levi_civita"), ("lower", "mixed"), 15),
+}
 NATIVE = [i for i, (qid, label, _, _) in enumerate(ROWS)
           if label == "native_levi_civita" and not qid.startswith("T_")]
 
 
-@pytest.mark.parametrize("theta, kappa, bound", KAPPA_LADDER,
-                         ids=[f"kappa={k:g}" for _, k, _ in KAPPA_LADDER])
-def test_native_oracle_error_along_the_kappa_ladder(exact, theta, kappa, bound):
+@pytest.mark.parametrize("theta, kappa, output, bound", [
+    pytest.param(theta, kappa, output, bounds[n],
+                 id=f"kappa={kappa:g}" if output == "audit" else f"{output}-kappa={kappa:g}")
+    for n, output in enumerate(OUTPUTS) for theta, kappa, bounds in KAPPA_LADDER])
+def test_native_oracle_error_along_the_kappa_ladder(exact, capsys, theta, kappa, output, bound):
     p = ParamPoint.theta(*theta)
     q = chart_forward(p)  # the exact values are taken at this double point
     assert q.c2 / (q.c2 - q.c1 * q.c1) == pytest.approx(kappa, rel=0.01)
-    assert len(NATIVE) == 25  # mixed (8), R (16) and K
-    got = audit(p).oracle[NATIVE]
-    want = np.concatenate([at(exact["mixed"], q.c1, q.c2).ravel(),
-                           at(exact["r"], q.c1, q.c2).ravel(), [at(exact["scalar"], q.c1, q.c2)]])
+    argv, names, nonzeros = OUTPUTS[output]
+    if argv is None:
+        assert len(NATIVE) == 25  # mixed (8), R (16) and K
+        got = audit(p).oracle[NATIVE]
+    else:
+        assert cli.main([*argv, "--chart=xi", "--format=json",
+                         "--point=%r,%r" % (q.c1, q.c2)]) == 0
+        got = np.concatenate([np.ravel(record["value"])
+                              for record in json.loads(capsys.readouterr().out)["records"]])
+    want = np.concatenate([np.ravel(at(exact[name], q.c1, q.c2)) for name in names])
     nonzero = want != 0.0
-    assert nonzero.sum() == 12
+    assert nonzero.sum() == nonzeros
     assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= bound
