@@ -162,20 +162,19 @@ def sin(x):
     return x.sin() if isinstance(x, Dual2) else _sin(x)
 
 
-def batch_array(entries, shape: tuple[int, ...]) -> np.ndarray:
-    """Entries in C order, floats or arrays of one block shape, as (*block, *shape).
-
-    A float entry (a constant, or a derivative that is zero everywhere) is
-    broadcast over the block.
-    """
+def stack(entries) -> np.ndarray:
+    """Floats, or arrays of one block shape, stacked as (k, *block); a float entry
+    (a constant, or a derivative that is zero everywhere) is broadcast over the block."""
     try:
-        flat = np.array(entries, dtype=float)
+        return np.array(entries, dtype=float)  # a point's floats, or a block's arrays
     except ValueError:  # floats among block arrays
-        flat = None
-    if flat is not None and flat.ndim == 1:  # floats: a point
-        return flat.reshape(shape)
-    columns = np.broadcast_arrays(*entries)
-    return np.stack(columns, axis=-1).astype(float, copy=False).reshape(columns[0].shape + shape)
+        return np.array(np.broadcast_arrays(*entries), dtype=float)
+
+
+def batch_array(entries, shape: tuple[int, ...]) -> np.ndarray:
+    """Entries in C order, as ``stack`` takes them, as a C-ordered (*block, *shape)."""
+    flat = stack(entries)
+    return np.ascontiguousarray(flat.reshape(len(flat), -1).T).reshape(flat.shape[1:] + shape)
 
 
 def lift(point: ParamPoint) -> tuple[Dual2, Dual2]:

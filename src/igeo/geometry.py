@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Dual2, batch_array, lift
+from .autodiff import Dual2, batch_array, lift, stack
 from .core import ParamPoint, SingularMetricError
 
 MetricField = Callable[[object, object], object]  # (c1, c2) -> 2x2 of float/Dual2
@@ -197,10 +197,7 @@ def _metric_jet(field: MetricField, point: ParamPoint):
     ij = (e00, e01, e01, e11)  # the entries in (i, j) order
     entries = [getattr(e, part) for part in ("val", "g1", "g2", "h11", "h12", "h12", "h22")
                for e in ij]
-    try:
-        jet = np.array(entries, dtype=float)  # a point's floats, or a block's arrays
-    except ValueError:  # floats among block arrays
-        jet = np.array(np.broadcast_arrays(*entries), dtype=float)
+    jet = stack(entries)
     block = jet.shape[1:]
     return (jet[:4].reshape((2, 2) + block), jet[4:12].reshape((2, 2, 2) + block),
             jet[12:].reshape((2, 2, 2, 2) + block))
@@ -352,12 +349,13 @@ def transform_connection(
     sd = np.asarray(second_derivs, dtype=float)
     mixed = np.einsum("...ai,...bj,...gk,...kij->...gab", b, b, jac, conn.mixed)
     mixed += np.einsum("...gm,...mab->...gab", jac, sd)
-    lower = transform_lower_tensor3(conn.lower, jac_inv)
-    lower += _connection_shift_lower(sd, jac_inv, metric)
+    _, lower = _lower_laws(conn.lower, sd, jac_inv, metric)
     return ConnAt._adopt(point=to_point, lower=lower, mixed=mixed)
 
 
-def _connection_shift_lower(second_derivs: np.ndarray, jac_inv, metric: MetricAt) -> np.ndarray:
-    """The inhomogeneous term of the all-lower connection law, which the (0,3)-tensor
-    law leaves out: second_derivs[m, a, b] B_c^k g_mk, g the source metric."""
-    return np.einsum("...mab,...ck,...mk->...abc", second_derivs, _basis_change(jac_inv), metric.g)
+def _lower_laws(lower, second_derivs: np.ndarray, jac_inv, metric: MetricAt):
+    """All-lower coefficients under the (0,3)-tensor law and under the connection law,
+    which adds the inhomogeneous term second_derivs[m, a, b] B_c^k g_mk, g the source metric."""
+    tensor = transform_lower_tensor3(lower, jac_inv)
+    b = _basis_change(jac_inv)
+    return tensor, tensor + np.einsum("...mab,...ck,...mk->...abc", second_derivs, b, metric.g)

@@ -105,8 +105,7 @@ def _pullback_parts(z, mu, s) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
-    return nodes, weights
+    return np.polynomial.hermite.hermgauss(n)  # read here: numpy imports np.polynomial lazily
 
 
 @functools.lru_cache(maxsize=2)

@@ -26,10 +26,9 @@ import numpy as np
 from .autodiff import _pow, batch_array
 from .core import Chart, DEFAULT_TOLERANCES, ParamPoint, Tolerances
 from .geometry import (
-    _connection_shift_lower,
     _levi_civita_and_riemann,
+    _lower_laws,
     torsion,
-    transform_lower_tensor3,
     transform_metric,
 )
 from .models import (
@@ -270,11 +269,9 @@ def audit(p: ParamPoint, tol: Tolerances = DEFAULT_TOLERANCES) -> AuditReport:
     metric_th = fisher_metric_theta(p)
     metric_or = transform_metric(metric_th, jac_inv, q)
 
-    # the connection law's lower coefficients are the tensor law's plus its
-    # inhomogeneous term, as transform_connection adds them
-    lower_tensor = transform_lower_tensor3(_closed_form_lower(p.c2), jac_inv)
-    lower_conn = lower_tensor + _connection_shift_lower(chart_second_derivatives(q), jac_inv,
-                                                        metric_th)
+    # the lower coefficients under both laws, as transform_connection takes the second
+    lower_tensor, lower_conn = _lower_laws(_closed_form_lower(p.c2), chart_second_derivatives(q),
+                                           jac_inv, metric_th)
 
     lc_xi, riem_xi = _levi_civita_and_riemann(fisher_metric_field(Chart.XI), q)
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from igeo import Dual2, ParamPoint, lift
-from igeo.autodiff import sin, sqrt
+from igeo.autodiff import batch_array, sin, sqrt, stack
 
 import oracles
+from conftest import same_bits
 from oracles import log
 
 
@@ -161,3 +162,43 @@ class TestArrays:
         assert np.array_equal(block, [x ** 2 for x in xs.tolist()])
         u, _ = lift(ParamPoint.theta(2.0, 1.0))
         assert np.array_equal(oracles.hess(u ** 3), [[12.0, 0.0], [0.0, 0.0]])
+
+
+def _entries(form, block, k):
+    """k entries of one block shape, seeded: floats, 0-d arrays, arrays, floats among
+    arrays, or arrays read through strided or transposed views."""
+    rng = np.random.default_rng(2701)
+    values = rng.normal(size=(k,) + block) * 10.0 ** rng.integers(-300, 300, size=(k,) + block)
+    values[0] = -0.0
+    arrays = [np.array(v) for v in values]  # 0-d arrays at a point
+    if form == "floats":
+        return [float(v) for v in values]
+    if form == "floats among arrays":
+        return [float(v.flat[0]) if i % 3 == 0 else v for i, v in enumerate(arrays)]
+    if form == "strided views":
+        return list(np.repeat(values, 2, axis=-1)[..., ::2])
+    if form == "transposed views":
+        return list(np.ascontiguousarray(values.T).T)
+    return arrays
+
+
+STACKED = [((), "floats"), ((), "0-d arrays"), ((), "floats among arrays")] + [
+    (block, form) for block in ((5,), (3, 4))
+    for form in ("arrays", "floats among arrays", "strided views", "transposed views")]
+
+
+class TestStack:
+    """``batch_array`` is C-ordered (einsum and matmul round by layout) and keeps the bits
+    of the block form it replaced, ``np.stack`` of the broadcast entries on a last axis."""
+
+    @pytest.mark.parametrize("block, form", STACKED, ids=[
+        f"{'x'.join(map(str, b)) or 'point'}-{f.replace(' ', '-')}" for b, f in STACKED])
+    @pytest.mark.parametrize("shape", [(2,), (2, 2), (2, 2, 2)], ids=["2", "2x2", "2x2x2"])
+    def test_batch_array(self, block, form, shape):
+        entries = _entries(form, block, math.prod(shape))
+        got = batch_array(entries, shape)
+        want = np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(block + shape)
+        assert got.shape == block + shape and got.flags["C_CONTIGUOUS"]
+        assert same_bits(got, want)
+        assert stack(entries).shape == (len(entries),) + block
+
