@@ -18,9 +18,10 @@ when any request differs.
 
 The corpus is built from ``--seed`` alone.  ``--quick`` (3,207 requests) runs
 in a few seconds a side; the full corpus repeats the per-point family at 150
-seeded points a combination and draws ten times the extreme points (35,313
-requests).  pytest does not collect this file; ``test_sweep.py`` tests
-the harness, and pins the ``digest`` of the quick corpus's outcomes.
+seeded points a combination, draws ten times the extreme points, and runs each
+edge point under a Monte Carlo draw of many leaves too (35,733 requests).  pytest
+does not collect this file; ``test_sweep.py`` tests the harness, and pins the
+``digest`` of the quick corpus's outcomes.
 """
 
 from __future__ import annotations
@@ -181,6 +182,8 @@ def corpus(seed: int = 0, quick: bool = False) -> list[tuple[str, tuple[str, ...
                 where = (f"--point={mu!r},{sigma!r}" if chart != "xi"
                          else f"--point={mu!r},{mu * mu + sigma * sigma!r}")
                 add("edge", _argv(command, opts, chart, where, "json", engines[0]))
+                if not quick and engines != (None,):  # a draw the engine sums in 16 leaves
+                    add("edge_leaves", _argv(command, opts, chart, where, "json", ENGINES[-1]))
     failing = {"theta": ("--grid=0:1:3,1e-160:1:3", "--grid=-1e200:1e200:2,0.5:1:3",
                          "--grid=0:1:3,1e-300:1e-100:3"),
                "xi": ("--grid=0:1:3,1e-300:2:3", "--grid=0:1e-80:2,2e-160:1:3")}

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import sweep
-from igeo import cli
+from igeo import cli, models
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # sweep.digest of the quick corpus at seed 0: each request's argv, exit code, stdout
@@ -50,6 +50,26 @@ def test_corpus_covers_every_command_chart_format_and_engine_family():
     assert max(audit_floats) > cli.FORMAT_VALUES  # a block of more than one segment
     assert {fam for fam, _ in requests} >= {"extreme", "edge", "failing_grid", "audit", "usage",
                                            "default_engine"}
+
+
+def test_full_corpus_sums_monte_carlo_edges_over_many_leaves():
+    # a sum may overflow between leaves only where the draw has more than one
+    engine = sweep.ENGINES[-1]
+    assert int(engine.split(":")[1]) > models.MC_LEAF
+    requests = sweep.corpus(0)
+    leaves = [argv for fam, argv in requests if fam == "edge_leaves"]
+    for command in ("metric", "christoffel", "torsion", "curvature", "scalar"):
+        for sigma in sweep.EDGE_SIGMAS:
+            where = f"--point=-1.5,{sigma!r}"
+            assert any(argv[0] == command and where in argv
+                       and f"--engine={engine}" in argv for argv in leaves)
+    # one for each edge request under an engine, which is the closed form there
+    assert len(leaves) == sum("--engine=closed_form" in argv for fam, argv in requests
+                              if fam == "edge")
+    # the one whose sum overflows between leaves, where the error names the addition
+    assert ("metric", "--chart=xi", "--point=0.0,9.999999999999999e-153",
+            f"--engine={engine}", "--format=json") in leaves
+    assert "edge_leaves" not in {fam for fam, _ in sweep.corpus(0, quick=True)}
 
 
 def test_reworded_message_is_a_difference(monkeypatch):
