@@ -119,19 +119,6 @@ class Verdict(NamedTuple):
     ok: str
 
 
-class Rows(tuple):
-    """A row pattern that computes its hash once, so that the template cache finds
-    a long pattern without hashing its rows on every request."""
-
-    def __new__(cls, rows):
-        self = super().__new__(cls, rows)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 class Block(NamedTuple):
     """The records of a point or block, as columns.
 
@@ -158,8 +145,8 @@ class Report(NamedTuple):
 
 _FLOAT = Floats(())
 _SIGN, _INF = np.uint64(1 << 63), np.uint64(0x7FF << 52)  # a float's sign bit; inf's bits
-_AUDIT_ROWS = Rows((qid, _FLOAT, _FLOAT, _FLOAT, _FLOAT, Verdict(MISMATCH, MATCH), label, note)
-                   for qid, label, _, note in AUDIT_ROWS)
+_AUDIT_ROWS = tuple((qid, _FLOAT, _FLOAT, _FLOAT, _FLOAT, Verdict(MISMATCH, MATCH), label, note)
+                    for qid, label, _, note in AUDIT_ROWS)
 
 
 def _json_str(v: str) -> str:
@@ -500,7 +487,7 @@ def _require_finite(p: ParamPoint, what: str, values) -> None:
 @functools.cache
 def _quantity_rows(quantities: tuple[str, ...], shapes: tuple[tuple[int, ...], ...]) -> tuple:
     """The row pattern of a point's (quantity, value) records, values of these shapes."""
-    return Rows((quantity, Floats(shape), "oracle") for quantity, shape in zip(quantities, shapes))
+    return tuple((quantity, Floats(shape), "oracle") for quantity, shape in zip(quantities, shapes))
 
 
 def _quantity_block(fn, by_sigma: bool = True):

@@ -181,36 +181,28 @@ class MonteCarlo:
             raise EngineError(f"monte carlo seed must be >= 0, got {self.seed}")
 
     def expect(self, f: Callable, p: ParamPoint) -> Union[float, np.ndarray]:
-        """E[f(x)], f(x) read as a float64 array: a float for an integrand of x's
-        shape, an array of floats for a stack of k integrands, f(x) of shape
-        (k,) + x.shape, or a list of their k arrays, which numpy stacks; all calls share the draw.
+        """E[f(x)], f(x) read as `GaussHermite.expect` reads it; all calls share the draw.
 
         The sum walks numpy's pairwise tree over the draw (a node of n > 128
         values adds its halves split at n//2 - (n//2) % 8) and evaluates f on
         one leaf of at most MC_LEAF samples at a time.  A leaf's stack is summed
         in one call over its last axis, which numpy takes row by row as it takes
         a 1-D array, so each mean has the bits of np.mean(f(x)) over the whole draw.
+        A float error raises where the walk meets it: in a leaf, or adding two nodes' sums.
         """
         mu, s = _require(p, Chart.THETA)
         z = _standard_normals(self.samples, self.seed)
 
-        def total(a: int, b: int, leaf: int = MC_LEAF):
+        def total(a: int, b: int):
             n = b - a
-            if n <= leaf:
+            if n <= MC_LEAF:
                 x = s * z[a:b]
                 x += mu  # in place: IEEE addition commutes, so x has the bits of mu + s * z
                 return np.add.reduce(np.asarray(f(x), dtype=float), axis=-1)
             half = n // 2 - n // 2 % 8
-            return total(a, a + half, leaf) + total(a + half, b, leaf)
+            return total(a, a + half) + total(a + half, b)
 
-        try:
-            sums = total(0, self.samples)
-        except ArithmeticError:
-            # a float error is raised again over the whole draw, so that it names the
-            # operation that fails first there: an overflowing sum is "reduce", not "add".
-            # This rerun holds the whole stack, 8 bytes per sample for each of its k rows
-            sums = total(0, self.samples, leaf=self.samples)
-        return sums / self.samples
+        return total(0, self.samples) / self.samples
 
 
 Engine = Union[ClosedForm, GaussHermite, MonteCarlo]

@@ -489,9 +489,9 @@ def xi_metric_products(z, mu, s):
 def engine_means_one_by_one(engine, integrands, p):
     """``models._engine_means`` with each of the integrands' arrays reduced alone: by
     ``np.vecdot`` at each Gauss-Hermite cut of points, and by ``np.add.reduce`` at each
-    leaf of the Monte Carlo pairwise tree, walked as the engine walks it, an error
-    raised again over the whole draw.  The reference for the engines' one reduction
-    over a stack."""
+    leaf of the Monte Carlo pairwise tree, walked as the engine walks it, so a float
+    error raises in the leaf or the addition where the walk meets it.  The reference
+    for the engines' one reduction over a stack."""
     def means(x, mu, s, reduce):
         if isinstance(mu, np.ndarray):  # a cut of a block: one row of nodes per point
             mu, s = mu[..., None], s[..., None]
@@ -505,20 +505,16 @@ def engine_means_one_by_one(engine, integrands, p):
     def monte_carlo(q):
         z = models._standard_normals(engine.samples, engine.seed)
 
-        def total(a, b, leaf=models.MC_LEAF):
+        def total(a, b):
             n = b - a
-            if n > leaf:
+            if n > models.MC_LEAF:
                 half = n // 2 - n // 2 % 8
-                return total(a, a + half, leaf) + total(a + half, b, leaf)
+                return total(a, a + half) + total(a + half, b)
             x = q.c2 * z[a:b]
             x += q.c1
             return means(x, q.c1, q.c2, np.add.reduce)
 
-        try:
-            sums = total(0, engine.samples)
-        except ArithmeticError:
-            sums = total(0, engine.samples, engine.samples)
-        return sums / engine.samples
+        return total(0, engine.samples) / engine.samples
 
     th = p if p.chart is Chart.THETA else chart_backward(p)
     if type(engine) is models.GaussHermite:

@@ -268,7 +268,7 @@ class TestTotalDomainChecks:
         # a sum over the draw that overflows although every sample is finite
         (("metric", "--chart", "xi", "--engine", "monte_carlo:100003:5", "--point=0,1e-152"),
          2, "xi point (0.0, 1e-152) is outside the double-precision range of the formulas: "
-         "overflow encountered in reduce"),
+         "overflow encountered in add\n"),
         # a float power that overflows names its operation, as numpy's errors do
         (("metric", "--point", "0,1e100", "--engine", "gauss_hermite:8"), 2,
          "igeo: domain error: theta point (0.0, 1e+100) is outside the double-precision range "
@@ -918,21 +918,8 @@ class TestColumnWriter:
 
 
 class TestRowPatternHash:
-    """The template cache finds a row pattern by a hash computed once; any tuple
-    of the same rows finds the same entry."""
-
-    def test_rows_hash_once(self):
-        hashed = []
-
-        class Cell:
-            def __hash__(self):
-                hashed.append(self)
-                return 7
-
-        rows = cli.Rows([("q", Cell())])
-        assert hash(rows) == hash(rows) and len(hashed) == 1
-        assert hash(rows) == hash(tuple(rows)) and rows == tuple(rows)
-        assert isinstance(cli._AUDIT_ROWS, cli.Rows)
+    """The template cache finds a row pattern by its rows: any tuple of the same rows
+    finds the same entry."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_plain_tuple_finds_the_same_layout(self, fmt):
@@ -940,11 +927,8 @@ class TestRowPatternHash:
         assert cli._template(cli.AUDIT_KEYS, tuple(cli._AUDIT_ROWS), fmt) is layout
         rows = (("q", cli.Floats((2,)), "oracle"),)
         assert (cli._template(cli.QUANTITY_KEYS, rows, fmt)
-                is cli._template(cli.QUANTITY_KEYS, cli.Rows(rows), fmt))
+                is cli._template(cli.QUANTITY_KEYS, cli._quantity_rows(("q",), ((2,),)), fmt))
         assert (layout[3] is None) == (fmt == "text")
-
-    def test_quantity_rows_are_rows(self):
-        assert isinstance(cli._quantity_rows(("g",), ((2, 2),)), cli.Rows)
 
 
 _REAL = st.one_of(

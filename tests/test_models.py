@@ -268,7 +268,7 @@ class TestLeafSums:
         stacked = engine.expect(lambda x: [f(x) for f in self.INTEGRANDS], p)
         assert np.array_equal(_bits(stacked), _bits(want))
         # one array of shape (3, n): each row is summed as the 1-D array it holds, in
-        # the leaves and, as the error path takes it, over the whole draw
+        # the leaves as over the whole draw
         rows = engine.expect(lambda x: np.stack([f(x) for f in self.INTEGRANDS]), p)
         assert rows.shape == (3,) and np.array_equal(_bits(rows), _bits(want))
         whole = np.add.reduce(np.stack([f(fresh) for f in self.INTEGRANDS]), axis=-1) / samples
@@ -293,12 +293,13 @@ class TestLeafSums:
         with pytest.raises(TypeError):
             engine.expect(lambda x: (f(x) for f in self.INTEGRANDS), p)
 
-    def test_a_sum_that_overflows_raises_as_the_whole_draw_does(self):
-        # every leaf sum is finite; numpy's sum over the whole draw overflows
+    def test_a_sum_that_overflows_raises_where_the_leaf_walk_adds(self):
+        # every leaf sum is finite; the addition of two nodes' sums overflows, a float's
+        # for one integrand and an array's for a stack
         p = ParamPoint.theta(0.0, 1.0)
-        for f in (lambda x: np.full_like(x, 1e304), lambda x: (np.full_like(x, 1e304),)):
-            with np.errstate(over="raise"), pytest.raises(
-                    FloatingPointError, match="^overflow encountered in reduce$"):
+        for f, message in ((lambda x: np.full_like(x, 1e304), "^overflow encountered in scalar add$"),
+                           (lambda x: (np.full_like(x, 1e304),), "^overflow encountered in add$")):
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match=message):
                 MonteCarlo(16 * MC_LEAF, 1).expect(f, p)
 
 
@@ -323,6 +324,23 @@ class TestMemoryBound:
         for name in ("connection", "xi metric"):
             assert peaks[name, 1_000_000] < 2 * 2**20
             assert peaks[name, 2_000_000] < 1.1 * peaks[name, 1_000_000]
+
+    def test_peak_of_a_failing_call(self):
+        # a float error raises from the leaf where it occurs, so a failing call holds no
+        # more than a passing one; the whole draw's stack would be 8 bytes a sample a row
+        p = ParamPoint.theta(0.0, 1e-90)
+        for samples in (1_000_000, 2_000_000):
+            engine = MonteCarlo(samples, 19)
+            _standard_normals(samples, 19)  # the cached draw is not the call's
+            tracemalloc.start()
+            try:
+                with (np.errstate(over="raise", divide="raise", invalid="raise"),
+                      pytest.raises(FloatingPointError)):
+                    conn_expectation_theta(p, engine)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, samples
 
     def test_peak_of_a_gauss_hermite_block(self):
         # a 4,096-point block at 300 nodes is integrated in cuts of GH_BLOCK_VALUES
