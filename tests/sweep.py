@@ -116,6 +116,15 @@ def _extreme(rng: random.Random, chart: str) -> str:
     return f"--point={c1!r},{spread if chart == 'theta' else c1 * c1 + spread!r}"
 
 
+def _extreme_grid(rng: random.Random, chart: str) -> str:
+    """A 3x2 grid at _extreme's scales: c1 from c1 to 2 c1, and sigma (xi: c2 - c1^2
+    at 2 c1) from spread to 3 spread, so that the column writer meets 3-digit exponents."""
+    c1 = rng.choice((-1.0, 1.0)) * 10.0 ** (300.0 * rng.uniform(-1.0, 1.0) ** 3)
+    spread = 10.0 ** (300.0 * rng.uniform(-1.0, 1.0) ** 3)
+    base = 0.0 if chart == "theta" else 4.0 * c1 * c1
+    return f"--grid={c1!r}:{2.0 * c1!r}:3,{base + spread!r}:{base + 3.0 * spread!r}:2"
+
+
 def _each_variant():
     """(command, options, chart or None, engines) for every command variant; the
     engines are ENGINES, CLOSED_FORM_ONLY, or (None,) where --engine is not taken."""
@@ -202,6 +211,12 @@ def corpus(seed: int = 0, quick: bool = False) -> list[tuple[str, tuple[str, ...
         add("selftest", ("selftest", f"--format={fmt}"))
     for argv in USAGE:
         add("usage", argv)
+    for _ in range(0 if quick else 30):
+        for command, opts, chart, engines in _each_variant():
+            engine = "gauss_hermite:8" if opts == ("--connection=expectation",) else engines[0]
+            for fmt in ("json", "csv"):
+                add("extreme_grid", _argv(command, opts, chart,
+                                          _extreme_grid(rng, chart or "theta"), fmt, engine))
     return out
 
 

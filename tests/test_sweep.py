@@ -1,7 +1,10 @@
 """The parent-vs-change sweep harness (tests/sweep.py) itself, and one pin of the outputs
 it compares: the digest of its quick corpus's outcomes."""
 
+import contextlib
+import io
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -70,6 +73,27 @@ def test_full_corpus_sums_monte_carlo_edges_over_many_leaves():
     assert ("metric", "--chart=xi", "--point=0.0,9.999999999999999e-153",
             f"--engine={engine}", "--format=json") in leaves
     assert "edge_leaves" not in {fam for fam, _ in sweep.corpus(0, quick=True)}
+
+
+def test_full_corpus_writes_extreme_grids_by_columns():
+    # grids at the extreme points' scales, so that the column writer meets 3-digit
+    # exponents and floats beyond 1e280
+    grids = [argv for fam, argv in sweep.corpus(0) if fam == "extreme_grid"]
+    for command, opts, chart, _ in sweep._each_variant():
+        for fmt in ("json", "csv"):
+            assert any(argv[:len(opts) + 1] == (command, *opts) and f"--format={fmt}" in argv
+                       and (chart is None or f"--chart={chart}" in argv) for argv in grids)
+    ends = [abs(float(end)) for argv in grids for opt in argv if opt.startswith("--grid=")
+            for axis in opt[7:].split(",") for end in axis.split(":")[:2]]
+    assert min(ends) < 1e-280 and max(end for end in ends if end < math.inf) > 1e280
+    written = []
+    for argv in grids[:200]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            if cli.main(list(argv)) == 0:
+                written.append(out.getvalue())
+    assert any(re.search(r"e[+-]\d{3}", text) for text in written)
+    assert "extreme_grid" not in {fam for fam, _ in sweep.corpus(0, quick=True)}
 
 
 def test_reworded_message_is_a_difference(monkeypatch):
