@@ -18,7 +18,9 @@ the default ``monte_carlo`` (10^6 samples, 128 leaves), in both charts: a point
 takes the engines' block path as its one-point case.  The writer cases time the
 JSON, CSV and text writers alone on the columns of a request computed beforehand: the audit of a
 20x20 grid as JSON, as CSV and as text, and the dual-chart curvature of a 40x40
-grid as JSON and as text.
+grid as JSON and as text.  The serialisation layer's own case times
+``cli._float_texts`` against the ``%`` join it replaced on the distinct floats of the
+20x20 audit's block, in the group "float texts".
 The directory lies outside ``testpaths``, so the test suite does not collect
 it; the ``-k point`` cases also run on a tree whose kernels take single points
 only.
@@ -58,6 +60,13 @@ WRITER_REQUESTS = {
                                     "--format=json"),
     "curvature_xi_grid40x40_text": ("curvature", "--chart=xi", "--grid=-1:1:40,2.5:4:40",
                                     "--format=text"),
+}
+
+
+# the texts of distinct floats: the column writer's helper, and one "%.17g," join
+FLOAT_TEXTS = {
+    "float_texts": cli._float_texts,
+    "percent_join": lambda v: ("%.17g," * len(v) % tuple(v.tolist())).split(",")[:-1],
 }
 
 
@@ -129,3 +138,13 @@ def test_writer(benchmark, name):
     report, _ = cli._report(args)
     benchmark.group = "writer"
     assert benchmark(cli._WRITERS[args.format], report)
+
+
+@pytest.mark.parametrize("how", sorted(FLOAT_TEXTS))
+def test_float_texts(benchmark, how):
+    args = cli.build_parser().parse_args(WRITER_REQUESTS["audit_grid20x20_json"])
+    (block,) = cli._report(args)[0].blocks
+    values = np.concatenate([block.coords, block.floats], axis=1, dtype=float) + 0.0
+    distinct = np.unique(values.view(np.uint64)).view(float)
+    benchmark.group = "float texts"
+    assert benchmark(FLOAT_TEXTS[how], distinct) == FLOAT_TEXTS["percent_join"](distinct)

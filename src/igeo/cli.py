@@ -282,11 +282,92 @@ def _mirrored(distinct: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return np.concatenate([np.zeros(neg, dtype=bool), signed]), mirror[signed].tolist()
 
 
+_DIGIT_ROWS = np.arange(19, dtype=np.uint8)[:, None]
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Two tables by column x + 281, for the decimal exponents x in [-281, 281]: 10^(16 - x)
+    as a double-double (hi, lo) with hi's Veltkamp halves; and the layout of %.17g at x:
+    its "0.0.." prefix and "e+XX" suffix as 5 bytes each, NUL-padded, the digit the point
+    follows (17: none among them) and the digits kept at least (the integer part)."""
+    scale, layout = [], []
+    for x in range(-281, 282):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi = num / den  # int true division rounds correctly
+        n, d = hi.as_integer_ratio()
+        split = hi * 134217729.0 - (hi * 134217729.0 - hi)
+        scale.append((hi, (num * d - n * den) / (den * d), split, hi - split))
+        fixed = -4 <= x < 17
+        prefix = "0." + "0" * (-1 - x) if fixed and x < 0 else ""
+        suffix = "" if fixed else "e%+03d" % x
+        point, whole = (x, x + 1) if 0 <= x < 17 else (17 if fixed else 0, 0)
+        layout.append((prefix.ljust(5, "\0") + suffix.ljust(5, "\0")).encode()
+                      + bytes([point, whole]))
+    return (np.array(scale).T.copy(),
+            np.frombuffer(b"".join(layout), np.uint8).reshape(-1, 12).T.copy())
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """["%.17g" % v for v in values], from numpy.
+
+    A finite |v| in [1e-280, 1e280] is scaled to y = |v| * 10^(16 - x), x = floor(log10|v|),
+    in double-double: yh + yl is within 2^-47 of y.  Where 1e16 < yh < 1e17 and yl's
+    fraction is more than 2^-40 from 1/2, round(y) = yh + rint(yl) is exactly the 17
+    digits %.17g writes; yh <= 1e17 - 16 there, so no carry reaches 10^17.  The digits and
+    the %g layout (fixed for -4 <= x < 17, else e+XX; no trailing zeros or bare point) are
+    written as a (30, n) byte matrix, one text per column, NUL for a dropped byte.  Every
+    other value is formatted by %: 0, subnormals, magnitudes out of the range, inf and NaN,
+    near-ties (exact ties, such as 2^-25, among them), and yh outside (1e16, 1e17), which
+    takes the powers of ten, the carries to them and the values where log10 misses by one.
+    """
+    scale, layout = _text_tables()
+    a = np.abs(values)
+    slow = ~((a >= 1e-280) & (a <= 1e280))  # NaN too
+    a[slow] = 2.0  # a stand-in: % writes these
+    col = np.floor(np.log10(a)).astype(np.intp) + 281  # x + 281
+    hi, lo, hi1, hi2 = scale.take(col, axis=1)
+    c = a * 134217729.0  # 2^27 + 1: a split by Veltkamp, since numpy has no fma
+    a1 = c - (c - a)
+    a2 = a - a1
+    p = a * hi
+    t = (((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2) + a * lo  # Dekker: p + e = a * hi
+    yh = p + t
+    yl = t - (yh - p)
+    slow |= ~((yh > 1e16) & (yh < 1e17)) | (np.abs(yl - np.floor(yl) - 0.5) <= 2.0 ** -40)
+    d = np.where(slow, 10 ** 16, yh.astype(np.int64) + np.rint(yl).astype(np.int64))
+    halves = np.array(np.divmod(d, 10 ** 9), dtype=np.uint32)
+    n = len(values)
+    digits = np.zeros((19, n), dtype=np.uint8)  # row j + 1: digit j of d; rows 0 and 18: 0
+    for j in range(8, -1, -1):
+        tens = halves // 10
+        digits[j:18:9] = halves - tens * 10
+        halves = tens
+    fix = layout.take(col, axis=1)
+    point = fix[10]
+    keep = np.maximum(((digits != 0) * _DIGIT_ROWS).max(axis=0), fix[11])
+    chars = (digits + ord("0")) * (_DIGIT_ROWS <= keep)
+    mat = np.empty((30, n), dtype=np.uint8)  # sign, prefix, digits and point, suffix, ','
+    mat[0] = np.where(np.signbit(values), ord("-"), 0)
+    mat[1:6] = fix[:5]
+    # digit j in row 6 + j up to the point, in row 7 + j after it
+    mat[6:24] = chars[:-1] + (_DIGIT_ROWS[:18] <= point) * (chars[1:] - chars[:-1])
+    mat[6 + np.minimum(point + 1, 17), np.arange(n)] = np.where(keep > point + 1, ord("."), 0)
+    mat[24:29] = fix[5:10]
+    mat[29] = ord(",")
+    texts = mat.T.tobytes().translate(None, b"\0").decode("ascii").split(",")
+    texts.pop()  # the "" after the last ","
+    for i, v in zip(np.flatnonzero(slow).tolist(), values[slow].tolist()):
+        texts[i] = "%.17g" % v
+    return texts
+
+
 def _write_columns(out: list[str], block: Block, layout, words: tuple[str, ...]) -> None:
     """Append a JSON or CSV block's records to out, joined from _template's layout
     JOIN_POINTS points at a time, in segments of about FORMAT_VALUES floats.  A column
     with one float or verdict across a segment is written into the literal pieces; each
-    distinct float of the others is formatted once, or as '-' and its magnitude's text."""
+    distinct float of the others is formatted once, by _float_texts, or as '-' and its
+    magnitude's text."""
     pieces, columns = layout
     # + 0.0 makes -0.0 the 0.0 that %.17g writes as 0; equal bits write equal text
     values = np.concatenate([block.coords, block.floats], axis=1, dtype=float) + 0.0
@@ -314,8 +395,8 @@ def _write_columns(out: list[str], block: Block, layout, words: tuple[str, ...])
             row = np.cumsum(~signed) - 1
             row[signed] = np.arange(len(row) - len(mirror), len(row))
             inverse, distinct = row[inverse], distinct[~signed]
-        texts = ("%.17g," * len(distinct) % tuple(distinct.view(float).tolist())).split(",")
-        texts[-1:] = ["-" + texts[m] for m in mirror]  # in place of the "" after the last ","
+        texts = _float_texts(distinct.view(float))
+        texts += ["-" + texts[m] for m in mirror]
         table = np.array(texts + [*words, *parts], dtype=object)
         index, verdicts = inverse.reshape(len(seg), -1), vary[vary >= nf]
         if len(verdicts):  # a verdict's column picks its word

@@ -5,9 +5,11 @@ import csv as csvmod
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -915,6 +917,89 @@ class TestColumnWriter:
         assert call("metric", "--grid=0:1:2,1:2:1", "--format=text")[0] == 0
         with pytest.raises(AssertionError, match="written by columns"):  # a block of two
             call("metric", "--grid=0:1:2,1:2:1", "--format=json")
+
+
+def near_ties() -> list[float]:
+    """Doubles v = m 2^-(j + s) with |v| 10^s = m 5^s 2^-j in [1e16, 1e17) and within
+    40 2^-j of a half-integer, but not on it: m = (2^(j-1) + r) / 5^s mod 2^j."""
+    out = []
+    for s in range(23, 28):
+        for j in range(48, 54):
+            inverse = pow(5 ** s, -1, 1 << j)
+            for r in [*range(-40, 0), *range(1, 41)]:
+                m = ((1 << (j - 1)) + r) * inverse % (1 << j)
+                if 10 ** 16 * 2 ** j <= m * 5 ** s < 10 ** 17 * 2 ** j:
+                    out.append(math.ldexp(m, -j - s))
+    return out
+
+
+class TestFloatTexts:
+    """cli._float_texts writes "%.17g" % v for every float, byte for byte, by its fast
+    path or its fallback."""
+
+    @staticmethod
+    def check(values):
+        values = np.array(values, dtype=float)
+        texts = cli._float_texts(values)
+        assert texts == ["%.17g" % v for v in values.tolist()]
+        assert cli._float_texts(-values) == ["%.17g" % -v for v in values.tolist()]
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(30).integers(0, 2**64, 2**20, dtype=np.uint64,
+                                                  endpoint=False)
+        self.check(bits.view(float))
+
+    def test_powers_of_two_and_three_times_them(self):
+        k = np.arange(-1074, 1024)
+        self.check(np.ldexp(1.0, k))
+        self.check(np.ldexp(3.0, k[:-1]))  # 2^-25 = 2.98023223876953125e-08 is a tie
+
+    @pytest.mark.parametrize("ulp", [0.0, -np.inf, np.inf], ids=["log10", "below", "above"])
+    def test_powers_of_ten_and_their_neighbours(self, monkeypatch, ulp):
+        # float("1e-79") is below 10^-79, and %.17g carries it to 1e-79.  numpy's log10 is
+        # not correctly rounded on every build: one ulp below it, floor(log10) of a power
+        # of ten, or of such a carry, is one too small, and y falls on 1e17
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), ulp) if ulp else log10(a))
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        self.check(np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]))
+
+    @pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16, 1e17, 1e-280, 1e280])
+    def test_around_the_layout_switches_and_the_range(self, switch):
+        below, above = [switch], [switch]
+        for _ in range(40):
+            below.append(np.nextafter(below[-1], 0))
+            above.append(np.nextafter(above[-1], np.inf))
+        self.check(below[::-1] + above[1:])
+
+    def test_near_ties(self):
+        ties = near_ties()
+        assert len(ties) > 600
+        self.check(ties)
+
+    def test_zeros_infinities_and_nans(self):
+        self.check([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308])
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000123], dtype=np.uint64).view(float)
+        assert cli._float_texts(nans) == ["nan", "nan"]
+        assert cli._float_texts(np.array([])) == []
+
+    def test_fallbacks_land_in_their_places(self):
+        fast = np.random.default_rng(31).uniform(-1e3, 1e3, 500)
+        slow = [0.0, -0.0, np.inf, -np.nan, 5e-324, 1e-300, -1e300, 1.0, -10.0, 2.0**-25,
+                near_ties()[0], float("1e-79")]
+        values = np.concatenate([fast, slow])
+        self.check(values[np.random.default_rng(32).permutation(len(values))])
+
+    def test_scale_table_is_exact(self):
+        scale, _ = cli._text_tables()
+        assert scale.shape == (4, 563)
+        for i, (hi, lo, hi1, hi2) in enumerate(scale.T.tolist()):
+            power = Fraction(10) ** (297 - i)  # 10^(16 - x) at column x + 281
+            assert hi == float(power) and lo == float(power - Fraction(hi))
+            assert Fraction(hi1) + Fraction(hi2) == Fraction(hi)
+            for half in (hi1, hi2):  # at most 26 significant bits each
+                n = abs(half.as_integer_ratio()[0])
+                assert n.bit_length() - (n & -n).bit_length() < 26
 
 
 class TestRowPatternHash:
