@@ -920,8 +920,8 @@ class TestColumnWriter:
 
 
 def near_ties() -> list[float]:
-    """Doubles v = m 2^-(j + s) with |v| 10^s = m 5^s 2^-j in [1e16, 1e17) and within
-    40 2^-j of a half-integer, but not on it: m = (2^(j-1) + r) / 5^s mod 2^j."""
+    """Doubles v = m 2^-(j + s) with v 10^s = m 5^s 2^-j in [1e16, 1e17) and within
+    40/2^j of a half-integer, but not on it: m = (2^(j-1) + r) / 5^s mod 2^j, 0 < |r| <= 40."""
     out = []
     for s in range(23, 28):
         for j in range(48, 54):
@@ -940,8 +940,7 @@ class TestFloatTexts:
     @staticmethod
     def check(values):
         values = np.array(values, dtype=float)
-        texts = cli._float_texts(values)
-        assert texts == ["%.17g" % v for v in values.tolist()]
+        assert cli._float_texts(values) == ["%.17g" % v for v in values.tolist()]
         assert cli._float_texts(-values) == ["%.17g" % -v for v in values.tolist()]
 
     def test_random_bit_patterns(self):
@@ -954,13 +953,14 @@ class TestFloatTexts:
         self.check(np.ldexp(1.0, k))
         self.check(np.ldexp(3.0, k[:-1]))  # 2^-25 = 2.98023223876953125e-08 is a tie
 
-    @pytest.mark.parametrize("ulp", [0.0, -np.inf, np.inf], ids=["log10", "below", "above"])
-    def test_powers_of_ten_and_their_neighbours(self, monkeypatch, ulp):
+    @pytest.mark.parametrize("toward", [None, -np.inf, np.inf], ids=["log10", "below", "above"])
+    def test_powers_of_ten_and_their_neighbours(self, monkeypatch, toward):
         # float("1e-79") is below 10^-79, and %.17g carries it to 1e-79.  numpy's log10 is
         # not correctly rounded on every build: one ulp below it, floor(log10) of a power
         # of ten, or of such a carry, is one too small, and y falls on 1e17
-        log10 = np.log10
-        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), ulp) if ulp else log10(a))
+        if toward is not None:
+            log10 = np.log10
+            monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
         powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
         self.check(np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]))
 
